@@ -1,7 +1,8 @@
 """Command-line front end: every pipeline with bit-exact text/JSON output.
 
 Exit codes: 0 = property verified / data produced, 1 = property refuted
-(a valid mathematical answer), 2 = usage or input error.
+(a valid mathematical answer), 2 = usage or input error, 3 = internal
+error (a bug: the traceback goes to stderr and no verdict is given).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,12 +37,12 @@ class Refuted(Exception):
 @dataclass
 class CommandResult:
     command: str
-    status: str  # 'verified' | 'refuted' | 'error'
+    status: str  # 'verified' | 'refuted' | 'error' | 'internal-error'
     payload: dict
 
     @property
     def exit_code(self):
-        return {"verified": 0, "refuted": 1, "error": 2}[self.status]
+        return {"verified": 0, "refuted": 1, "error": 2, "internal-error": 3}[self.status]
 
 
 def _frac_str(x):
@@ -425,6 +427,11 @@ def _dispatch(args) -> CommandResult:
         return CommandResult(command, "error", {"error": str(exc)})
     except (ValueError, ArithmeticError) as exc:
         return CommandResult(command, "error", {"error": str(exc)})
+    except Exception as exc:
+        # Anything else, InvariantError included, is a bug; it must not
+        # leave with Python's status 1, which means "refuted".
+        traceback.print_exc(file=sys.stderr)
+        return CommandResult(command, "internal-error", {"error": f"{type(exc).__name__}: {exc}"})
 
 
 def run(argv=None) -> CommandResult:
@@ -469,7 +476,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     result = _dispatch(args)
-    out = sys.stderr if result.status == "error" else sys.stdout
+    out = sys.stdout if result.status in ("verified", "refuted") else sys.stderr
     if args.json:
         payload = {"command": result.command, "status": result.status, **result.payload}
         payload.pop("text", None)

@@ -12,7 +12,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import kernels, linalg, lp
-from .enumeration import closest_vectors, lattice_points_in_ellipsoid
+from .enumeration import closest_vectors, first_interior_point, lattice_points_in_ellipsoid
+from .errors import InvariantError
 from .forms import QuadraticForm
 from .linalg import RationalMatrix, _frac
 from .vecset import canonical_set, dot, sub
@@ -163,6 +164,8 @@ def is_delaunay_cell(f: QuadraticForm, points, allow_large=False) -> DelaunayCer
     True iff the points are co-spherical under f, the circumscribed
     ellipsoid is empty, and the point list is the complete boundary set.
     A strict subset of the boundary is flagged as a proper subface.
+    The offending_interior witness is the first strictly interior point
+    in enumeration order; the search stops there.
     """
     pts = canonical_set(points)
     n = f.n
@@ -171,12 +174,12 @@ def is_delaunay_cell(f: QuadraticForm, points, allow_large=False) -> DelaunayCer
     quad = circumscribed_quadric(f, pts)
     if quad.status != "ok":
         return DelaunayCertificate(pts, None, None, False, cospherical=False)
-    report = lattice_points_in_ellipsoid(f, quad.center, quad.r2, allow_large=allow_large)
-    if report.interior:
+    inside, boundary = first_interior_point(f, quad.center, quad.r2, allow_large=allow_large)
+    if inside is not None:
         return DelaunayCertificate(
-            pts, quad.center, quad.r2, False, offending_interior=report.interior[0]
+            pts, quad.center, quad.r2, False, offending_interior=inside
         )
-    boundary = set(report.boundary)
+    boundary = set(boundary)
     missing = sorted(boundary - set(pts))
     if missing:
         return DelaunayCertificate(
@@ -231,7 +234,8 @@ def delaunay_cell_containing(f: QuadraticForm, point, allow_large=False):
         for v in constraints:
             rows.append(([*map(Fraction, v), Fraction(1)], f.evaluate(v)))
         res = lp.lp_solve(objective=[*t, Fraction(1)], less_equal=rows, num_vars=n + 1)
-        assert res.status == "optimal", f"cell LP unexpectedly {res.status}"
+        if res.status != "optimal":
+            raise InvariantError(f"cell LP unexpectedly {res.status}")
         g = res.witness[:n]
         h = res.witness[n]
         m = ginv.matvec([x / 2 for x in g])
@@ -239,11 +243,13 @@ def delaunay_cell_containing(f: QuadraticForm, point, allow_large=False):
         mu = d2 - (f.evaluate(m) + h)
         if mu < 0:
             new = [p for p in pts if p not in constraints]
-            assert new, "separation oracle failed to add a violated constraint"
+            if not new:
+                raise InvariantError("separation oracle failed to add a violated constraint")
             for p in new:
                 constraints[p] = None
             continue
-        assert mu == 0, "optimal support function must touch the lattice lift"
+        if mu != 0:
+            raise InvariantError("optimal support function must touch the lattice lift")
         vertices = canonical_set(pts)
         break
 

@@ -3,14 +3,16 @@
 The dual of S is every integer vector whose product with each element of
 S lies in {0, 1}.  It is finite exactly when S spans rationally; the
 computation picks a rank-n subset, solves the 2^n exact systems for all
-{0,1} right-hand sides over it, and filters against all of S.
+{0,1} right-hand sides over it, and filters against all of S.  The
+systems are solved in integers: with B the subset as rows and A = D B^-1
+an integer matrix, the solution for r is A r / D, and walking r through
+{0,1}^n in Gray-code order changes A r by one column of A per step.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .forms import sym_dimension, value_row
@@ -58,8 +60,8 @@ def _independent_subset(vectors, n):
     for v in vectors:
         if is_zero(v):
             continue
-        candidate = rows + [list(map(Fraction, v))]
-        if len(linalg._echelon([row[:] for row in candidate])) == len(candidate):
+        candidate = rows + [v]
+        if len(linalg._echelon(candidate)[0]) == len(candidate):
             rows = candidate
             chosen.append(tuple(v))
             if len(chosen) == n:
@@ -84,14 +86,25 @@ def dual01(vectors, basis_choice=None):
             raise DualInfiniteError(
                 "dual infinite: the set does not span the space over the rationals"
             )
-    matrix = RationalMatrix(basis)
-    inv = linalg.inverse(matrix)
-    out = []
-    for rhs in itertools.product((0, 1), repeat=n):
-        u = inv.matvec(rhs)
-        if any(x.denominator != 1 for x in u):
+    inv = linalg.inverse(RationalMatrix(basis))
+    # D is the least common denominator of B^-1 (a divisor of det B), so
+    # the columns of A = D B^-1 are integer vectors.
+    den = lcm(*(x.denominator for row in inv.rows() for x in row))
+    columns = [[int(x * den) for x in col] for col in zip(*inv.rows())]
+    acc = [0] * n  # A r for the current r
+    rhs = [0] * n
+    out = [tuple(acc)]
+    for step in range(1, 2**n):
+        j = (step & -step).bit_length() - 1  # the bit that flips
+        rhs[j] ^= 1
+        col = columns[j]
+        if rhs[j]:
+            acc = [a + c for a, c in zip(acc, col)]
+        else:
+            acc = [a - c for a, c in zip(acc, col)]
+        if any(a % den for a in acc):
             continue
-        cand = tuple(int(x) for x in u)
+        cand = tuple(a // den for a in acc)
         if all(dot(cand, v) in (0, 1) for v in vectors):
             out.append(cand)
     return canonical_set(out)

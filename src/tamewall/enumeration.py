@@ -87,6 +87,10 @@ def _range_bounds(offset: Fraction, r: Fraction):
     return lo, hi
 
 
+# Returned by a visit callback to end the enumeration.
+_STOP = object()
+
+
 class _Enumerator:
     """Shared DFS over x_n..x_1 with exact partial-cost pruning."""
 
@@ -99,8 +103,9 @@ class _Enumerator:
         """Visit every x with f(x - center) <= bound.
 
         visit(x_tuple, value) may return a new (smaller) bound when
-        shrink=True; half=True enumerates one representative per +-pair
-        (valid only for center = 0).
+        shrink=True, or _STOP to end the enumeration at once; half=True
+        enumerates one representative per +-pair (valid only for
+        center = 0).
         """
         n = self.n
         L = self.L
@@ -118,14 +123,17 @@ class _Enumerator:
             return off
 
         def rec(i, cost):
+            """Enumerate levels i..0; True once visit has asked to stop."""
             if i < 0:
                 new_bound = visit(tuple(x), cost)
+                if new_bound is _STOP:
+                    return True
                 if shrink and new_bound is not None:
                     state["bound"] = new_bound
-                return
+                return False
             rem = state["bound"] - cost
             if rem < 0:
-                return
+                return False
             d_i = self.D[i]
             off = offset_at(i)
             lo, hi = _range_bounds(off, rem / d_i)
@@ -137,8 +145,10 @@ class _Enumerator:
                 new_cost = cost + step
                 if new_cost <= state["bound"]:
                     x[i] = xi
-                    rec(i - 1, new_cost)
+                    if rec(i - 1, new_cost):
+                        return True
             x[i] = 0
+            return False
 
         rec(n - 1, Fraction(0))
 
@@ -202,6 +212,33 @@ def lattice_points_in_ellipsoid(f: QuadraticForm, center, r2, allow_large=False)
 
     enum.run(center, r2, visit)
     return EllipsoidPointReport(tuple(sorted(interior)), tuple(sorted(boundary)))
+
+
+def first_interior_point(f: QuadraticForm, center, r2, allow_large=False):
+    """(x, None) for the first lattice point x in enumeration order with
+    f(x - center) < r2, else (None, boundary) with the sorted points on
+    f(x - center) = r2.
+
+    The search stops at the first interior point, so a non-empty
+    ellipsoid never has its points materialised.
+    """
+    r2 = _frac(r2)
+    if r2 < 0:
+        raise ValueError("squared radius must be nonnegative")
+    enum = _Enumerator(f, allow_large)
+    found = {"inside": None, "boundary": []}
+
+    def visit(x, value):
+        if value < r2:
+            found["inside"] = x
+            return _STOP
+        found["boundary"].append(x)
+        return None
+
+    enum.run(center, r2, visit)
+    if found["inside"] is not None:
+        return found["inside"], None
+    return None, tuple(sorted(found["boundary"]))
 
 
 def closest_vectors(f: QuadraticForm, target, allow_large=False):

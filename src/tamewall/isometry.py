@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from . import linalg
 from .enumeration import arithmetic_minimum, vectors_up_to
+from .errors import InvariantError
 from .forms import QuadraticForm, scale
 from .linalg import RationalMatrix
 
@@ -54,8 +55,8 @@ def _reference_basis(f: QuadraticForm, allow_large=False):
         chosen = []
         rows = []
         for v, _ in candidates:
-            trial = rows + [list(map(Fraction, v))]
-            if len(linalg._echelon([r[:] for r in trial])) == len(trial):
+            trial = rows + [v]
+            if len(linalg._echelon(trial)[0]) == len(trial):
                 rows = trial
                 chosen.append(v)
                 if len(chosen) == n:
@@ -70,7 +71,7 @@ def are_equivalent(a: QuadraticForm, b: QuadraticForm, allow_large=False):
     vectors of a with the same norm; partial maps are pruned on exact
     pairwise inner products.  A full tuple is accepted only if the
     induced matrix is integral with determinant +-1 (then the Gram
-    identity holds automatically and is asserted); a negative answer
+    identity holds automatically and is checked); a negative answer
     means the finite compatible tree was exhausted.
     """
     if a.n != b.n:
@@ -118,7 +119,8 @@ def are_equivalent(a: QuadraticForm, b: QuadraticForm, allow_large=False):
             u = RationalMatrix(ints)
             if linalg.det(u) not in (1, -1):
                 return False
-            assert u.transpose().matmul(a.gram).matmul(u) == b.gram
+            if u.transpose().matmul(a.gram).matmul(u) != b.gram:
+                raise InvariantError("unimodular witness fails the Gram identity")
             result.append(u)
             return True
         for cand in by_norm.get(target[level][level], ()):

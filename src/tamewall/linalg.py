@@ -1,20 +1,25 @@
 """Exact rational linear algebra over `fractions.Fraction`.
 
 Determinants run fraction-free (Bareiss) so integral input stays integral;
-rank, solving and nullspaces use exact Gauss-Jordan elimination; positive
-definiteness is decided by the pivots of an exact LDL^T factorization.
-No floating point enters any code path.
+rank, solving, nullspaces and inverses clear each row's denominators once
+and eliminate over the integers, producing fractions only for the final
+reduced row echelon form; positive definiteness is decided by the pivots
+of an exact LDL^T factorization.  No floating point enters any code path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import kernels
 
 Rational = Fraction
+
+
+class NotPositiveDefiniteError(ValueError):
+    """A symmetric matrix has a nonpositive LDL^T pivot."""
 
 
 def _frac(x) -> Fraction:
@@ -160,33 +165,74 @@ def det(matrix: RationalMatrix) -> Fraction:
     return Fraction(kernels.det_int(rows), factor)
 
 
+def _primitive(row):
+    """Integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _eliminate(row, pivot_row, c):
+    """Primitive integer combination of row and pivot_row that is 0 in column c."""
+    p = pivot_row[c]
+    a = row[c]
+    g = gcd(p, a)
+    p //= g
+    a //= g
+    return _primitive([p * x - a * y for x, y in zip(row, pivot_row)])
+
+
 def _echelon(rows):
-    """In-place forward elimination; returns pivot column list."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    """Fraction-free row echelon form of rational rows.
+
+    Each row is scaled to a primitive integer row once; elimination then
+    uses integer row operations only, dividing every new row by its
+    content.  Returns (pivots, echelon): the pivot columns and one
+    integer row per pivot, zero left of its pivot.  The rank is
+    len(pivots); _rref finishes the reduction.
+    """
+    work = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        work.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if work[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        work[r], work[pr] = work[pr], work[r]
+        prow = work[r]
+        for i in range(r + 1, nrows):
+            if work[i][c]:
+                work[i] = _eliminate(work[i], prow, c)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, work[:r]
+
+
+def _rref(pivots, echelon):
+    """The reduced row echelon form (one Fraction row per pivot).
+
+    Back-substitution over the integers clears each pivot column above
+    its pivot; dividing each row by its pivot then gives the unique RREF.
+    """
+    rows = list(echelon)
+    for k in range(len(pivots) - 1, 0, -1):
+        c = pivots[k]
+        for j in range(k):
+            if rows[j][c]:
+                rows[j] = _eliminate(rows[j], rows[k], c)
+    return [
+        [Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)
+    ]
 
 
 def rank(matrix: RationalMatrix) -> int:
-    rows = [list(r) for r in matrix.rows()]
-    return len(_echelon(rows))
+    return len(_echelon(matrix.rows())[0])
 
 
 def solve(matrix: RationalMatrix, rhs) -> LinearSystemSolution:
@@ -195,14 +241,15 @@ def solve(matrix: RationalMatrix, rhs) -> LinearSystemSolution:
         raise ValueError("right-hand side length mismatch")
     b = [_frac(x) for x in rhs]
     aug = [list(row) + [bi] for row, bi in zip(matrix.rows(), b)]
-    pivots = _echelon(aug)
+    pivots, echelon = _echelon(aug)
     ncols = matrix.ncols
     if ncols in pivots:
         return LinearSystemSolution("inconsistent", None, ())
+    rref = _rref(pivots, echelon)
     particular = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
-        particular[c] = aug[r][ncols]
-    basis = _nullspace_from_rref(aug, pivots, ncols)
+        particular[c] = rref[r][ncols]
+    basis = _nullspace_from_rref(rref, pivots, ncols)
     kind = "unique" if not basis else "affine"
     return LinearSystemSolution(kind, tuple(particular), tuple(basis))
 
@@ -223,9 +270,8 @@ def _nullspace_from_rref(rref_rows, pivots, ncols):
 
 def nullspace(matrix: RationalMatrix):
     """Basis of the right nullspace (empty tuple when trivial)."""
-    rows = [list(r) for r in matrix.rows()]
-    pivots = _echelon(rows)
-    return tuple(_nullspace_from_rref(rows, pivots, matrix.ncols))
+    pivots, echelon = _echelon(matrix.rows())
+    return tuple(_nullspace_from_rref(_rref(pivots, echelon), pivots, matrix.ncols))
 
 
 def inverse(matrix: RationalMatrix) -> RationalMatrix:
@@ -233,10 +279,10 @@ def inverse(matrix: RationalMatrix) -> RationalMatrix:
         raise ValueError("inverse requires a square matrix")
     n = matrix.nrows
     aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix.rows())]
-    pivots = _echelon(aug)
-    if len(pivots) < n or pivots != list(range(n)):
+    pivots, echelon = _echelon(aug)
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return RationalMatrix([row[n:] for row in aug])
+    return RationalMatrix([row[n:] for row in _rref(pivots, echelon)])
 
 
 def ldl(matrix: RationalMatrix):
@@ -244,7 +290,7 @@ def ldl(matrix: RationalMatrix):
 
     Returns (L, D) with L unit lower triangular (list of row tuples) and
     D the pivot list.  Raises ValueError when the matrix is not symmetric
-    or a pivot fails to be positive (i.e. the matrix is not PD).
+    and NotPositiveDefiniteError when a pivot fails to be positive.
     """
     if not matrix.is_symmetric:
         raise ValueError("LDL requires a symmetric matrix")
@@ -254,7 +300,7 @@ def ldl(matrix: RationalMatrix):
     for j in range(n):
         d = matrix[j, j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
         if d <= 0:
-            raise ValueError("matrix is not positive definite")
+            raise NotPositiveDefiniteError("matrix is not positive definite")
         D[j] = d
         L[j][j] = Fraction(1)
         for i in range(j + 1, n):
@@ -269,10 +315,8 @@ def is_positive_definite(matrix: RationalMatrix) -> bool:
         raise ValueError("positive definiteness is tested on symmetric matrices only")
     try:
         ldl(matrix)
-    except ValueError as exc:
-        if "positive definite" in str(exc):
-            return False
-        raise
+    except NotPositiveDefiniteError:
+        return False
     return True
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvariantError
 from .linalg import _frac
 
 
@@ -252,7 +253,8 @@ def lp_solve(
         res = _run(nvars + 1, obj, aug_eqs, aug_leqs)
         if res.status == "infeasible":
             return LPResult("infeasible")
-        assert res.status == "optimal"
+        if res.status != "optimal":
+            raise InvariantError(f"bounded slack LP unexpectedly {res.status}")
         if res.optimum > 0:
             return LPResult("feasible", witness=res.witness[:nvars])
         return LPResult("infeasible")

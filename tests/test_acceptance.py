@@ -218,6 +218,18 @@ def test_criterion_09_delaunay_on_wall(n):
     assert ok
 
 
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_criterion_09_theorem1_pipeline(n):
+    t0 = time.time()
+    rep = series.verify_theorem1(n)
+    failing = [s.name for s in rep.steps if not s.ok]
+    vol = delaunay.relative_volume(series.s_n_vertices(n))
+    ok = rep.ok and not failing and vol == n - 3
+    _line(9, ok, f"n={n}: every theorem-1 step ok (failing {failing}), simplex "
+                 f"volume {vol} at eps={rep.data.get('epsilon')} ({time.time() - t0:.2f}s)")
+    assert ok
+
+
 # -- criterion 10: Radon structure ----------------------------------------------
 
 @pytest.mark.parametrize("n", range(5, 11))

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from tamewall import cli, forms
+from tamewall import cli, forms, series
+from tamewall.errors import InvariantError
 from tamewall.forms import format_form, parse_form, tf_form
 from tamewall.series import s_n_vertices
 from tamewall.vecset import format_vectors, parse_vectors
@@ -229,6 +230,26 @@ def test_perturb_command(capsys, tmp_path):
     code, payload = run_json(capsys, "perturb", str(form), str(cell), str(subset), "--alpha", "1/4")
     assert code == 0
     assert payload["verdict"]
+
+
+@pytest.mark.parametrize("fault", [KeyError("injected"), InvariantError("injected")])
+def test_internal_fault_exits_3_with_traceback(capsys, monkeypatch, fault):
+    # an internal bug must never look like a refutation (exit 1)
+    def broken(n, allow_large=False):
+        raise fault
+
+    monkeypatch.setattr(series, "verify_theorem1", broken)
+    code, out, err = run_main(capsys, "theorem1", "6")
+    assert code == 3
+    assert out == ""
+    assert "status: internal-error" in err
+    assert "Traceback" in err and type(fault).__name__ in err
+    code, out, err = run_main(capsys, "--json", "theorem1", "6")
+    assert code == 3
+    assert out == "" and "Traceback" in err
+    payload = json.loads(err[err.index("\n{") + 1:])  # the report follows the traceback
+    assert payload["status"] == "internal-error"
+    assert payload["error"].startswith(type(fault).__name__)
 
 
 def test_unknown_command_exit2(capsys):

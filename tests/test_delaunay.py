@@ -3,8 +3,9 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from tamewall import delaunay, lp
 from tamewall.delaunay import (
     InhomogeneousQuadratic,
     NonGenericPointError,
@@ -16,9 +17,11 @@ from tamewall.delaunay import (
     radon_triangulations,
     relative_volume,
 )
+from tamewall.enumeration import closest_vectors, lattice_points_in_ellipsoid
+from tamewall.errors import InvariantError
 from tamewall.forms import QuadraticForm, standard_gram, tf_form, wall_interior_form
 from tamewall.series import r_n_vertices, s_n_vertices, tw_normal
-from tamewall.linalg import RationalMatrix
+from tamewall.linalg import RationalMatrix, rank
 
 UNIT_SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
@@ -67,6 +70,61 @@ def test_is_delaunay_cell_detects_interior_point():
     assert inside is not None
     # the witness really lies strictly inside the circumdisk around (1,1)
     assert (inside[0] - 1) ** 2 + (inside[1] - 1) ** 2 < 2
+
+
+def assert_matches_full_enumeration(f, pts):
+    """The early-exit certificate against the whole-ellipsoid rule: the
+    verdict fails on an interior point exactly when the full enumeration
+    finds one, the witness lies strictly inside, and an empty ellipsoid
+    gets the boundary verdict computed from every lattice point."""
+    cert = is_delaunay_cell(f, pts)
+    report = lattice_points_in_ellipsoid(f, cert.center, cert.r2)
+    if report.interior:
+        witness = cert.offending_interior
+        assert not cert.verdict and witness in report.interior
+        assert f.evaluate([x - c for x, c in zip(witness, cert.center)]) < cert.r2
+        return cert
+    assert cert.offending_interior is None
+    missing = sorted(set(report.boundary) - set(cert.vertices))
+    assert cert.verdict == (not missing)
+    assert cert.missing_boundary == (missing[0] if missing else None)
+    assert cert.proper_subface == (bool(missing) and set(cert.vertices) < set(report.boundary))
+    return cert
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n), min_size=n + 1, max_size=n + 1),
+        )
+    )
+)
+def test_early_exit_verdict_matches_full_enumeration(data):
+    rows, pts = data
+    n = len(rows)
+    b = RationalMatrix(rows)
+    f = QuadraticForm(b.transpose().matmul(b) + RationalMatrix.identity(n))
+    edges = [[p[i] - pts[0][i] for i in range(n)] for p in pts[1:]]
+    assume(rank(RationalMatrix(edges)) == n)
+    assert_matches_full_enumeration(f, pts)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_early_exit_matches_full_enumeration_on_theorem1_perturbations(n):
+    # the perturbation sizes verify_theorem1 tries, down to the accepted one
+    wall_form = wall_interior_form(n)
+    normal = tw_normal(n).normal
+    eps = F(1, 4)
+    while True:
+        cert = assert_matches_full_enumeration(
+            QuadraticForm(wall_form.gram + normal.scaled(eps)), s_n_vertices(n)
+        )
+        if cert.verdict:
+            break
+        eps /= 2
+    assert eps == F(1, 2 ** (n - 1))
 
 
 def test_is_delaunay_cell_rejects_degenerate():
@@ -149,6 +207,29 @@ def test_cell_roundtrip_a2(x, y):
     except NonGenericPointError:
         return
     assert is_delaunay_cell(f, cell).verdict
+
+
+def test_cell_lp_not_optimal_raises_invariant_error(monkeypatch):
+    monkeypatch.setattr(lp, "lp_solve", lambda **kwargs: lp.LPResult("unbounded"))
+    with pytest.raises(InvariantError, match="cell LP"):
+        delaunay_cell_containing(QuadraticForm.identity(2), (F(2, 5), F(1, 3)))
+
+
+def test_separation_oracle_without_new_point_raises_invariant_error(monkeypatch):
+    # a "violated" constraint at a point the LP already has
+    monkeypatch.setattr(delaunay, "closest_vectors", lambda f, m, allow_large=False: (F(-100), ((0, 0),)))
+    with pytest.raises(InvariantError, match="separation oracle"):
+        delaunay_cell_containing(QuadraticForm.identity(2), (F(2, 5), F(1, 3)))
+
+
+def test_support_function_off_the_lift_raises_invariant_error(monkeypatch):
+    def too_far(f, m, allow_large=False):
+        d2, pts = closest_vectors(f, m, allow_large)
+        return d2 + 1, pts
+
+    monkeypatch.setattr(delaunay, "closest_vectors", too_far)
+    with pytest.raises(InvariantError, match="touch the lattice lift"):
+        delaunay_cell_containing(QuadraticForm.identity(2), (F(2, 5), F(1, 3)))
 
 
 def test_radon_r6():

@@ -16,7 +16,10 @@ from tamewall.dual01 import (
 )
 from tamewall.forms import big_simplex_dual_vectors, sym_dimension
 from tamewall.series import r_n_vertices, s_n_vertices
+from tamewall.linalg import RationalMatrix
 from tamewall.vecset import canonical_set, dot
+
+from test_linalg import fraction_inverse, fraction_rank
 
 
 def brute_force_dual_in_box(vectors, radius):
@@ -27,6 +30,57 @@ def brute_force_dual_in_box(vectors, radius):
         if all(dot(u, v) in (0, 1) for v in vectors):
             out.append(u)
     return canonical_set(out)
+
+
+def fraction_dual01(vectors):
+    """Oracle: the Fraction inverse times every {0,1} right-hand side, as
+    dual01 computed it before its integer Gray-code walk."""
+    vectors = canonical_set(vectors)
+    n = len(vectors[0])
+    basis = []
+    for v in vectors:
+        if any(v) and fraction_rank(RationalMatrix(basis + [v])) == len(basis) + 1:
+            basis.append(v)
+    if len(basis) < n:
+        raise DualInfiniteError("does not span")
+    inv = fraction_inverse(RationalMatrix(basis[:n]))
+    out = []
+    for rhs in itertools.product((0, 1), repeat=n):
+        u = inv.matvec(rhs)
+        if all(x.denominator == 1 for x in u):
+            cand = tuple(int(x) for x in u)
+            if all(dot(cand, v) in (0, 1) for v in vectors):
+                out.append(cand)
+    return canonical_set(out)
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_duals_match_fraction_oracle(n):
+    families = big_simplex_dual_vectors(n)
+    for vectors in (s_n_vertices(n), r_n_vertices(n), families):
+        assert dual01(vectors) == fraction_dual01(vectors)
+    dual = dual01(s_n_vertices(n))
+    assert dual01(dual) == fraction_dual01(fraction_dual01(s_n_vertices(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+            min_size=1,
+            max_size=7,
+        )
+    )
+)
+def test_dual_matches_fraction_oracle_on_random_sets(vectors):
+    try:
+        expected = fraction_dual01(vectors)
+    except DualInfiniteError:
+        with pytest.raises(DualInfiniteError):
+            dual01(vectors)
+        return
+    assert dual01(vectors) == expected
 
 
 def test_dual_of_big_simplex_matches_families():

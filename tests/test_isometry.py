@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tamewall.errors import InvariantError
 from tamewall.forms import QuadraticForm, dn_neighbor_form, scale, standard_gram, tf_form
 from tamewall.isometry import are_equivalent, are_similar, fingerprint
 from tamewall.linalg import RationalMatrix
@@ -132,3 +133,13 @@ def test_equivalence_invariant_under_unimodular_precomposition(name, shears):
     w = are_equivalent(f, conjugated)
     assert w is not None
     _check_witness(f, conjugated, w)
+
+
+def test_witness_failing_gram_identity_raises_invariant_error(monkeypatch):
+    # Target inner products taken under the wrong form: the search then
+    # builds a unimodular U that maps a onto the identity, not onto b.
+    monkeypatch.setattr(QuadraticForm, "inner", lambda self, u, v: sum(x * y for x, y in zip(u, v)))
+    a = QuadraticForm.identity(2)
+    b = QuadraticForm(RationalMatrix([[1, 1], [1, 2]]))
+    with pytest.raises(InvariantError, match="Gram identity"):
+        are_equivalent(a, b)

@@ -12,6 +12,135 @@ from tamewall.linalg import RationalMatrix
 from test_kernels import cofactor_det, small_matrix
 
 
+# -- oracle: the Fraction Gauss-Jordan that the integer elimination replaced --
+
+def fraction_echelon(rows):
+    """In-place Gauss-Jordan over Fractions to the RREF; returns the pivots."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _fraction_rows(matrix):
+    return [[F(x) for x in row] for row in matrix.rows()]
+
+
+def _oracle_nullspace(rref, pivots, ncols):
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [F(0)] * ncols
+        vec[free] = F(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -rref[r][free]
+        basis.append(tuple(vec))
+    return tuple(basis)
+
+
+def fraction_rank(matrix):
+    return len(fraction_echelon(_fraction_rows(matrix)))
+
+
+def fraction_nullspace(matrix):
+    rows = _fraction_rows(matrix)
+    return _oracle_nullspace(rows, fraction_echelon(rows), matrix.ncols)
+
+
+def fraction_solve(matrix, rhs):
+    aug = [row + [F(b)] for row, b in zip(_fraction_rows(matrix), rhs)]
+    pivots = fraction_echelon(aug)
+    ncols = matrix.ncols
+    if ncols in pivots:
+        return linalg.LinearSystemSolution("inconsistent", None, ())
+    particular = [F(0)] * ncols
+    for r, c in enumerate(pivots):
+        particular[c] = aug[r][ncols]
+    basis = _oracle_nullspace(aug, pivots, ncols)
+    return linalg.LinearSystemSolution("unique" if not basis else "affine", tuple(particular), basis)
+
+
+def fraction_inverse(matrix):
+    """The inverse as a RationalMatrix, or None when singular."""
+    n = matrix.nrows
+    aug = [row + [F(int(i == j)) for j in range(n)] for i, row in enumerate(_fraction_rows(matrix))]
+    if fraction_echelon(aug) != list(range(n)):
+        return None
+    return RationalMatrix([row[n:] for row in aug])
+
+
+rationals = st.builds(F, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4))
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Rational matrices of every shape up to 5x6, often rank-deficient:
+    the rows are random combinations of at most `rank` random rows."""
+    nrows = draw(st.integers(min_value=1, max_value=5))
+    ncols = nrows if square else draw(st.integers(min_value=1, max_value=6))
+    rank = draw(st.integers(min_value=0, max_value=min(nrows, ncols)))
+    base = draw(st.lists(st.lists(rationals, min_size=ncols, max_size=ncols), min_size=rank, max_size=rank))
+    if rank == min(nrows, ncols):
+        rows = draw(st.lists(st.lists(rationals, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    else:
+        coeffs = draw(st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=rank, max_size=rank),
+            min_size=nrows, max_size=nrows,
+        ))
+        rows = [[sum((k * b[j] for k, b in zip(cs, base)), F(0)) for j in range(ncols)] for cs in coeffs]
+    return RationalMatrix(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_rank_and_nullspace_match_fraction_oracle(m):
+    assert linalg.rank(m) == fraction_rank(m)
+    assert linalg.nullspace(m) == fraction_nullspace(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(), st.lists(rationals, min_size=6, max_size=6))
+def test_solve_matches_fraction_oracle(m, values):
+    # an arbitrary (usually inconsistent) and a consistent right-hand side
+    for rhs in (values[: m.nrows], m.matvec(values[: m.ncols])):
+        assert linalg.solve(m, rhs) == fraction_solve(m, rhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(square=True))
+def test_inverse_matches_fraction_oracle(m):
+    expected = fraction_inverse(m)
+    if expected is None:
+        with pytest.raises(ValueError):
+            linalg.inverse(m)
+    else:
+        assert linalg.inverse(m) == expected
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_sym_rank_and_nullspace_match_fraction_oracle_on_dual_images(n):
+    m = RationalMatrix([value_row(u) for u in big_simplex_dual_vectors(n)])
+    assert linalg.rank(m) == fraction_rank(m)
+    assert linalg.nullspace(m) == fraction_nullspace(m)
+
+
 def test_det_identity():
     assert linalg.det(RationalMatrix.identity(3)) == 1
 
@@ -147,6 +276,22 @@ def test_inverse_roundtrip():
 
 def test_pd_rejects_indefinite():
     assert not linalg.is_positive_definite(RationalMatrix([[1, 0], [0, -1]]))
+
+
+def test_ldl_raises_typed_error_on_indefinite():
+    with pytest.raises(linalg.NotPositiveDefiniteError):
+        linalg.ldl(RationalMatrix([[1, 2], [2, 1]]))
+
+
+def test_pd_decides_by_error_type_not_message(monkeypatch):
+    # A ValueError that merely mentions positive definiteness is not a
+    # "no" answer; it must propagate.
+    def broken_ldl(matrix):
+        raise ValueError("internal failure while testing positive definite input")
+
+    monkeypatch.setattr(linalg, "ldl", broken_ldl)
+    with pytest.raises(ValueError, match="internal failure"):
+        linalg.is_positive_definite(RationalMatrix.identity(2))
 
 
 def test_pd_tf6_and_wall_form():

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tamewall import lp
+from tamewall.errors import InvariantError
 from tamewall.lp import lp_solve
 
 
@@ -118,3 +120,10 @@ def test_optimal_witness_attains_reported_optimum(rows):
             assert sum(c * w for c, w in zip(coeffs, res.witness)) <= rhs
     else:
         assert res.status == "infeasible"
+
+
+def test_unbounded_slack_lp_raises_invariant_error(monkeypatch):
+    # the auxiliary slack is bounded by 1, so its LP cannot be unbounded
+    monkeypatch.setattr(lp, "_run", lambda *args: lp.LPResult("unbounded"))
+    with pytest.raises(InvariantError, match="slack"):
+        lp_solve(strict_less=[((-1,), 0)])
