@@ -16,6 +16,7 @@ from math import comb
 
 from . import linalg
 from .linalg import LinearSystemSolution, RationalMatrix, _frac
+from .vecset import dot
 
 
 class FormParseError(ValueError):
@@ -57,7 +58,7 @@ class QuadraticForm:
 
     def inner(self, u, v) -> Fraction:
         """Polarized value u.G.v"""
-        return linalg.dot(self.gram.matvec(v), u)
+        return dot(self.gram.matvec(v), u)
 
     @property
     def is_positive_definite(self):
@@ -116,13 +117,6 @@ def sym_dimension(n):
     return n * (n + 1) // 2
 
 
-def sym_to_coords(matrix: RationalMatrix):
-    n = matrix.nrows
-    coords = [matrix[i, i] for i in range(n)]
-    coords += [matrix[i, j] for i in range(n) for j in range(i + 1, n)]
-    return tuple(coords)
-
-
 def coords_to_sym(coords, n) -> RationalMatrix:
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -136,7 +130,8 @@ def coords_to_sym(coords, n) -> RationalMatrix:
 
 
 def value_row(v):
-    """Row r with r . sym_to_coords(G) = v.G.v for every symmetric G."""
+    """Row r with r . c = v.G.v for every symmetric G with coordinates c
+    (the coords_to_sym order)."""
     n = len(v)
     row = [Fraction(v[i] * v[i]) for i in range(n)]
     row += [Fraction(2 * v[i] * v[j]) for i in range(n) for j in range(i + 1, n)]

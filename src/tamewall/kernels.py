@@ -1,74 +1,47 @@
-"""Integer determinant kernels with a compiled fast path.
+"""Exact integer determinants by fraction-free (Bareiss) elimination."""
 
-The compiled extension (`tamewall._ckernels`) is selected at import time
-when present; set TAMEWALL_KERNEL=python to force the pure fallback.
-Both paths are exact and produce identical results; only speed differs.
-The compiled path is used only when an exact Hadamard-style bound proves
-that every Bareiss intermediate fits in 64 bits.
-"""
-
-import os
-
-from . import _pykernels
-
-try:
-    from . import _ckernels
-except ImportError:  # extension not built
-    _ckernels = None
-
-if os.environ.get("TAMEWALL_KERNEL", "").lower() in {"python", "pure"}:
-    _ckernels = None
-
-IMPLEMENTATION = "c" if _ckernels is not None else "python"
-
-# Any Bareiss intermediate is a minor of the input; |minor|^2 is bounded by
-# the product of the row norms squared, so products stay below 2^63 whenever
-# that bound is below 2^62.
-_INT64_SAFE = 1 << 62
-
-
-def hadamard_bound_sq(rows):
-    """Product over rows of the squared row norm (0 for a zero row)."""
-    h = 1
-    for row in rows:
-        s = 0
-        for x in row:
-            s += x * x
-        if s == 0:
-            return 0
-        h *= s
-    return h
-
-
-def fits_int64(n, max_abs):
-    """Conservative per-instance check that the compiled kernel is safe."""
-    return 0 < n <= 16 and (n * max_abs * max_abs) ** n < _INT64_SAFE
+# perfbench reports this, and its compare.py refuses pairs where it differs.
+IMPLEMENTATION = "python"
 
 
 def det_int(rows):
-    """Exact determinant of a square integer matrix (list of int rows)."""
+    """Exact determinant of a square integer matrix.
+
+    Fraction-free (Bareiss) elimination: every intermediate entry is a
+    minor of the input, so the arithmetic stays in the integers and the
+    divisions below are exact.
+    """
     n = len(rows)
     if n == 0:
         return 1
-    if _ckernels is not None and n <= 16:
-        if hadamard_bound_sq(rows) < _INT64_SAFE:
-            flat = [x for row in rows for x in row]
-            return _ckernels.det_i64(flat, n)
-    return _pykernels.det_int(rows)
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            row_i = m[i]
+            row_k = m[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
-def det_int_flat(flat, n, assume_safe=False):
-    """Determinant of a row-major flattened matrix.
+def det_int_flat(flat, n):
+    """det_int on a row-major flattened square matrix.
 
-    With assume_safe=True the caller has already established (for example
-    via fits_int64 on a shared entry bound) that int64 arithmetic cannot
-    overflow, so the per-call bound check is skipped.
+    Unused inside the package since the census stopped taking one
+    determinant per subset; perfbench's tracer still wraps it by name.
     """
-    if _ckernels is not None and n <= 16:
-        if assume_safe:
-            return _ckernels.det_i64(flat, n)
-        rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-        if hadamard_bound_sq(rows) < _INT64_SAFE:
-            return _ckernels.det_i64(flat, n)
-        return _pykernels.det_int(rows)
-    return _pykernels.det_int_flat(flat, n)
+    return det_int([flat[i * n:(i + 1) * n] for i in range(n)])

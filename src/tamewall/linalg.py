@@ -318,9 +318,3 @@ def is_positive_definite(matrix: RationalMatrix) -> bool:
     except NotPositiveDefiniteError:
         return False
     return True
-
-
-def dot(u, v):
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    return sum(a * b for a, b in zip(u, v))

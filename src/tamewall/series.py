@@ -12,11 +12,13 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import itemgetter, mul, neg
 
-from . import delaunay, dual01, forms, isometry, kernels, linalg
+from . import delaunay, dual01, forms, isometry, linalg
 from .enumeration import arithmetic_minimum
 from .forms import QuadraticForm, big_simplex_dual_vectors, pairing, value_row
 from .linalg import RationalMatrix
@@ -318,11 +320,6 @@ def parse_family(pattern: str, n: int, enforce_count: bool = True) -> FamilyPatt
     return FamilyPattern(src, n, tuple(segments), vectors, declared)
 
 
-def expand_family(pattern: str, n: int):
-    """Vectors of a family pattern (count annotation enforced)."""
-    return parse_family(pattern, n).vectors
-
-
 # -- theorem pipelines --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -367,7 +364,7 @@ def verify_theorem1(n: int, allow_large=False) -> TheoremReport:
         f"|dual\\0| = {len(nonzero)}, expected {_dual_count(n)}",
     ))
 
-    dd = dual01.double_dual01(s_n)
+    dd = dual01.dual01(dual)
     ok = dd == r_n
     steps.append(CheckStep("double_dual", ok, "double dual adds exactly e_n"))
 
@@ -525,26 +522,66 @@ _CENSUS_POINT = (
 )
 
 
+def _volume_histogram(points):
+    """Histogram of |det| over all (d+1)-subsets of points in Z^d.
+
+    |det| of the d x d edge matrix of a subset equals |det| of its d+1
+    homogeneous points (v, 1) in Z^(d+1).  A depth-first walk over the
+    subsets carries the exterior product of the chosen prefix: its
+    C(d+1, k) k x k minors, extended by one point per level through a
+    signed-term plan (Laplace expansion along the new row).  At depth d
+    the minors are the cofactors of the last row, so each subset costs a
+    (d+1)-term dot product.  A prefix whose minors all vanish has a zero
+    exterior product, so its whole subtree is counted as volume 0.
+    """
+    n = len(points[0]) + 1
+    rows = [(*p, 1) for p in points]
+    m = len(rows)
+    levels = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
+    # plans[k] maps the k-minors of a prefix and a new row to its (k+1)-minors:
+    # picks of the row's columns and of the signed k-minors (a minor's
+    # negation sits len(levels[k]) places after it), summed k + 1 at a time.
+    plans = []
+    for k in range(n):
+        where = {cols: i for i, cols in enumerate(levels[k])}
+        size = len(levels[k])
+        cols, minors = [], []
+        for target in levels[k + 1]:
+            for pos, col in enumerate(target):
+                i = where[target[:pos] + target[pos + 1:]]
+                cols.append(col)
+                minors.append(i if (k - pos) % 2 == 0 else i + size)
+        plans.append((itemgetter(*cols), itemgetter(*minors), k + 1))
+    hist = Counter()
+
+    def walk(start, k, minors):
+        signed = [*minors, *map(neg, minors)]
+        if k == n - 1:
+            # the last plan has one target, all columns in order: cofactors
+            cofactors = plans[k][1](signed)
+            hist.update(abs(sum(map(mul, cofactors, w))) for w in rows[start:])
+            return
+        pick_cols, pick_minors, width = plans[k]
+        terms = pick_minors(signed)
+        for i in range(start, m - (n - 1 - k)):
+            products = list(map(mul, pick_cols(rows[i]), terms))
+            extended = list(map(sum, zip(*[iter(products)] * width)))
+            if any(extended):
+                walk(i + 1, k + 1, extended)
+            else:
+                hist[0] += comb(m - i - 1, n - k - 1)
+
+    walk(0, 0, [1])
+    return dict(sorted(hist.items()))
+
+
 def gosset_census(point=None, allow_large=False) -> GossetCensusReport:
     """Locate the 27-vertex cell of the E6 fixture and enumerate the
     relative volumes of all 7-point sub-simplexes (C(27,7) subsets)."""
     e6 = forms.standard_gram("E6")
     t = tuple(point) if point is not None else _CENSUS_POINT
     cell = delaunay.delaunay_cell_containing(e6, t, allow_large=allow_large)
-    m = len(cell)
-    n = 6
-    max_abs = max(abs(x) for v in cell for x in v)
-    safe = kernels.fits_int64(n, 2 * max_abs)
-    hist = {}
-    for combo in itertools.combinations(range(m), n + 1):
-        base = cell[combo[0]]
-        flat = []
-        for idx in combo[1:]:
-            v = cell[idx]
-            flat.extend(v[k] - base[k] for k in range(n))
-        d = kernels.det_int_flat(flat, n, assume_safe=safe)
-        vol = -d if d < 0 else d
-        hist[vol] = hist.get(vol, 0) + 1
+    hist = _volume_histogram(cell)
     nondegenerate = [v for v in hist if v > 0]
     max_vol = max(nondegenerate) if nondegenerate else 0
-    return GossetCensusReport(cell, m, hist, max_vol, hist.get(max_vol, 0))
+    return GossetCensusReport(cell, len(cell), hist, max_vol, hist.get(max_vol, 0))

@@ -1,9 +1,8 @@
-"""Integer determinant kernels: compiled path, fallback, and dispatch guard."""
+"""Integer determinant kernel against a cofactor-expansion oracle."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from tamewall import _pykernels, kernels
+from tamewall import kernels
 
 
 def cofactor_det(rows):
@@ -37,12 +36,6 @@ def test_det_matches_cofactor_oracle(rows):
     assert kernels.det_int(rows) == cofactor_det(rows)
 
 
-@settings(max_examples=200, deadline=None)
-@given(small_matrix)
-def test_pure_and_dispatched_agree(rows):
-    assert kernels.det_int(rows) == _pykernels.det_int(rows)
-
-
 def test_known_values():
     assert kernels.det_int([[1, 0], [0, 1]]) == 1
     assert kernels.det_int([[2]]) == 2
@@ -71,16 +64,4 @@ def test_large_entries_fall_back_exactly():
 
 def test_flat_variant():
     assert kernels.det_int_flat([1, 2, 3, 4], 2) == -2
-    assert kernels.det_int_flat([1, 2, 3, 4], 2, assume_safe=True) == -2
 
-
-def test_fits_int64_guard():
-    assert kernels.fits_int64(6, 8)
-    assert not kernels.fits_int64(16, 10**6)
-
-
-@pytest.mark.skipif(kernels.IMPLEMENTATION != "c", reason="compiled kernel not built")
-def test_compiled_kernel_in_use():
-    from tamewall import _ckernels
-
-    assert _ckernels.det_i64([1, 2, 3, 4], 2) == -2
