@@ -1,16 +1,21 @@
 """Exact enumeration of lattice vectors by norm.
 
-Depth-first bounded coordinate enumeration driven by an exact rational
-LDL^T factorization of the Gram matrix.  Interval endpoints are integers
-obtained from exact rational square-root floors, so no floating point is
-involved anywhere, including pruning.
+Depth-first bounded coordinate enumeration (Fincke-Pohst) driven by an
+exact rational LDL^T factorization of the Gram matrix.  Each call scales
+the factorization, the centre and the bound to integers once; after that
+every node works in integers only: its shifted centre is an integer sum
+over the coordinates already fixed, its interval comes from one integer
+square root, and partial costs are integer multiples of one common
+denominator.  No floating point is involved anywhere, including pruning,
+and a Fraction is built only for the value handed to a visited point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 
 from . import linalg
 from .forms import QuadraticForm
@@ -53,38 +58,8 @@ def _guard_dimension(n, allow_large):
         )
 
 
-def _floor_sqrt(r: Fraction) -> int:
-    """floor(sqrt(r)) for rational r >= 0."""
-    return isqrt(r.numerator * r.denominator) // r.denominator
-
-
 def _floor_frac(a: Fraction) -> int:
     return a.numerator // a.denominator
-
-
-def _range_bounds(offset: Fraction, r: Fraction):
-    """Integer interval {x : (x + offset)^2 <= r}, exact.
-
-    Upper end is floor(-offset + sqrt(r)), lower is ceil(-offset - sqrt(r));
-    both are found by a short exact descent from a provable overestimate.
-    """
-    if r < 0:
-        return 1, 0
-    s = _floor_sqrt(r)
-    a = -offset
-    hi = _floor_frac(a) + s + 1
-    while True:
-        d = hi + offset
-        if d <= 0 or d * d <= r:
-            break
-        hi -= 1
-    lo = -(_floor_frac(-a)) - s - 1
-    while True:
-        d = lo + offset
-        if d >= 0 or d * d <= r:
-            break
-        lo += 1
-    return lo, hi
 
 
 # Returned by a visit callback to end the enumeration.
@@ -99,58 +74,89 @@ class _Enumerator:
         self.n = form.n
         self.L, self.D = linalg.ldl(form.gram)  # raises if not PD
 
+    def _scaled(self, center):
+        """Integer data for f(x - center), scaled once per call.
+
+        With e_i = (x_i - c_i) + sum_{j>i} L[j][i] (x_j - c_j), level i
+        contributes D_i e_i^2 to the cost.  Q_i clears the denominators of
+        K_i = -c_i - sum_{j>i} L[j][i] c_j and of the L[j][i], so
+        Q_i e_i = Q_i x_i + S_i with the integer centre sum
+        S_i = Q_i K_i + sum_{j>i} (Q_i L[j][i]) x_j.  M clears every
+        D_i / Q_i^2, so the weights w_i = M D_i / Q_i^2 and every scaled
+        cost M * f(x - c) are integers; a bound b then enters as floor(M b),
+        which admits exactly the same costs.
+        """
+        n, L = self.n, self.L
+        c = [_frac(t) for t in center]
+        q, k, cols = [], [], []
+        for i in range(n):
+            k_i = -c[i] - sum(L[j][i] * c[j] for j in range(i + 1, n))
+            q_i = lcm(k_i.denominator, *(L[j][i].denominator for j in range(i + 1, n)))
+            q.append(q_i)
+            k.append(_floor_frac(q_i * k_i))
+            cols.append([_floor_frac(q_i * L[j][i]) for j in range(i + 1, n)])
+        rel = [d / (q_i * q_i) for d, q_i in zip(self.D, q)]
+        m = lcm(*(r.denominator for r in rel))
+        return q, k, cols, [_floor_frac(m * r) for r in rel], m
+
     def run(self, center, bound, visit, half=False, shrink=False):
         """Visit every x with f(x - center) <= bound.
 
         visit(x_tuple, value) may return a new (smaller) bound when
         shrink=True, or _STOP to end the enumeration at once; half=True
         enumerates one representative per +-pair (valid only for
-        center = 0).
+        center = 0).  Nodes work on integer scaled costs only; a Fraction
+        is built for the value handed to visit.
         """
-        n = self.n
-        L = self.L
-        c = [_frac(t) for t in center]
-        x = [0] * n
-        state = {"bound": _frac(bound)}
+        q, k, cols, weights, m = self._scaled(center)
+        x = [0] * self.n
+        state = [_floor_frac(m * _frac(bound))]
 
-        def offset_at(i):
-            # e_i = (x_i - c_i) + sum_{j>i} L[j][i] (x_j - c_j)
-            off = -c[i]
-            for j in range(i + 1, n):
-                lji = L[j][i]
-                if lji:
-                    off += lji * (x[j] - c[j])
-            return off
+        def rec(i, cost, s, top):
+            """Enumerate levels i..0 given the centre sum s of level i;
+            True once visit has asked to stop.
 
-        def rec(i, cost):
-            """Enumerate levels i..0; True once visit has asked to stop."""
-            if i < 0:
-                new_bound = visit(tuple(x), cost)
-                if new_bound is _STOP:
-                    return True
-                if shrink and new_bound is not None:
-                    state["bound"] = new_bound
-                return False
-            rem = state["bound"] - cost
+            top is True while every x_j with j > i is zero.
+            """
+            rem = state[0] - cost
             if rem < 0:
                 return False
-            d_i = self.D[i]
-            off = offset_at(i)
-            lo, hi = _range_bounds(off, rem / d_i)
-            if half and all(x[j] == 0 for j in range(i + 1, n)):
-                lo = max(lo, 0)
-            for xi in range(lo, hi + 1):
-                e = xi + off
-                step = d_i * e * e
-                new_cost = cost + step
-                if new_cost <= state["bound"]:
-                    x[i] = xi
-                    if rec(i - 1, new_cost):
+            q_i, w_i = q[i], weights[i]
+            r = isqrt(rem // w_i)
+            lo = -((s + r) // q_i)
+            hi = (r - s) // q_i
+            if half and top and lo < 0:
+                lo = 0
+            e = q_i * lo + s
+            if i == 0:
+                for xi in range(lo, hi + 1):
+                    new_cost = cost + w_i * e * e
+                    e += q_i
+                    if new_cost > state[0]:
+                        continue
+                    x[0] = xi
+                    new_bound = visit(tuple(x), Fraction(new_cost, m))
+                    if new_bound is _STOP:
                         return True
+                    if shrink and new_bound is not None:
+                        state[0] = m * new_bound.numerator // new_bound.denominator
+                x[0] = 0
+                return False
+            # centre sum of level i - 1, carried along x_i
+            a, *rest = cols[i - 1]
+            child = k[i - 1] + sum(map(mul, rest, x[i + 1:])) + a * lo
+            for xi in range(lo, hi + 1):
+                new_cost = cost + w_i * e * e
+                e += q_i
+                if new_cost <= state[0]:
+                    x[i] = xi
+                    if rec(i - 1, new_cost, child, top and xi == 0):
+                        return True
+                child += a
             x[i] = 0
             return False
 
-        rec(n - 1, Fraction(0))
+        rec(self.n - 1, 0, k[-1], True)
 
 
 def arithmetic_minimum(f: QuadraticForm, allow_large=False) -> MinimumReport:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .enumeration import arithmetic_minimum, vectors_up_to
+from .enumeration import _Enumerator, arithmetic_minimum, vectors_up_to
 from .errors import InvariantError
 from .forms import QuadraticForm, scale
 from .linalg import RationalMatrix
@@ -29,21 +29,36 @@ class Fingerprint:
 
 
 def fingerprint(f: QuadraticForm, levels=3, allow_large=False) -> Fingerprint:
-    rep = arithmetic_minimum(f, allow_large=allow_large)
-    bound = rep.minimum
+    """Invariants of f, with the pair counts of its `levels` smallest
+    nonzero values.
+
+    One enumeration per doubled bound, starting from the smallest diagonal
+    entry (at least the minimum): once `levels` values are seen, the
+    largest of them becomes the bound, so vectors beyond the last level
+    are never visited.
+    """
+    if levels < 1:
+        raise ValueError("levels must be positive")
+    enum = _Enumerator(f, allow_large)
+    bound = min(f.gram[i, i] for i in range(f.n))
     while True:
-        pairs = vectors_up_to(f, bound, allow_large=allow_large)
-        by_value = {}
-        for _, val in pairs:
-            by_value[val] = by_value.get(val, 0) + 1
-        histogram = sorted(by_value.items())
-        if len(histogram) >= levels:
-            histogram = histogram[:levels]
+        counts = {}
+
+        def visit(x, value):
+            if value == 0:
+                return None
+            counts[value] = counts.get(value, 0) + 1
+            if len(counts) > levels:
+                del counts[max(counts)]
+            return max(counts) if len(counts) == levels else None
+
+        enum.run([0] * f.n, bound, visit, half=True, shrink=True)
+        if len(counts) == levels:
             break
         bound *= 2
-    return Fingerprint(
-        f.n, f.determinant(), rep.minimum, rep.pair_count, tuple(histogram)
-    )
+    histogram = tuple(sorted(counts.items()))
+    minimum, pair_count = histogram[0]
+    return Fingerprint(f.n, f.determinant(), minimum, pair_count, histogram)
 
 
 def _reference_basis(f: QuadraticForm, allow_large=False):

@@ -144,6 +144,16 @@ def test_criterion_06_dn_identification(n):
     assert ok
 
 
+def test_criterion_06_theorem2_pipeline_n10():
+    t0 = time.time()
+    rep = series.verify_theorem2(10, include_isometry=True)
+    failing = [s.name for s in rep.steps if not s.ok]
+    ok = rep.ok and not failing and "dn_identification" in [s.name for s in rep.steps]
+    _line(6, ok, f"n=10: every theorem-2 step ok, D_n identification included "
+                 f"(failing {failing}) ({time.time() - t0:.2f}s)")
+    assert ok
+
+
 # -- criterion 7: E6* identification --------------------------------------------
 
 def test_criterion_07_e6star_identification():
@@ -218,7 +228,7 @@ def test_criterion_09_delaunay_on_wall(n):
     assert ok
 
 
-@pytest.mark.parametrize("n", [9, 10, 11])
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_criterion_09_theorem1_pipeline(n):
     t0 = time.time()
     rep = series.verify_theorem1(n)

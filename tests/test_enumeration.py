@@ -1,14 +1,17 @@
-"""Lattice enumeration against an independent brute-force box oracle."""
+"""Lattice enumeration against an independent brute-force box oracle and
+against the rational depth-first search it replaced."""
 
 import itertools
 from fractions import Fraction as F
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tamewall import linalg
 from tamewall.enumeration import (
+    _STOP,
+    _Enumerator,
     arithmetic_minimum,
     closest_vectors,
     lattice_points_in_ellipsoid,
@@ -199,3 +202,161 @@ def test_dimension_guard():
         arithmetic_minimum(QuadraticForm.identity(17))
     rep = arithmetic_minimum(QuadraticForm.identity(17), allow_large=True)
     assert rep.minimum == 1
+
+
+# -- the rational depth-first search, kept as the oracle of the integer core --
+
+def _floor_sqrt(r):
+    """floor(sqrt(r)) for rational r >= 0."""
+    return isqrt(r.numerator * r.denominator) // r.denominator
+
+
+def _floor_frac(a):
+    return a.numerator // a.denominator
+
+
+def _range_bounds(offset, r):
+    """Integer interval {x : (x + offset)^2 <= r}, exact."""
+    if r < 0:
+        return 1, 0
+    s = _floor_sqrt(r)
+    a = -offset
+    hi = _floor_frac(a) + s + 1
+    while True:
+        d = hi + offset
+        if d <= 0 or d * d <= r:
+            break
+        hi -= 1
+    lo = -(_floor_frac(-a)) - s - 1
+    while True:
+        d = lo + offset
+        if d >= 0 or d * d <= r:
+            break
+        lo += 1
+    return lo, hi
+
+
+def fraction_run(form, center, bound, visit, half=False, shrink=False):
+    """The former _Enumerator.run: every offset, interval and partial cost
+    in Fraction."""
+    n = form.n
+    L, D = linalg.ldl(form.gram)
+    c = [F(t) for t in center]
+    x = [0] * n
+    state = {"bound": F(bound)}
+
+    def offset_at(i):
+        off = -c[i]
+        for j in range(i + 1, n):
+            lji = L[j][i]
+            if lji:
+                off += lji * (x[j] - c[j])
+        return off
+
+    def rec(i, cost):
+        if i < 0:
+            new_bound = visit(tuple(x), cost)
+            if new_bound is _STOP:
+                return True
+            if shrink and new_bound is not None:
+                state["bound"] = new_bound
+            return False
+        rem = state["bound"] - cost
+        if rem < 0:
+            return False
+        d_i = D[i]
+        off = offset_at(i)
+        lo, hi = _range_bounds(off, rem / d_i)
+        if half and all(x[j] == 0 for j in range(i + 1, n)):
+            lo = max(lo, 0)
+        for xi in range(lo, hi + 1):
+            e = xi + off
+            new_cost = cost + d_i * e * e
+            if new_cost <= state["bound"]:
+                x[i] = xi
+                if rec(i - 1, new_cost):
+                    return True
+        x[i] = 0
+        return False
+
+    rec(n - 1, F(0))
+
+
+def _recorder(shrink, slack, stop_at):
+    """A visit callback that logs every call; with shrink it lowers the
+    bound to the smallest nonzero value seen plus slack, and it asks to
+    stop at call number stop_at."""
+    log = []
+    best = []
+
+    def visit(x, value):
+        log.append((x, value))
+        if len(log) == stop_at:
+            return _STOP
+        if shrink and value != 0 and (not best or value < best[0]):
+            best[:] = [value]
+            return value + slack
+        return None
+
+    return log, visit
+
+
+rational_pd_form = st.tuples(
+    pd_form,
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=4),
+).map(
+    lambda t: QuadraticForm(
+        RationalMatrix(t[0]).transpose().matmul(RationalMatrix(t[0])).scaled(F(1, t[1]))
+        + RationalMatrix.identity(len(t[0])).scaled(F(1, t[2]))
+    )
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(pd_form.map(_pd_from_rows), rational_pd_form),
+    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=7), min_size=3, max_size=3),
+    st.fractions(min_value=0, max_value=6, max_denominator=6),
+    st.sampled_from(["plain", "half", "shrink", "half_shrink"]),
+    st.fractions(min_value=0, max_value=1, max_denominator=5),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+)
+# a shrunk bound of 3/2 must admit no point of value 2
+@example(QuadraticForm.identity(2), [0, 0, 0], F(2), "shrink", F(1, 2), None)
+def test_integer_core_matches_fraction_dfs(form, center, bound, mode, slack, stop_at):
+    half = mode.startswith("half")
+    shrink = mode.endswith("shrink")
+    c = [0] * form.n if half else center[: form.n]
+    expected, visit = _recorder(shrink, slack, stop_at)
+    fraction_run(form, c, bound, visit, half=half, shrink=shrink)
+    got, visit = _recorder(shrink, slack, stop_at)
+    _Enumerator(form).run(c, bound, visit, half=half, shrink=shrink)
+    assert got == expected
+    assert all(type(value) is F for _, value in got)
+
+
+def _wall_ellipsoid():
+    f = wall_interior_form(6)
+    quad = circumscribed_quadric(f, r_n_vertices(6))
+    return f, quad.center, quad.r2 * F(3, 2)
+
+
+@pytest.mark.parametrize(
+    "form, center, bound",
+    [
+        (tf_form(7), None, 2),
+        (dn_neighbor_form(6), None, 2),
+        (standard_gram("E6*"), None, F(8, 3)),
+        _wall_ellipsoid(),
+    ],
+)
+def test_integer_core_matches_fraction_dfs_on_series_forms(form, center, bound):
+    half = center is None
+    c = [0] * form.n if half else center
+    for shrink in (False, True):
+        expected, visit = _recorder(shrink, 0, None)
+        fraction_run(form, c, bound, visit, half=half, shrink=shrink)
+        got, visit = _recorder(shrink, 0, None)
+        _Enumerator(form).run(c, bound, visit, half=half, shrink=shrink)
+        assert got == expected

@@ -5,10 +5,28 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tamewall.enumeration import arithmetic_minimum, vectors_up_to
 from tamewall.errors import InvariantError
 from tamewall.forms import QuadraticForm, dn_neighbor_form, scale, standard_gram, tf_form
-from tamewall.isometry import are_equivalent, are_similar, fingerprint
+from tamewall.isometry import Fingerprint, are_equivalent, are_similar, fingerprint
 from tamewall.linalg import RationalMatrix
+
+
+def doubling_fingerprint(f, levels=3):
+    """The former fingerprint, kept as the oracle of the shrinking one:
+    the whole vectors_up_to list at each doubled bound from the minimum."""
+    rep = arithmetic_minimum(f)
+    bound = rep.minimum
+    while True:
+        by_value = {}
+        for _, val in vectors_up_to(f, bound):
+            by_value[val] = by_value.get(val, 0) + 1
+        histogram = sorted(by_value.items())
+        if len(histogram) >= levels:
+            histogram = histogram[:levels]
+            break
+        bound *= 2
+    return Fingerprint(f.n, f.determinant(), rep.minimum, rep.pair_count, tuple(histogram))
 
 
 def test_fingerprint_identity_two():
@@ -31,6 +49,39 @@ def test_fingerprint_scaling():
     fp2 = fingerprint(scale(f, 2))
     assert fp2.minimum == 2 * fp.minimum
     assert fp2.pair_count == fp.pair_count
+
+
+@pytest.mark.parametrize(
+    "f",
+    [pytest.param(scale(standard_gram("D", n), F(1, 2)), id=f"D{n}/2") for n in range(5, 11)]
+    + [pytest.param(tf_form(n), id=f"tf{n}") for n in range(5, 9)]
+    + [pytest.param(standard_gram("E6*"), id="E6*"), pytest.param(dn_neighbor_form(7), id="dn7")],
+)
+def test_fingerprint_matches_doubling_oracle(f):
+    assert fingerprint(f) == doubling_fingerprint(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=4),
+)
+def test_fingerprint_matches_doubling_oracle_on_random_forms(rows, k, levels):
+    b = RationalMatrix(rows)
+    f = QuadraticForm(b.transpose().matmul(b).scaled(F(1, k)) + RationalMatrix.identity(len(rows)))
+    assert fingerprint(f, levels) == doubling_fingerprint(f, levels)
+
+
+def test_fingerprint_rejects_nonpositive_levels():
+    with pytest.raises(ValueError):
+        fingerprint(QuadraticForm.identity(2), 0)
 
 
 def test_self_equivalence_gives_identity():
