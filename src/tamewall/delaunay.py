@@ -346,9 +346,6 @@ def radon_triangulations(points) -> RadonTriangulations:
     )
 
 
-_LEVEL_CACHE = {}
-
-
 def _level_dfs(diffs, n, box):
     """First integer p in a small-magnitude-first order with all products
     in [1, 2]; products are integers, so the range forces {1, 2}."""
@@ -426,9 +423,6 @@ def find_level_vector(v, cell, box_limit=8):
     cell_pts = canonical_set(cell)
     if v not in cell_pts:
         raise ValueError("vertex must belong to the cell")
-    key = (v, cell_pts, box_limit)
-    if key in _LEVEL_CACHE:
-        return _LEVEL_CACHE[key]
     diffs = sorted({sub(u, v) for u in cell_pts if u != v})
     if not diffs:
         raise ValueError("cell has no other vertex")
@@ -438,7 +432,6 @@ def find_level_vector(v, cell, box_limit=8):
         result = _level_dfs(diffs, n, min(4, box_limit))
     if result is None:
         result = _level_via_lp_box(diffs, n, box_limit)
-    _LEVEL_CACHE[key] = result
     return result
 
 

@@ -1,20 +1,26 @@
-"""Integral (unimodular) equivalence of positive definite forms.
+"""Integral (unimodular) equivalence of positive definite forms, and
+automorphisms of a cell.
 
 Backtracking over images of a reference basis drawn from the minimal
 vectors, pruned by exact inner products; invariant fingerprints give
-fast provable negatives.  Desk scale (n <= 8) by design.
+fast provable negatives.  Desk scale (n <= 8) by design.  The same
+backtracking over images of an affine basis among a cell's vertices
+certifies the vertex orbits that the cell census walks through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import linalg
 from .enumeration import _Enumerator, arithmetic_minimum, vectors_up_to
 from .errors import InvariantError
 from .forms import QuadraticForm, scale
 from .linalg import RationalMatrix
+from .vecset import sub
 
 
 @dataclass(frozen=True)
@@ -111,44 +117,134 @@ def are_equivalent(a: QuadraticForm, b: QuadraticForm, allow_large=False):
     for val in by_norm:
         by_norm[val].sort()
 
-    gram_a = a.gram
-    cache = {}
+    # Gram(a) and the targets over one common denominator, so that pruning
+    # compares integer dot products with the precomputed G.v of a candidate.
+    den = lcm(*(x.denominator for row in (*a.gram.rows(), *target) for x in row))
+    gram = [[int(x * den) for x in row] for row in a.gram.rows()]
+    goal = [[int(x * den) for x in row] for row in target]
+    images = {}
 
-    def inner_a(u, v):
-        got = cache.get((u, v))
-        if got is None:
-            got = sum(x * y for x, y in zip(gram_a.matvec(v), u))
-            cache[(u, v)] = cache[(v, u)] = got
-        return got
+    def fits(chosen, cand):
+        g_cand = images.get(cand)
+        if g_cand is None:
+            g_cand = images[cand] = [sum(map(mul, row, cand)) for row in gram]
+        level = len(chosen)
+        return all(sum(map(mul, u, g_cand)) == goal[j][level] for j, u in enumerate(chosen))
 
-    chosen = []
-    result = []
+    def accept(chosen):
+        ints = RationalMatrix(list(zip(*chosen))).matmul(b_inv).to_int_rows()
+        if ints is None:
+            return None
+        u = RationalMatrix(ints)
+        if linalg.det(u) not in (1, -1):
+            return None
+        if u.transpose().matmul(a.gram).matmul(u) != b.gram:
+            raise InvariantError("unimodular witness fails the Gram identity")
+        return u
+
+    return _first_image([by_norm.get(target[k][k], ()) for k in range(n)], fits, accept)
+
+
+def _first_image(candidates, fits, accept):
+    """Depth-first search over images of a basis: image k runs through
+    candidates[k] in order and must fit the images before it.  Returns the
+    first non-None accept(images) of a complete tuple, or None once the
+    compatible tree is exhausted."""
+    images = []
 
     def extend(level):
-        if level == n:
-            c_mat = RationalMatrix(list(zip(*chosen)))
-            u = c_mat.matmul(b_inv)
-            ints = u.to_int_rows()
-            if ints is None:
-                return False
-            u = RationalMatrix(ints)
-            if linalg.det(u) not in (1, -1):
-                return False
-            if u.transpose().matmul(a.gram).matmul(u) != b.gram:
-                raise InvariantError("unimodular witness fails the Gram identity")
-            result.append(u)
-            return True
-        for cand in by_norm.get(target[level][level], ()):
-            if all(inner_a(chosen[j], cand) == target[j][level] for j in range(level)):
-                chosen.append(cand)
-                if extend(level + 1):
-                    return True
-                chosen.pop()
-        return False
+        if level == len(candidates):
+            return accept(images)
+        for cand in candidates[level]:
+            if fits(images, cand):
+                images.append(cand)
+                found = extend(level + 1)
+                if found is not None:
+                    return found
+                images.pop()
+        return None
 
-    if extend(0):
-        return result[0]
-    return None
+    return extend(0)
+
+
+def _vertex_orbits(f: QuadraticForm, cell):
+    """Vertex orbits of a cell under certified automorphisms: (orbits, maps).
+
+    An affine basis b_0 = cell[0], b_1..b_d of the vertices is sent to
+    vertices at the same pairwise f-distances.  A complete image u_0..u_d
+    gives A = U.B^-1 (columns u_k - u_0 and b_k - b_0), accepted only if A
+    is integral, A^T G A = G, and x -> A x + c with c = u_0 - A b_0 maps the
+    vertex set onto itself.  Such a map is a lattice automorphism that
+    preserves f and the cell, hence |det| of every sub-simplex.  One map
+    (A, c) is sought for each vertex not yet in the orbit of vertex 0, and
+    the vertex permutations of the accepted maps are unioned into orbits:
+    sorted index lists, ordered by their smallest index.  A cell that does
+    not span affinely gets singletons.
+    """
+    points = [tuple(p) for p in cell]
+    m, d = len(points), f.n
+    index = {p: i for i, p in enumerate(points)}
+    if len(index) != m:
+        raise ValueError("cell vertices must be distinct")
+    den = lcm(*(x.denominator for row in f.gram.rows() for x in row))
+    gram = [[int(x * den) for x in row] for row in f.gram.rows()]
+
+    def norm(e):
+        return sum(x * sum(map(mul, row, e)) for x, row in zip(e, gram))
+
+    dist = [[norm(sub(p, q)) for q in points] for p in points]
+    origin = points[0]
+    basis, edges = [0], []
+    for i in range(1, m):
+        trial = edges + [sub(points[i], origin)]
+        if len(linalg._echelon(trial)[0]) == len(trial):
+            basis.append(i)
+            edges = trial
+            if len(edges) == d:
+                break
+    if len(edges) < d:
+        return [[i] for i in range(m)], []
+    b_inv = linalg.inverse(RationalMatrix(edges).transpose())
+
+    def fits(images, cand):
+        k = len(images)
+        return all(dist[cand][images[j]] == dist[basis[k]][basis[j]] for j in range(k))
+
+    def accept(images):
+        u = RationalMatrix([sub(points[i], points[images[0]]) for i in images[1:]])
+        a = u.transpose().matmul(b_inv).to_int_rows()
+        if a is None:
+            return None
+        a_mat = RationalMatrix(a)
+        if a_mat.transpose().matmul(f.gram).matmul(a_mat) != f.gram:
+            return None
+        c = sub(points[images[0]], [sum(map(mul, row, origin)) for row in a])
+        perm = [index.get(tuple(sum(map(mul, row, p)) + s for row, s in zip(a, c))) for p in points]
+        if None in perm:
+            return None
+        return a, c, perm
+
+    parent = list(range(m))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    maps = []
+    for t in range(1, m):
+        if root(t) == root(0):
+            continue
+        found = _first_image([[t]] + [range(m)] * d, fits, accept)
+        if found is not None:
+            a, c, perm = found
+            maps.append((a, c))
+            for i, j in enumerate(perm):
+                parent[root(i)] = root(j)
+    orbits = {}
+    for i in range(m):
+        orbits.setdefault(root(i), []).append(i)
+    return list(orbits.values()), maps
 
 
 def are_similar(a: QuadraticForm, b: QuadraticForm, allow_large=False):

@@ -20,6 +20,7 @@ from operator import itemgetter, mul, neg
 
 from . import delaunay, dual01, forms, isometry, linalg
 from .enumeration import arithmetic_minimum
+from .errors import InvariantError
 from .forms import QuadraticForm, big_simplex_dual_vectors, pairing, value_row
 from .linalg import RationalMatrix
 from .perfect import perfection_report
@@ -522,21 +523,26 @@ _CENSUS_POINT = (
 )
 
 
-def _volume_histogram(points):
-    """Histogram of |det| over all (d+1)-subsets of points in Z^d.
+def _volume_histogram(points, orbits):
+    """Histogram of |det| over all (d+1)-subsets of points in Z^d, walking
+    only the subsets through one representative per vertex orbit.
 
     |det| of the d x d edge matrix of a subset equals |det| of its d+1
-    homogeneous points (v, 1) in Z^(d+1).  A depth-first walk over the
-    subsets carries the exterior product of the chosen prefix: its
-    C(d+1, k) k x k minors, extended by one point per level through a
-    signed-term plan (Laplace expansion along the new row).  At depth d
-    the minors are the cofactors of the last row, so each subset costs a
-    (d+1)-term dot product.  A prefix whose minors all vanish has a zero
-    exterior product, so its whole subtree is counted as volume 0.
+    homogeneous points (v, 1) in Z^(d+1).  For each orbit O with
+    representative r = O[0], a depth-first walk over the other points
+    extends (r, 1) to the subsets through r, carrying the exterior product
+    of the chosen prefix: its C(d+1, k) k x k minors, extended by one point
+    per level through a signed-term plan (Laplace expansion along the new
+    row).  At depth d the minors are the cofactors of the last row, so each
+    subset costs a (d+1)-term dot product.  A prefix whose minors all
+    vanish has a zero exterior product, so its whole subtree is counted as
+    volume 0.  Every vertex of O lies on as many subsets of each volume as
+    r when the orbits come from volume-preserving maps of the points, so
+    |O| times r's counts, summed over the orbits, count every subset once
+    per vertex: d + 1 times.  Singleton orbits give the exact full count.
     """
     n = len(points[0]) + 1
     rows = [(*p, 1) for p in points]
-    m = len(rows)
     levels = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
     # plans[k] maps the k-minors of a prefix and a new row to its (k+1)-minors:
     # picks of the row's columns and of the signed k-minors (a minor's
@@ -552,36 +558,50 @@ def _volume_histogram(points):
                 cols.append(col)
                 minors.append(i if (k - pos) % 2 == 0 else i + size)
         plans.append((itemgetter(*cols), itemgetter(*minors), k + 1))
-    hist = Counter()
+    total = Counter()
+    for orbit in orbits:
+        r = orbit[0]
+        others = rows[:r] + rows[r + 1:]
+        m = len(others)
+        hist = Counter()
 
-    def walk(start, k, minors):
-        signed = [*minors, *map(neg, minors)]
-        if k == n - 1:
-            # the last plan has one target, all columns in order: cofactors
-            cofactors = plans[k][1](signed)
-            hist.update(abs(sum(map(mul, cofactors, w))) for w in rows[start:])
-            return
-        pick_cols, pick_minors, width = plans[k]
-        terms = pick_minors(signed)
-        for i in range(start, m - (n - 1 - k)):
-            products = list(map(mul, pick_cols(rows[i]), terms))
-            extended = list(map(sum, zip(*[iter(products)] * width)))
-            if any(extended):
-                walk(i + 1, k + 1, extended)
-            else:
-                hist[0] += comb(m - i - 1, n - k - 1)
+        def walk(start, k, minors):
+            signed = [*minors, *map(neg, minors)]
+            if k == n - 1:
+                # the last plan has one target, all columns in order: cofactors
+                cofactors = plans[k][1](signed)
+                hist.update(abs(sum(map(mul, cofactors, w))) for w in others[start:])
+                return
+            pick_cols, pick_minors, width = plans[k]
+            terms = pick_minors(signed)
+            for i in range(start, m - (n - 1 - k)):
+                products = list(map(mul, pick_cols(others[i]), terms))
+                extended = list(map(sum, zip(*[iter(products)] * width)))
+                if any(extended):
+                    walk(i + 1, k + 1, extended)
+                else:
+                    hist[0] += comb(m - i - 1, n - k - 1)
 
-    walk(0, 0, [1])
-    return dict(sorted(hist.items()))
+        walk(0, 1, list(rows[r]))
+        for volume, count in hist.items():
+            total[volume] += len(orbit) * count
+    histogram = {}
+    for volume, count in sorted(total.items()):
+        histogram[volume], rest = divmod(count, n)
+        if rest:
+            raise InvariantError(f"orbit-weighted count of volume {volume} is not a multiple of {n}")
+    return histogram
 
 
 def gosset_census(point=None, allow_large=False) -> GossetCensusReport:
-    """Locate the 27-vertex cell of the E6 fixture and enumerate the
-    relative volumes of all 7-point sub-simplexes (C(27,7) subsets)."""
+    """Locate the 27-vertex cell of the E6 fixture and count the relative
+    volumes of all 7-point sub-simplexes (C(27,7) subsets), walking only
+    the subsets through one vertex per certified vertex orbit."""
     e6 = forms.standard_gram("E6")
     t = tuple(point) if point is not None else _CENSUS_POINT
     cell = delaunay.delaunay_cell_containing(e6, t, allow_large=allow_large)
-    hist = _volume_histogram(cell)
+    orbits, _ = isometry._vertex_orbits(e6, cell)
+    hist = _volume_histogram(cell, orbits)
     nondegenerate = [v for v in hist if v > 0]
     max_vol = max(nondegenerate) if nondegenerate else 0
     return GossetCensusReport(cell, len(cell), hist, max_vol, hist.get(max_vol, 0))

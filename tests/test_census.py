@@ -1,11 +1,15 @@
-"""The census walk over exterior products against the subset loop it replaced."""
+"""The census walk over exterior products against the subset loop it
+replaced, and the certified vertex orbits it walks through."""
 
 import itertools
 from math import comb
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tamewall import delaunay, forms, kernels, series
+from tamewall import delaunay, forms, isometry, kernels, series
+from tamewall.errors import InvariantError
+from tamewall.forms import QuadraticForm
 
 
 def subset_loop_histogram(points):
@@ -21,6 +25,10 @@ def subset_loop_histogram(points):
         vol = abs(kernels.det_int_flat(flat, n))
         hist[vol] = hist.get(vol, 0) + 1
     return hist
+
+
+def singletons(points):
+    return [[i] for i in range(len(points))]
 
 
 @st.composite
@@ -44,12 +52,103 @@ def point_sets(draw):
 @example([(k, 2 * k, -k) for k in range(8)])  # collinear: all zero
 @example([(1, 2, 3)] * 5)
 def test_walk_matches_subset_loop(points):
-    assert series._volume_histogram(points) == subset_loop_histogram(points)
+    assert series._volume_histogram(points, singletons(points)) == subset_loop_histogram(points)
 
 
-def test_walk_matches_subset_loop_on_e6_cell_prefix():
-    cell = delaunay.delaunay_cell_containing(forms.standard_gram("E6"), series._CENSUS_POINT)
-    points = cell[:12]
-    hist = series._volume_histogram(points)
+@pytest.fixture(scope="module")
+def e6_cell():
+    return delaunay.delaunay_cell_containing(forms.standard_gram("E6"), series._CENSUS_POINT)
+
+
+def test_walk_matches_subset_loop_on_e6_cell_prefix(e6_cell):
+    points = e6_cell[:12]
+    hist = series._volume_histogram(points, singletons(points))
     assert hist == subset_loop_histogram(points)
     assert sum(hist.values()) == comb(12, 7)
+
+
+def apply(a, c, p):
+    return tuple(sum(x * y for x, y in zip(row, p)) + s for row, s in zip(a, c))
+
+
+def check_map(f, points, a, c):
+    """Re-verify an accepted map x -> A x + c from scratch: integral,
+    Gram-preserving, and onto the point set."""
+    assert all(type(x) is int for row in a for x in row) and all(type(x) is int for x in c)
+    d = len(a)
+    gram = [[f.gram[i, j] for j in range(d)] for i in range(d)]
+    a_t_g_a = [[sum(a[k][i] * gram[k][l] * a[l][j] for k in range(d) for l in range(d))
+                for j in range(d)] for i in range(d)]
+    assert a_t_g_a == gram
+    assert {apply(a, c, p) for p in points} == set(points)
+
+
+def check_orbits(f, points):
+    """The orbits are exactly those generated by the accepted maps, and the
+    walk through them gives the subset loop's histogram."""
+    orbits, maps = isometry._vertex_orbits(f, points)
+    index = {p: i for i, p in enumerate(points)}
+    orbit_of = {i: frozenset([i]) for i in range(len(points))}
+    for a, c in maps:
+        check_map(f, points, a, c)
+        for i, p in enumerate(points):
+            merged = orbit_of[i] | orbit_of[index[apply(a, c, p)]]
+            orbit_of.update(dict.fromkeys(merged, merged))
+    assert sorted(orbits) == sorted(sorted(o) for o in set(orbit_of.values()))
+    assert series._volume_histogram(points, orbits) == subset_loop_histogram(points)
+    return orbits, maps
+
+
+@st.composite
+def symmetric_point_sets(draw):
+    """Distinct points: random ones, or subsets of {0,1}^d and {-1,0,1}^d,
+    whose many partial symmetries give orbits of several sizes."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    pool = draw(st.sampled_from([
+        list(itertools.product((0, 1), repeat=d)),
+        list(itertools.product((-1, 0, 1), repeat=d)),
+        list(itertools.product(range(-3, 4), repeat=d)),
+    ]))
+    points = draw(st.lists(st.sampled_from(pool), min_size=d + 1, max_size=9, unique=True))
+    return d, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_point_sets(), st.booleans())
+@example((2, [(1, 0), (0, 0), (1, 1), (0, 1), (2, 0)]), False)
+def test_orbit_walk_matches_subset_loop(case, root_lattice):
+    d, points = case
+    f = forms.standard_gram("A", d) if root_lattice else QuadraticForm.identity(d)
+    check_orbits(f, points)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_unit_cube_is_one_orbit(d):
+    cube = list(itertools.product((0, 1), repeat=d))
+    orbits, _ = check_orbits(QuadraticForm.identity(d), cube)
+    assert orbits == [list(range(2 ** d))]
+
+
+def test_rational_isometry_is_not_a_lattice_automorphism():
+    # The reflection [[3/5, 4/5], [4/5, -3/5]] fixes (0, 0), swaps (5, 0)
+    # and (3, 4) and preserves the identity Gram, but it is not integral.
+    orbits, maps = check_orbits(QuadraticForm.identity(2), [(5, 0), (0, 0), (3, 4)])
+    assert orbits == [[0], [1], [2]]
+    assert maps == []
+
+
+def test_non_exact_orbit_weight_raises():
+    points = [(0, 0), (1, 0), (0, 1), (2, 3)]
+    with pytest.raises(InvariantError, match="not a multiple"):
+        series._volume_histogram(points, [[0, 1, 2, 3]])
+
+
+def test_e6_cell_is_one_certified_orbit(e6_cell):
+    e6 = forms.standard_gram("E6")
+    orbits, maps = isometry._vertex_orbits(e6, e6_cell)
+    assert orbits == [list(range(27))]
+    assert maps
+    for a, c in maps:
+        check_map(e6, e6_cell, a, c)
+    hist = series._volume_histogram(e6_cell, orbits)
+    assert hist == {0: 497070, 1: 381672, 2: 9072, 3: 216}

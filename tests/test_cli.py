@@ -195,6 +195,16 @@ def test_theorem2_json_has_minimal_vector_count(capsys):
     assert payload["minimal_vector_count"] == 54
 
 
+def test_gosset_census_json(capsys):
+    code, payload = run_json(capsys, "gosset-census")
+    assert code == 0
+    assert payload["status"] == "verified"
+    assert payload["vertex_count"] == 27
+    assert payload["volume_histogram"] == {"0": 497070, "1": 381672, "2": 9072, "3": 216}
+    assert payload["max_volume"] == 3
+    assert payload["count_at_max"] == 216
+
+
 def test_theorem1_n5_exits_refuted(capsys):
     code, payload = run_json(capsys, "theorem1", "5")
     assert code == 1

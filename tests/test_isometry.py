@@ -5,10 +5,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tamewall import linalg
 from tamewall.enumeration import arithmetic_minimum, vectors_up_to
 from tamewall.errors import InvariantError
 from tamewall.forms import QuadraticForm, dn_neighbor_form, scale, standard_gram, tf_form
-from tamewall.isometry import Fingerprint, are_equivalent, are_similar, fingerprint
+from tamewall.isometry import (
+    Fingerprint,
+    _reference_basis,
+    are_equivalent,
+    are_similar,
+    fingerprint,
+)
 from tamewall.linalg import RationalMatrix
 
 
@@ -27,6 +34,51 @@ def doubling_fingerprint(f, levels=3):
             break
         bound *= 2
     return Fingerprint(f.n, f.determinant(), rep.minimum, rep.pair_count, tuple(histogram))
+
+
+def fraction_are_equivalent(a, b):
+    """The former search, kept as the oracle of the integer one: each inner
+    product is a Fraction Gram(a).v, cached per pair."""
+    if a == b:
+        return RationalMatrix.identity(a.n)
+    if fingerprint(a) != fingerprint(b):
+        return None
+    n = a.n
+    basis = _reference_basis(b)
+    b_inv = linalg.inverse(RationalMatrix(list(zip(*basis))))
+    target = [[b.inner(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    by_norm = {}
+    for v, val in vectors_up_to(a, max(target[i][i] for i in range(n))):
+        by_norm.setdefault(val, []).extend([v, tuple(-x for x in v)])
+    for val in by_norm:
+        by_norm[val].sort()
+    cache = {}
+
+    def inner_a(u, v):
+        got = cache.get((u, v))
+        if got is None:
+            got = sum(x * y for x, y in zip(a.gram.matvec(v), u))
+            cache[(u, v)] = cache[(v, u)] = got
+        return got
+
+    chosen = []
+
+    def extend(level):
+        if level == n:
+            ints = RationalMatrix(list(zip(*chosen))).matmul(b_inv).to_int_rows()
+            if ints is None or linalg.det(RationalMatrix(ints)) not in (1, -1):
+                return None
+            return RationalMatrix(ints)
+        for cand in by_norm.get(target[level][level], ()):
+            if all(inner_a(chosen[j], cand) == target[j][level] for j in range(level)):
+                chosen.append(cand)
+                found = extend(level + 1)
+                if found is not None:
+                    return found
+                chosen.pop()
+        return None
+
+    return extend(0)
 
 
 def test_fingerprint_identity_two():
@@ -142,6 +194,20 @@ def test_outcome_is_symmetric():
         assert (are_equivalent(a, b) is None) == (are_equivalent(b, a) is None)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [pytest.param(dn_neighbor_form(n), scale(standard_gram("D", n), F(1, 2)), id=f"dn{n}") for n in range(5, 10)]
+    + [
+        pytest.param(tf_form(6), scale(standard_gram("E6*"), F(3, 4)), id="tf6-E6*"),
+        pytest.param(scale(standard_gram("E6*"), F(3, 4)), tf_form(6), id="E6*-tf6"),
+        pytest.param(tf_form(5), scale(standard_gram("D", 5), F(1, 2)), id="tf5-d5"),
+        pytest.param(tf_form(7), dn_neighbor_form(7), id="tf7-dn7"),
+    ],
+)
+def test_witness_matches_fraction_search(a, b):
+    assert are_equivalent(a, b) == fraction_are_equivalent(a, b)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         are_equivalent(QuadraticForm.identity(2), QuadraticForm.identity(3))
@@ -184,6 +250,7 @@ def test_equivalence_invariant_under_unimodular_precomposition(name, shears):
     w = are_equivalent(f, conjugated)
     assert w is not None
     _check_witness(f, conjugated, w)
+    assert w == fraction_are_equivalent(f, conjugated)
 
 
 def test_witness_failing_gram_identity_raises_invariant_error(monkeypatch):
