@@ -18,6 +18,9 @@ from .forms import QuadraticForm
 from .linalg import RationalMatrix, _frac
 from .vecset import canonical_set, dot, sub
 
+# find_level_vector searches level vectors p with every |p_i| at most this.
+_LEVEL_BOX = 8
+
 
 class NonGenericPointError(ValueError):
     """Query point lies on a face of the tiling; carries the face's vertices."""
@@ -385,16 +388,18 @@ def _level_dfs(diffs, n, box):
     return None
 
 
-def _level_via_lp_box(diffs, n, box_limit):
-    """Authoritative fallback: exact LP bounds on each coordinate of the
-    relaxed polytope {1 <= d.p <= 2}, then an exhaustive integer scan of
-    the (clamped) box."""
+def _level_via_lp_box(diffs, n):
+    """Exhaustive fallback: scan the whole box |p_i| <= _LEVEL_BOX.
+
+    Exact LP bounds on each coordinate of the relaxed polytope
+    {1 <= d.p <= 2} can first prove the box empty (the relaxation is
+    infeasible, or a coordinate's integer range inside the box is empty),
+    which skips the scan; they never shrink the box that is scanned.
+    """
     rows = []
     for d in diffs:
         rows.append(([Fraction(x) for x in d], Fraction(2)))  # d.p <= 2
         rows.append(([Fraction(-x) for x in d], Fraction(-1)))  # d.p >= 1
-    lo = [0] * n
-    hi = [0] * n
     for i in range(n):
         obj = [Fraction(0)] * n
         obj[i] = Fraction(1)
@@ -402,22 +407,22 @@ def _level_via_lp_box(diffs, n, box_limit):
         if res_max.status == "infeasible":
             return None
         res_min = lp.lp_solve(objective=obj, less_equal=rows, num_vars=n, maximize=False)
-        hi[i] = min(_floor(res_max.optimum), box_limit) if res_max.status == "optimal" else box_limit
-        lo[i] = max(_ceil(res_min.optimum), -box_limit) if res_min.status == "optimal" else -box_limit
-        if lo[i] > hi[i]:
+        hi = min(_floor(res_max.optimum), _LEVEL_BOX) if res_max.status == "optimal" else _LEVEL_BOX
+        lo = max(_ceil(res_min.optimum), -_LEVEL_BOX) if res_min.status == "optimal" else -_LEVEL_BOX
+        if lo > hi:
             return None
-    box = max(box_limit, *(abs(x) for x in lo), *(abs(x) for x in hi))
-    return _level_dfs(diffs, n, box)
+    return _level_dfs(diffs, n, _LEVEL_BOX)
 
 
-def find_level_vector(v, cell, box_limit=8):
+def find_level_vector(v, cell):
     """Integer p with (u - v).p in {1, 2} for every other cell vertex u.
 
-    A propagation-pruned integer search over growing boxes finds small
-    solutions quickly; if it misses, exact LP bounds on the relaxation
-    delimit the final exhaustive box.  Returns the first solution in a
-    deterministic small-magnitude-first order, or None (reported
-    honestly; existence is only asserted for the two-distance cell).
+    A propagation-pruned integer search over the boxes |p_i| <= 2 and
+    <= 4 finds small solutions quickly; if it misses, the box
+    |p_i| <= _LEVEL_BOX is searched exhaustively.  Returns the first
+    solution in a deterministic small-magnitude-first order, or None when
+    that box holds none (existence is only asserted for the two-distance
+    cell).
     """
     v = tuple(v)
     cell_pts = canonical_set(cell)
@@ -428,10 +433,10 @@ def find_level_vector(v, cell, box_limit=8):
         raise ValueError("cell has no other vertex")
     n = len(v)
     result = _level_dfs(diffs, n, 2)
-    if result is None and box_limit > 2:
-        result = _level_dfs(diffs, n, min(4, box_limit))
     if result is None:
-        result = _level_via_lp_box(diffs, n, box_limit)
+        result = _level_dfs(diffs, n, 4)
+    if result is None:
+        result = _level_via_lp_box(diffs, n)
     return result
 
 

@@ -1,21 +1,26 @@
 """(0,1)-dual systems of integer vector sets and the simplex certificate.
 
 The dual of S is every integer vector whose product with each element of
-S lies in {0, 1}.  It is finite exactly when S spans rationally; the
-computation picks a rank-n subset, solves the 2^n exact systems for all
-{0,1} right-hand sides over it, and filters against all of S.  The
-systems are solved in integers: with B the subset as rows and A = D B^-1
-an integer matrix, the solution for r is A r / D, and walking r through
-{0,1}^n in Gray-code order changes A r by one column of A per step.
+S lies in {0, 1}.  It is finite exactly when S spans rationally, and it
+is the lattice points of one ellipsoid: with Q = sum_{v in S} v v^T and
+Q c = (sum_{v in S} v) / 2, every integer u satisfies
+
+    sum_v (v.u - 1/2)^2 = (u - c)^T Q (u - c) - c^T Q c + |S| / 4,
+
+and each term on the left is at least 1/4, with equality exactly when
+v.u is 0 or 1.  So the dual is {u : (u - c)^T Q (u - c) <= c^T Q c}, all
+of it on the boundary, and the shared exact enumerator finds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from fractions import Fraction
 
 from . import linalg
-from .forms import sym_dimension, value_row
+from .enumeration import first_interior_point
+from .errors import InvariantError
+from .forms import QuadraticForm, sym_dimension, value_row
 from .linalg import RationalMatrix
 from .vecset import canonical_set, dot, is_zero
 
@@ -53,61 +58,26 @@ class SimplexDualCertificate:
     cone_dimension: str | None
 
 
-def _independent_subset(vectors, n):
-    """Greedy rank-n subset; None if the set does not span."""
-    chosen = []
-    rows = []
-    for v in vectors:
-        if is_zero(v):
-            continue
-        candidate = rows + [v]
-        if len(linalg._echelon(candidate)[0]) == len(candidate):
-            rows = candidate
-            chosen.append(tuple(v))
-            if len(chosen) == n:
-                return chosen
-    return None
-
-
-def dual01(vectors, basis_choice=None):
-    """Complete finite (0,1)-dual of a rationally spanning set.
-
-    basis_choice optionally forces the rank-n subset used for the 2^n
-    enumeration (the result is independent of it; tests rely on that).
-    """
+def dual01(vectors):
+    """Complete finite (0,1)-dual of a rationally spanning set."""
     vectors = canonical_set(vectors)
     if not vectors:
         raise DualInfiniteError("empty set has infinite dual")
-    n = len(vectors[0])
-    basis = tuple(basis_choice) if basis_choice is not None else None
-    if basis is None:
-        basis = _independent_subset(vectors, n)
-        if basis is None:
-            raise DualInfiniteError(
-                "dual infinite: the set does not span the space over the rationals"
-            )
-    inv = linalg.inverse(RationalMatrix(basis))
-    # D is the least common denominator of B^-1 (a divisor of det B), so
-    # the columns of A = D B^-1 are integer vectors.
-    den = lcm(*(x.denominator for row in inv.rows() for x in row))
-    columns = [[int(x * den) for x in col] for col in zip(*inv.rows())]
-    acc = [0] * n  # A r for the current r
-    rhs = [0] * n
-    out = [tuple(acc)]
-    for step in range(1, 2**n):
-        j = (step & -step).bit_length() - 1  # the bit that flips
-        rhs[j] ^= 1
-        col = columns[j]
-        if rhs[j]:
-            acc = [a + c for a, c in zip(acc, col)]
-        else:
-            acc = [a - c for a, c in zip(acc, col)]
-        if any(a % den for a in acc):
-            continue
-        cand = tuple(a // den for a in acc)
-        if all(dot(cand, v) in (0, 1) for v in vectors):
-            out.append(cand)
-    return canonical_set(out)
+    cols = list(zip(*vectors, strict=True))
+    gram = RationalMatrix([[dot(a, b) for b in cols] for a in cols])
+    half_sum = [Fraction(sum(col), 2) for col in cols]
+    centre = linalg.solve(gram, half_sum)
+    if not centre.is_unique:
+        raise DualInfiniteError(
+            "dual infinite: the set does not span the space over the rationals"
+        )
+    c = centre.particular
+    inside, boundary = first_interior_point(
+        QuadraticForm(gram), c, dot(c, half_sum), allow_large=True
+    )
+    if inside is not None:
+        raise InvariantError(f"{inside} lies strictly inside the dual ellipsoid")
+    return canonical_set(boundary)
 
 
 def double_dual01(vectors):
@@ -123,13 +93,17 @@ def image_rank(vectors):
 
 
 def delaunay_cone_report(vectors) -> DualSystemReport:
-    """Dual, rank of its images, and the codimension of the spanned cone."""
+    """Dual, rank of its images, the codimension of the spanned cone, and
+    the double dual (None when the dual does not span)."""
     source = canonical_set(vectors)
     dual = dual01(source)
     rk = image_rank(dual)
     n = len(source[0])
     codim = sym_dimension(n) - rk
-    dd = dual01(dual) if _independent_subset(dual, n) else None
+    try:
+        dd = dual01(dual)
+    except DualInfiniteError:
+        dd = None
     return DualSystemReport(source, dual, dd, rk, codim)
 
 
@@ -155,21 +129,18 @@ def erdahl_ryshkov_certificate(vectors) -> SimplexDualCertificate:
     Delaunay verdict for any concrete form comes from the emptiness
     check, never from here.
     """
-    source = canonical_set(vectors)
-    if not _is_integral_simplex(source):
+    if not _is_integral_simplex(vectors):
         raise ValueError("input must be the vertex set of a full-dimensional integral simplex")
-    n = len(source[0])
-    dual = dual01(source)
-    if _independent_subset(dual, n) is None:
+    rep = delaunay_cone_report(vectors)
+    if rep.double_dual is None:
         return SimplexDualCertificate(
-            source, dual, None, None, None, True, False, None
+            rep.source, rep.dual, None, None, None, True, False, None
         )
-    dd = dual01(dual)
-    excess = tuple(sorted(set(dd) - set(source)))
-    rk = image_rank(dual)
-    codim = sym_dimension(n) - rk
-    claim = len(excess) <= 1 and codim in (0, 1)
+    excess = tuple(sorted(set(rep.double_dual) - set(rep.source)))
+    claim = len(excess) <= 1 and rep.codimension in (0, 1)
     dim_label = None
     if claim:
-        dim_label = "N" if codim == 0 else "N-1"
-    return SimplexDualCertificate(source, dual, dd, excess, codim, False, claim, dim_label)
+        dim_label = "N" if rep.codimension == 0 else "N-1"
+    return SimplexDualCertificate(
+        rep.source, rep.dual, rep.double_dual, excess, rep.codimension, False, claim, dim_label
+    )

@@ -355,7 +355,8 @@ def verify_theorem1(n: int, allow_large=False) -> TheoremReport:
     s_n = s_n_vertices(n)
     r_n = r_n_vertices(n)
 
-    dual = dual01.dual01(s_n)
+    cone = dual01.delaunay_cone_report(s_n)
+    dual = cone.dual
     families = canonical_set(big_simplex_dual_vectors(n) + (tuple([0] * n),))
     nonzero = [u for u in dual if any(u)]
     ok = dual == families and len(nonzero) == _dual_count(n)
@@ -365,11 +366,9 @@ def verify_theorem1(n: int, allow_large=False) -> TheoremReport:
         f"|dual\\0| = {len(nonzero)}, expected {_dual_count(n)}",
     ))
 
-    dd = dual01.dual01(dual)
-    ok = dd == r_n
-    steps.append(CheckStep("double_dual", ok, "double dual adds exactly e_n"))
+    steps.append(CheckStep("double_dual", cone.double_dual == r_n, "double dual adds exactly e_n"))
 
-    rk = dual01.image_rank(dual)
+    rk = cone.image_rank
     big_n = forms.sym_dimension(n)
     steps.append(CheckStep(
         "codimension_one", rk == big_n - 1, f"rank {rk} of N = {big_n}"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tamewall import cli, forms, series
+from tamewall import cli, dual01, forms, series
 from tamewall.errors import InvariantError
 from tamewall.forms import format_form, parse_form, tf_form
 from tamewall.series import s_n_vertices
@@ -260,6 +260,21 @@ def test_internal_fault_exits_3_with_traceback(capsys, monkeypatch, fault):
     payload = json.loads(err[err.index("\n{") + 1:])  # the report follows the traceback
     assert payload["status"] == "internal-error"
     assert payload["error"].startswith(type(fault).__name__)
+
+
+def test_dual_invariant_failure_exits_3_not_refuted(capsys, monkeypatch, tmp_path):
+    # a lattice point strictly inside the dual ellipsoid contradicts the
+    # identity dual01 rests on; that is a bug, never a refutation
+    def interior(form, center, r2, allow_large=False):
+        return tuple([0] * form.n), None
+
+    monkeypatch.setattr(dual01, "first_interior_point", interior)
+    path = tmp_path / "s6.vec"
+    path.write_text(format_vectors(s_n_vertices(6)))
+    code, out, err = run_main(capsys, "dual", str(path))
+    assert code == 3
+    assert out == ""
+    assert "status: internal-error" in err and "InvariantError" in err
 
 
 def test_unknown_command_exit2(capsys):

@@ -33,8 +33,8 @@ def brute_force_dual_in_box(vectors, radius):
 
 
 def fraction_dual01(vectors):
-    """Oracle: the Fraction inverse times every {0,1} right-hand side, as
-    dual01 computed it before its integer Gray-code walk."""
+    """Oracle: the Fraction inverse of a greedy rank-n subset times every
+    {0,1} right-hand side, kept against the dual01 ellipsoid query."""
     vectors = canonical_set(vectors)
     n = len(vectors[0])
     basis = []
@@ -112,7 +112,7 @@ def test_dual_refuses_rank_deficient():
         dual01([(1, 0), (2, 0)])
 
 
-@pytest.mark.parametrize("n", range(6, 11))
+@pytest.mark.parametrize("n", range(6, 17))
 def test_double_dual_adds_exactly_one_point(n):
     assert double_dual01(s_n_vertices(n)) == r_n_vertices(n)
 
@@ -141,26 +141,49 @@ def test_triple_dual_idempotence():
         assert dual01(dual01(d)) == d
 
 
-@pytest.mark.parametrize("n", range(6, 11))
+@pytest.mark.parametrize("n", range(6, 17))
 def test_dual_cardinality_formula(n):
     nonzero = [u for u in dual01(s_n_vertices(n)) if any(u)]
     assert len(nonzero) == 2 * (n - 1) + comb(n - 1, 2)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_dual_independent_of_basis_choice(data):
-    n = data.draw(st.integers(min_value=5, max_value=7))
-    s = s_n_vertices(n)
-    nonzero = [v for v in s if any(v)]
-    reference = dual01(s)
-    indices = data.draw(st.permutations(range(len(nonzero))))
-    # try to assemble an alternative spanning subset in permuted order
-    from tamewall.dual01 import _independent_subset
+def test_dual_has_no_dimension_guard():
+    # n = 17 is past the enumerator's default dimension guard.
+    n = 17
+    dual = dual01(s_n_vertices(n))
+    assert dual == canonical_set(big_simplex_dual_vectors(n) + (tuple([0] * n),))
+    assert dual01(dual) == r_n_vertices(n)
 
-    basis = _independent_subset([nonzero[i] for i in indices], n)
-    assert basis is not None
-    assert dual01(s, basis_choice=basis) == reference
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+                min_size=n,
+                max_size=7,
+            ),
+            st.randoms(use_true_random=False),
+        )
+    )
+)
+def test_dual_invariant_under_order_repeats_and_zero(case):
+    vectors, rng = case
+    try:
+        expected = fraction_dual01(vectors)
+    except DualInfiniteError:
+        expected = None
+    variants = [list(vectors) for _ in range(4)]
+    rng.shuffle(variants[1])
+    variants[2].append(rng.choice(vectors))
+    variants[3].append([0] * len(vectors[0]))
+    for variant in variants:
+        if expected is None:
+            with pytest.raises(DualInfiniteError):
+                dual01(variant)
+        else:
+            assert dual01(variant) == expected
 
 
 def test_every_dual_vector_satisfies_products_exhaustively():
