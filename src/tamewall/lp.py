@@ -1,10 +1,14 @@
-"""Exact linear programming: dense two-phase simplex with Bland's rule.
+"""Exact linear programming: equality elimination, then a dense two-phase
+simplex with Bland's rule on the inequalities.
 
 Every number is a `fractions.Fraction`, so feasibility, optimality and
 unboundedness are decided exactly.  Variables are free; nonnegativity is
-expressed through constraints.  Strict inequalities are handled by
-maximizing an auxiliary slack bounded by 1 and requiring its optimum to
-be positive.
+expressed through constraints.  The equalities are solved once by the
+fraction-free `linalg.solve`: an inconsistent system is infeasible, and
+otherwise x = x0 + Z t over their particular solution x0 and nullspace
+basis Z, so the simplex sees only the inequality rows over t.  Strict
+inequalities are handled by maximizing an auxiliary slack bounded by 1
+and requiring its optimum to be positive.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .errors import InvariantError
-from .linalg import _frac
+from .linalg import RationalMatrix, _frac
 
 
 @dataclass(frozen=True)
@@ -23,15 +28,15 @@ class LPResult:
     optimum: Fraction | None = None
 
 
+def _coerce_row(coeffs, nvars):
+    row = [_frac(c) for c in coeffs]
+    if len(row) > nvars:
+        raise ValueError("more coefficients than variables")
+    return row + [Fraction(0)] * (nvars - len(row))
+
+
 def _coerce_constraints(constraints, nvars):
-    out = []
-    for coeffs, rhs in constraints:
-        row = [_frac(c) for c in coeffs]
-        if len(row) > nvars:
-            raise ValueError("constraint longer than the variable count")
-        row += [Fraction(0)] * (nvars - len(row))
-        out.append((row, _frac(rhs)))
-    return out
+    return [(_coerce_row(coeffs, nvars), _frac(rhs)) for coeffs, rhs in constraints]
 
 
 def _infer_nvars(objective, *constraint_groups):
@@ -45,63 +50,33 @@ def _infer_nvars(objective, *constraint_groups):
 class _Simplex:
     """Tableau simplex over Fractions (maximization, Bland's rule).
 
+    Every row is an inequality coeffs . x <= rhs with its own slack column.
     Original free variables are split into positive and negative parts;
-    rows are normalized to b >= 0; artificials complete the basis where a
-    slack column cannot.
+    rows are normalized to b >= 0, and a row whose rhs was negative starts
+    on an artificial column because its slack coefficient became -1.
     """
 
-    def __init__(self, nfree, equalities, leqs):
+    def __init__(self, nfree, leqs):
         self.nfree = nfree
         ncols = 2 * nfree
-        rows = []
-        basis_hint = []
-        # (row coefficients over split vars, rhs, kind)
-        for coeffs, rhs in equalities:
-            rows.append((self._split(coeffs), rhs, "eq"))
-        for coeffs, rhs in leqs:
-            rows.append((self._split(coeffs), rhs, "leq"))
-
-        self.slack_cols = {}
-        tableau = []
-        for ridx, (row, rhs, kind) in enumerate(rows):
-            if kind == "leq":
-                row = row + [Fraction(0)] * len(rows)
-                row[ncols + ridx] = Fraction(1)
-            else:
-                row = row + [Fraction(0)] * len(rows)
-            tableau.append((row, rhs))
-        self.ncols_struct = ncols + len(rows)  # split vars + slack block
-
-        # Normalize rhs >= 0 (flips slack signs too).
-        self.rows = []
-        for row, rhs in tableau:
-            if rhs < 0:
-                row = [-x for x in row]
-                rhs = -rhs
-            self.rows.append((row, rhs))
-
-        # Basis: slack column when usable (+1 coefficient), else artificial.
-        self.nart = 0
-        self.art_col_of_row = {}
-        for i, (row, rhs) in enumerate(self.rows):
-            scol = ncols + i
-            if row[scol] == 1:
-                basis_hint.append(scol)
-            else:
-                basis_hint.append(None)
-                self.art_col_of_row[i] = self.ncols_struct + self.nart
-                self.nart += 1
+        m = len(leqs)
+        self.ncols_struct = ncols + m  # split vars + slack block
+        self.nart = sum(1 for _, rhs in leqs if rhs < 0)
         self.total_cols = self.ncols_struct + self.nart
         self.T = []
-        for i, (row, rhs) in enumerate(self.rows):
-            full = row + [Fraction(0)] * self.nart + [rhs]
-            if i in self.art_col_of_row:
-                full[self.art_col_of_row[i]] = Fraction(1)
-            self.T.append(full)
-        self.basis = [
-            basis_hint[i] if basis_hint[i] is not None else self.art_col_of_row[i]
-            for i in range(len(self.rows))
-        ]
+        self.basis = []
+        art = self.ncols_struct
+        for i, (coeffs, rhs) in enumerate(leqs):
+            row = self._split(coeffs) + [Fraction(0)] * (m + self.nart) + [rhs]
+            row[ncols + i] = Fraction(1)
+            if rhs < 0:
+                row = [-x for x in row]
+                row[art] = Fraction(1)
+                self.basis.append(art)
+                art += 1
+            else:
+                self.basis.append(ncols + i)
+            self.T.append(row)
 
     def _split(self, coeffs):
         # x_j = x_j^+ - x_j^-: one block of positive parts, then the negatives
@@ -216,41 +191,80 @@ def lp_solve(
     one, decides feasibility; strict constraints are certified by an
     auxiliary maximized slack (optimum > 0).  Combining an objective with
     strict constraints is not supported.
+
+    The equalities are solved exactly first: on their solution set
+    x = x0 + Z t the other rows and the objective become rows over t, and
+    the simplex runs on t alone.
     """
     equalities = list(equalities)
     less_equal = list(less_equal)
     strict_less = list(strict_less)
+    if objective is not None and strict_less:
+        raise ValueError("objective together with strict constraints is unsupported")
     nvars = num_vars if num_vars is not None else _infer_nvars(
         objective, equalities, less_equal, strict_less
     )
-    if nvars == 0:
-        # No variables: constraints are numeric assertions.
-        for _, rhs in equalities:
-            if _frac(rhs) != 0:
-                return LPResult("infeasible")
-        for _, rhs in less_equal:
-            if _frac(rhs) < 0:
-                return LPResult("infeasible")
-        for _, rhs in strict_less:
-            if _frac(rhs) <= 0:
-                return LPResult("infeasible")
-        return LPResult("feasible", witness=())
-
-    eqs = _coerce_constraints(equalities, nvars)
     leqs = _coerce_constraints(less_equal, nvars)
     stricts = _coerce_constraints(strict_less, nvars)
+    obj = None if objective is None else _coerce_row(objective, nvars)
+    if not equalities:
+        return _solve_free(nvars, obj, leqs, stricts, maximize)
+
+    solutions = _eliminate(_coerce_constraints(equalities, nvars), nvars)
+    if solutions is None:
+        return LPResult("infeasible")
+    origin, basis = solutions
+    res = _solve_free(
+        len(basis),
+        None if obj is None else [_dot(obj, z) for z in basis],
+        _substitute(leqs, origin, basis),
+        _substitute(stricts, origin, basis),
+        maximize,
+    )
+    if res.witness is None:
+        return res
+    terms = [(t, z) for t, z in zip(res.witness, basis) if t]
+    x = tuple(o + sum(t * z[j] for t, z in terms) for j, o in enumerate(origin))
+    return LPResult(res.status, x, None if res.optimum is None else _dot(obj, x))
+
+
+def _dot(row, vec):
+    return sum((a * v for a, v in zip(row, vec) if a), Fraction(0))
+
+
+def _eliminate(eqs, nvars):
+    """(x0, Z) with x0 + Z t exactly the solutions of eqs; None if there are none."""
+    if nvars == 0:
+        return ((), ()) if all(rhs == 0 for _, rhs in eqs) else None
+    sol = linalg.solve(RationalMatrix([row for row, _ in eqs]), [rhs for _, rhs in eqs])
+    if sol.kind == "inconsistent":
+        return None
+    return sol.particular, sol.nullspace
+
+
+def _substitute(rows, origin, basis):
+    """Rows a . x <= b restated over t, where x = origin + sum t_i basis_i."""
+    return [([_dot(row, z) for z in basis], rhs - _dot(row, origin)) for row, rhs in rows]
+
+
+def _solve_free(nvars, objective, leqs, stricts, maximize):
+    """lp_solve on coerced inequality rows over nvars free variables."""
+    if nvars == 0:
+        # No variables: constraints are numeric assertions.
+        if any(rhs < 0 for _, rhs in leqs) or any(rhs <= 0 for _, rhs in stricts):
+            return LPResult("infeasible")
+        if objective is None:
+            return LPResult("feasible", witness=())
+        return LPResult("optimal", (), Fraction(0))
 
     if stricts:
-        if objective is not None:
-            raise ValueError("objective together with strict constraints is unsupported")
         # Auxiliary variable delta (index nvars): maximize delta <= 1.
         aug_leqs = [(row + [Fraction(1)], rhs) for row, rhs in stricts]
         aug_leqs += [(row + [Fraction(0)], rhs) for row, rhs in leqs]
         aug_leqs.append(([Fraction(0)] * nvars + [Fraction(1)], Fraction(1)))
         aug_leqs.append(([Fraction(0)] * nvars + [Fraction(-1)], Fraction(0)))  # delta >= 0
-        aug_eqs = [(row + [Fraction(0)], rhs) for row, rhs in eqs]
         obj = [Fraction(0)] * nvars + [Fraction(1)]
-        res = _run(nvars + 1, obj, aug_eqs, aug_leqs)
+        res = _run(nvars + 1, obj, aug_leqs)
         if res.status == "infeasible":
             return LPResult("infeasible")
         if res.status != "optimal":
@@ -260,23 +274,20 @@ def lp_solve(
         return LPResult("infeasible")
 
     if objective is None:
-        obj = [Fraction(0)] * nvars
-        res = _run(nvars, obj, eqs, leqs)
+        res = _run(nvars, [Fraction(0)] * nvars, leqs)
         if res.status == "infeasible":
             return LPResult("infeasible")
         return LPResult("feasible", witness=res.witness)
 
-    obj = [_frac(c) for c in objective] + [Fraction(0)] * (nvars - len(objective))
-    if not maximize:
-        obj = [-c for c in obj]
-    res = _run(nvars, obj, eqs, leqs)
+    obj = objective if maximize else [-c for c in objective]
+    res = _run(nvars, obj, leqs)
     if res.status == "optimal" and not maximize:
         return LPResult("optimal", res.witness, -res.optimum)
     return res
 
 
-def _run(nvars, objective, eqs, leqs):
-    sim = _Simplex(nvars, eqs, leqs)
+def _run(nvars, objective, leqs):
+    sim = _Simplex(nvars, leqs)
     obj_split = _objective_split(objective, nvars, sim.ncols_struct)
     status = sim.solve(obj_split)
     if status in ("infeasible", "unbounded"):

@@ -125,6 +125,29 @@ def test_criterion_05_perfectness(n):
     assert ok
 
 
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_criterion_05_tf_eutaxy(n):
+    # Voronoi: TF_n is extreme iff it is also eutactic
+    t0 = time.time()
+    f = tf_form(n)
+    verdict, weights = perfect.is_eutactic(f)
+    vecs = arithmetic_minimum(f).vectors
+    dual = forms.dual_form(f).gram
+    ok = (
+        verdict is True
+        and len(weights) == len(vecs)
+        and all(w > 0 for w in weights)
+        and all(
+            sum(w * v[i] * v[j] for w, v in zip(weights, vecs)) == dual[i, j]
+            for i in range(n)
+            for j in range(n)
+        )
+    )
+    _line(5, ok, f"n={n}: eutactic, {len(vecs)} positive weights reproduce the "
+                 f"dual Gram ({time.time() - t0:.2f}s)")
+    assert ok
+
+
 # -- criterion 6: D_n identification --------------------------------------------
 
 @pytest.mark.parametrize("n", [5, 6, 7])

@@ -85,6 +85,33 @@ def test_eutactic_command(capsys, tmp_path):
     assert payload["weights"] == ["1", "1"]
 
 
+# Eutaxy weights of the paper's forms, as printed before the LP solved its
+# equalities by elimination; the weights are the visible LP witness.
+EUTAXY_GOLDEN = {
+    "tf6": ["2/9"] * 27,
+    # a = 1/5, b = 11/40, c = 19/40 in minimal-vector order
+    "tf7": [{"a": "1/5", "b": "11/40", "c": "19/40"}[x] for x in "aaaababbbbaabbbbabbbabbabaac"],
+    "dn6": ["1/5"] * 30,
+}
+
+
+@pytest.mark.parametrize(
+    "name, form",
+    [("tf6", lambda: tf_form(6)), ("tf7", lambda: tf_form(7)), ("dn6", lambda: forms.dn_neighbor_form(6))],
+)
+def test_eutactic_json_golden(capsys, tmp_path, name, form):
+    path = tmp_path / f"{name}.form"
+    path.write_text(format_form(form()))
+    code, out, err = run_main(capsys, "--json", "eutactic", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "command": "eutactic",
+        "status": "verified",
+        "is_eutactic": True,
+        "weights": EUTAXY_GOLDEN[name],
+    }
+
+
 def test_dual_and_doubledual(capsys, tmp_path):
     path = tmp_path / "s6.vec"
     path.write_text(format_vectors(s_n_vertices(6)))

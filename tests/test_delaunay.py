@@ -287,6 +287,16 @@ def test_level_vector_missing_is_none():
     assert find_level_vector((0,), [(0,), (1,), (3,)]) is None
 
 
+def test_level_box_coordinate_range_of_one_integer():
+    # 1 <= 2p <= 2 bounds p to [1/2, 1]: lo == hi == 1, so the box is scanned
+    assert delaunay._level_via_lp_box([(2,)], 1) == (1,)
+
+
+def test_level_box_empty_coordinate_range():
+    # 1 <= 3p <= 2 bounds p to [1/3, 2/3], which holds no integer
+    assert delaunay._level_via_lp_box([(3,)], 1) is None
+
+
 def test_level_vector_requires_membership():
     with pytest.raises(ValueError):
         find_level_vector((5, 5), UNIT_SQUARE)
