@@ -281,24 +281,47 @@ def _in_relative_interior(vertices, t):
 
 
 def _minimal_face(vertices, t):
-    """Vertices that can carry positive weight in a convex representation."""
+    """Vertices that can carry positive weight in a convex representation.
+
+    One max-support LP over (mu_1..mu_k, s, y_1..y_k): sum mu_u v_u = s t,
+    sum mu_u = s, mu >= 0 and y_u <= min(1, mu_u); maximize sum y_u.
+    A feasible mu with s > 0 is s times a convex representation of t, and
+    s = 0 forces mu = 0, so y_u <= 0 off the face; scaling a representation
+    that is positive on the whole face reaches y_u = 1 there.  The optimum
+    is therefore the face size, reached only with y_u = 1 on the face and
+    y_u = 0 off it, so the rows y_u >= 0 would be redundant and are left out.
+    """
     k = len(vertices)
     n = len(t)
-    eqs = [([Fraction(v[i]) for v in vertices], t[i]) for i in range(n)]
-    eqs.append(([Fraction(1)] * k, Fraction(1)))
-    nonneg = []
-    for idx in range(k):
-        row = [Fraction(0)] * k
-        row[idx] = Fraction(-1)
-        nonneg.append((row, Fraction(0)))
-    face = []
-    for idx in range(k):
-        obj = [Fraction(0)] * k
-        obj[idx] = Fraction(1)
-        res = lp.lp_solve(objective=obj, equalities=eqs, less_equal=nonneg, num_vars=k)
-        if res.status == "optimal" and res.optimum > 0:
-            face.append(vertices[idx])
-    return tuple(face)
+    width = 2 * k + 1
+    s_col = k
+
+    def row(coeffs):
+        out = [Fraction(0)] * width
+        for col, c in coeffs:
+            out[col] = Fraction(c)
+        return out
+
+    eqs = [
+        (row([*((u, v[i]) for u, v in enumerate(vertices)), (s_col, -t[i])]), Fraction(0))
+        for i in range(n)
+    ]
+    eqs.append((row([*((u, 1) for u in range(k)), (s_col, -1)]), Fraction(0)))
+    leqs = []
+    for u in range(k):
+        y = s_col + 1 + u
+        leqs.append((row([(u, -1)]), Fraction(0)))  # mu_u >= 0
+        leqs.append((row([(y, 1)]), Fraction(1)))  # y_u <= 1
+        leqs.append((row([(y, 1), (u, -1)]), Fraction(0)))  # y_u <= mu_u
+    res = lp.lp_solve(
+        objective=row((s_col + 1 + u, 1) for u in range(k)),
+        equalities=eqs,
+        less_equal=leqs,
+        num_vars=width,
+    )
+    if res.status != "optimal":
+        raise InvariantError(f"max-support LP unexpectedly {res.status}")
+    return tuple(v for u, v in enumerate(vertices) if res.witness[s_col + 1 + u] == 1)
 
 
 def radon_triangulations(points) -> RadonTriangulations:

@@ -89,7 +89,7 @@ def image_rank(vectors):
     nz = [v for v in vectors if not is_zero(v)]
     if not nz:
         return 0
-    return linalg.rank(RationalMatrix([value_row(v) for v in nz]))
+    return linalg.rank([value_row(v) for v in nz])
 
 
 def delaunay_cone_report(vectors) -> DualSystemReport:

@@ -6,8 +6,13 @@ the factorization, the centre and the bound to integers once; after that
 every node works in integers only: its shifted centre is an integer sum
 over the coordinates already fixed, its interval comes from one integer
 square root, and partial costs are integer multiples of one common
-denominator.  No floating point is involved anywhere, including pruning,
-and a Fraction is built only for the value handed to a visited point.
+denominator.  No floating point is involved anywhere, including pruning.
+
+A visited point reaches its caller as that integer scaled cost together
+with the common scale m of the call, so callers compare against their
+thresholds by exact integer cross-multiplication and build a Fraction
+only for a value that goes into an output (a minimum, a distance, a
+listed norm).
 """
 
 from __future__ import annotations
@@ -102,11 +107,12 @@ class _Enumerator:
     def run(self, center, bound, visit, half=False, shrink=False):
         """Visit every x with f(x - center) <= bound.
 
-        visit(x_tuple, value) may return a new (smaller) bound when
-        shrink=True, or _STOP to end the enumeration at once; half=True
-        enumerates one representative per +-pair (valid only for
-        center = 0).  Nodes work on integer scaled costs only; a Fraction
-        is built for the value handed to visit.
+        visit(x_tuple, cost, m) receives the integer cost = m f(x - center)
+        and the scale m, which is fixed for the call.  It may return a new
+        (smaller) bound in the same scaled units when shrink=True, admitting
+        exactly the costs at most that integer, or _STOP to end the
+        enumeration at once.  half=True enumerates one representative per
+        +-pair (valid only for center = 0).  Returns m.
         """
         q, k, cols, weights, m = self._scaled(center)
         x = [0] * self.n
@@ -135,11 +141,11 @@ class _Enumerator:
                     if new_cost > state[0]:
                         continue
                     x[0] = xi
-                    new_bound = visit(tuple(x), Fraction(new_cost, m))
+                    new_bound = visit(tuple(x), new_cost, m)
                     if new_bound is _STOP:
                         return True
                     if shrink and new_bound is not None:
-                        state[0] = m * new_bound.numerator // new_bound.denominator
+                        state[0] = new_bound
                 x[0] = 0
                 return False
             # centre sum of level i - 1, carried along x_i
@@ -157,29 +163,28 @@ class _Enumerator:
             return False
 
         rec(self.n - 1, 0, k[-1], True)
+        return m
 
 
 def arithmetic_minimum(f: QuadraticForm, allow_large=False) -> MinimumReport:
     """Exact arithmetic minimum and the complete minimal-vector set."""
     enum = _Enumerator(f, allow_large)
     n = f.n
-    bound = min(f.gram[i, i] for i in range(n))
-    found = {"min": bound, "vecs": []}
+    best = [None, []]  # smallest scaled cost seen, its vectors
 
-    def visit(x, value):
-        if value == 0 or all(v == 0 for v in x):
+    def visit(x, cost, m):
+        if cost == 0:
             return None
-        if value < found["min"]:
-            found["min"] = value
-            found["vecs"] = [x]
-            return value
-        if value == found["min"]:
-            found["vecs"].append(x)
+        if best[0] is None or cost < best[0]:
+            best[:] = [cost, [x]]
+            return cost
+        if cost == best[0]:
+            best[1].append(x)
         return None
 
-    enum.run([0] * n, bound, visit, half=True, shrink=True)
-    vecs = tuple(sorted(canonical_sign(v) for v in found["vecs"]))
-    return MinimumReport(found["min"], vecs, len(vecs), 2 * len(vecs))
+    m = enum.run([0] * n, min(f.gram[i, i] for i in range(n)), visit, half=True, shrink=True)
+    vecs = tuple(sorted(canonical_sign(v) for v in best[1]))
+    return MinimumReport(Fraction(best[0], m), vecs, len(vecs), 2 * len(vecs))
 
 
 def vectors_up_to(f: QuadraticForm, bound, allow_large=False):
@@ -189,16 +194,16 @@ def vectors_up_to(f: QuadraticForm, bound, allow_large=False):
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     enum = _Enumerator(f, allow_large)
-    n = f.n
     out = []
 
-    def visit(x, value):
-        if value != 0 and any(v != 0 for v in x):
-            out.append((canonical_sign(x), value))
+    def visit(x, cost, m):
+        if cost:
+            out.append((cost, canonical_sign(x)))
         return None
 
-    enum.run([0] * n, bound, visit, half=True)
-    return sorted(((v, val) for v, val in out), key=lambda p: (p[1], p[0]))
+    m = enum.run([0] * f.n, bound, visit, half=True)
+    out.sort()
+    return [(v, Fraction(cost, m)) for cost, v in out]
 
 
 def lattice_points_in_ellipsoid(f: QuadraticForm, center, r2, allow_large=False) -> EllipsoidPointReport:
@@ -207,13 +212,11 @@ def lattice_points_in_ellipsoid(f: QuadraticForm, center, r2, allow_large=False)
     if r2 < 0:
         raise ValueError("squared radius must be nonnegative")
     enum = _Enumerator(f, allow_large)
+    num, den = r2.numerator, r2.denominator
     interior, boundary = [], []
 
-    def visit(x, value):
-        if value < r2:
-            interior.append(x)
-        else:
-            boundary.append(x)
+    def visit(x, cost, m):
+        (interior if cost * den < m * num else boundary).append(x)
         return None
 
     enum.run(center, r2, visit)
@@ -232,19 +235,20 @@ def first_interior_point(f: QuadraticForm, center, r2, allow_large=False):
     if r2 < 0:
         raise ValueError("squared radius must be nonnegative")
     enum = _Enumerator(f, allow_large)
-    found = {"inside": None, "boundary": []}
+    num, den = r2.numerator, r2.denominator
+    inside, boundary = [], []
 
-    def visit(x, value):
-        if value < r2:
-            found["inside"] = x
+    def visit(x, cost, m):
+        if cost * den < m * num:
+            inside.append(x)
             return _STOP
-        found["boundary"].append(x)
+        boundary.append(x)
         return None
 
     enum.run(center, r2, visit)
-    if found["inside"] is not None:
-        return found["inside"], None
-    return None, tuple(sorted(found["boundary"]))
+    if inside:
+        return inside[0], None
+    return None, tuple(sorted(boundary))
 
 
 def closest_vectors(f: QuadraticForm, target, allow_large=False):
@@ -254,17 +258,17 @@ def closest_vectors(f: QuadraticForm, target, allow_large=False):
     if len(t) != f.n:
         raise ValueError("target dimension mismatch")
     start = [_floor_frac(v + Fraction(1, 2)) for v in t]
-    best = f.evaluate([s - v for s, v in zip(start, t)])
-    found = {"best": best, "pts": []}
+    found = [f.evaluate([s - v for s, v in zip(start, t)]), []]  # distance, points
 
-    def visit(x, value):
-        if value < found["best"]:
-            found["best"] = value
-            found["pts"] = [x]
-            return value
-        if value == found["best"]:
-            found["pts"].append(x)
+    def visit(x, cost, m):
+        best = found[0]
+        lhs, rhs = cost * best.denominator, m * best.numerator
+        if lhs < rhs:
+            found[:] = [Fraction(cost, m), [x]]
+            return cost
+        if lhs == rhs:
+            found[1].append(x)
         return None
 
-    enum.run(t, best, visit, shrink=True)
-    return found["best"], tuple(sorted(set(found["pts"])))
+    enum.run(t, found[0], visit, shrink=True)
+    return found[0], tuple(sorted(set(found[1])))

@@ -5,6 +5,12 @@ perfect form family and its D_n-side neighbor, the interior form of the wall
 cone, standard root-lattice fixtures, the rank-1 (Voronoi) map from integer
 vectors into form space, form recovery from norm conditions, and the shared
 form text format.
+
+Sym(n) is handled in coordinates (diagonal entries first, then the i<j
+pairs).  The value row of an integer vector v is an integer row, and the
+value of any symmetric G at v is that row dotted with G's coordinates, so
+rank, nullspace and recovery problems on value rows eliminate over the
+integers directly.
 """
 
 from __future__ import annotations
@@ -130,11 +136,11 @@ def coords_to_sym(coords, n) -> RationalMatrix:
 
 
 def value_row(v):
-    """Row r with r . c = v.G.v for every symmetric G with coordinates c
-    (the coords_to_sym order)."""
+    """Integer row r with r . c = v.G.v for every symmetric G with
+    coordinates c (the coords_to_sym order); v is an integer vector."""
     n = len(v)
-    row = [Fraction(v[i] * v[i]) for i in range(n)]
-    row += [Fraction(2 * v[i] * v[j]) for i in range(n) for j in range(i + 1, n)]
+    row = [v[i] * v[i] for i in range(n)]
+    row += [2 * v[i] * v[j] for i in range(n) for j in range(i + 1, n)]
     return tuple(row)
 
 
@@ -235,14 +241,11 @@ def solve_form_from_unit_norms(vectors, m) -> LinearSystemSolution:
     The solution lives in the diag-then-offdiag coordinates of Sym(n);
     kind 'unique' certifies perfectness of the (PD) solution.
     """
-    vectors = [tuple(v) for v in vectors]
+    vectors = list(vectors)
     if not vectors:
         raise ValueError("need at least one vector")
-    n = len(vectors[0])
     m = _frac(m)
-    rows = [value_row(v) for v in vectors]
-    matrix = RationalMatrix(rows)
-    return linalg.solve(matrix, [m] * len(vectors))
+    return linalg.solve([value_row(v) for v in vectors], [m] * len(vectors))
 
 
 def form_from_solution(solution: LinearSystemSolution, n) -> QuadraticForm:

@@ -48,21 +48,21 @@ def fingerprint(f: QuadraticForm, levels=3, allow_large=False) -> Fingerprint:
     enum = _Enumerator(f, allow_large)
     bound = min(f.gram[i, i] for i in range(f.n))
     while True:
-        counts = {}
+        counts = {}  # scaled cost -> pair count
 
-        def visit(x, value):
-            if value == 0:
+        def visit(x, cost, m):
+            if cost == 0:
                 return None
-            counts[value] = counts.get(value, 0) + 1
+            counts[cost] = counts.get(cost, 0) + 1
             if len(counts) > levels:
                 del counts[max(counts)]
             return max(counts) if len(counts) == levels else None
 
-        enum.run([0] * f.n, bound, visit, half=True, shrink=True)
+        m = enum.run([0] * f.n, bound, visit, half=True, shrink=True)
         if len(counts) == levels:
             break
         bound *= 2
-    histogram = tuple(sorted(counts.items()))
+    histogram = tuple((Fraction(cost, m), count) for cost, count in sorted(counts.items()))
     minimum, pair_count = histogram[0]
     return Fingerprint(f.n, f.determinant(), minimum, pair_count, histogram)
 
@@ -77,7 +77,7 @@ def _reference_basis(f: QuadraticForm, allow_large=False):
         rows = []
         for v, _ in candidates:
             trial = rows + [v]
-            if len(linalg._echelon(trial)[0]) == len(trial):
+            if linalg.rank(trial) == len(trial):
                 rows = trial
                 chosen.append(v)
                 if len(chosen) == n:
@@ -197,7 +197,7 @@ def _vertex_orbits(f: QuadraticForm, cell):
     basis, edges = [0], []
     for i in range(1, m):
         trial = edges + [sub(points[i], origin)]
-        if len(linalg._echelon(trial)[0]) == len(trial):
+        if linalg.rank(trial) == len(trial):
             basis.append(i)
             edges = trial
             if len(edges) == d:

@@ -4,7 +4,10 @@ Determinants run fraction-free (Bareiss) so integral input stays integral;
 rank, solving, nullspaces and inverses clear each row's denominators once
 and eliminate over the integers, producing fractions only for the final
 reduced row echelon form; positive definiteness is decided by the pivots
-of an exact LDL^T factorization.  No floating point enters any code path.
+of an exact LDL^T factorization.  rank, solve and nullspace also take
+plain rows of ints (or Fractions), so integral data such as Sym(n) value
+rows goes into the elimination without a detour through Fraction.  No
+floating point enters any code path.
 """
 
 from __future__ import annotations
@@ -231,18 +234,31 @@ def _rref(pivots, echelon):
     ]
 
 
-def rank(matrix: RationalMatrix) -> int:
-    return len(_echelon(matrix.rows())[0])
+def _rows(matrix):
+    """The rows of a RationalMatrix, or a nonempty sequence of equal-length
+    rows of ints or Fractions as given."""
+    if isinstance(matrix, RationalMatrix):
+        return matrix.rows()
+    if not matrix or not matrix[0] or any(len(row) != len(matrix[0]) for row in matrix):
+        raise ValueError("rows must be nonempty and of one length")
+    return matrix
 
 
-def solve(matrix: RationalMatrix, rhs) -> LinearSystemSolution:
-    """Exact solution set of A x = b with witnesses."""
-    if len(rhs) != matrix.nrows:
+def rank(matrix) -> int:
+    """Rank of a RationalMatrix or of rows of ints or Fractions."""
+    return len(_echelon(_rows(matrix))[0])
+
+
+def solve(matrix, rhs) -> LinearSystemSolution:
+    """Exact solution set of A x = b with witnesses; A is a RationalMatrix
+    or rows of ints or Fractions."""
+    rows = _rows(matrix)
+    if len(rhs) != len(rows):
         raise ValueError("right-hand side length mismatch")
     b = [_frac(x) for x in rhs]
-    aug = [list(row) + [bi] for row, bi in zip(matrix.rows(), b)]
+    aug = [list(row) + [bi] for row, bi in zip(rows, b)]
     pivots, echelon = _echelon(aug)
-    ncols = matrix.ncols
+    ncols = len(rows[0])
     if ncols in pivots:
         return LinearSystemSolution("inconsistent", None, ())
     rref = _rref(pivots, echelon)
@@ -268,10 +284,12 @@ def _nullspace_from_rref(rref_rows, pivots, ncols):
     return basis
 
 
-def nullspace(matrix: RationalMatrix):
-    """Basis of the right nullspace (empty tuple when trivial)."""
-    pivots, echelon = _echelon(matrix.rows())
-    return tuple(_nullspace_from_rref(_rref(pivots, echelon), pivots, matrix.ncols))
+def nullspace(matrix):
+    """Basis of the right nullspace (empty tuple when trivial) of a
+    RationalMatrix or of rows of ints or Fractions."""
+    rows = _rows(matrix)
+    pivots, echelon = _echelon(rows)
+    return tuple(_nullspace_from_rref(_rref(pivots, echelon), pivots, len(rows[0])))
 
 
 def inverse(matrix: RationalMatrix) -> RationalMatrix:

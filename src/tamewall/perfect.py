@@ -5,33 +5,50 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg, lp
+from . import lp
 from .enumeration import arithmetic_minimum
-from .forms import QuadraticForm, dual_form, sym_dimension, value_row
-from .linalg import RationalMatrix
+from .errors import InvariantError
+from .forms import (
+    QuadraticForm,
+    dual_form,
+    form_from_solution,
+    solve_form_from_unit_norms,
+    sym_dimension,
+)
 
 
 @dataclass(frozen=True)
 class PerfectionReport:
-    """Rank of the minimal-vector images inside Sym(n)."""
+    """Rank of the minimal-vector images inside Sym(n).
+
+    reconstruction is the unique form taking the value 1 on every minimal
+    vector (f divided by its minimum) when f is perfect, else None.
+    """
 
     rank: int
     sym_dim: int
     minimal_pair_count: int
     is_perfect: bool
+    reconstruction: QuadraticForm | None
 
 
 def perfection_report(f: QuadraticForm, allow_large=False) -> PerfectionReport:
     """Perfect iff the rank-1 images of the minimal vectors span Sym(n).
 
-    Tested by rank rather than by reconstruction; the equivalence of the
-    two is itself exercised in the test suite.
+    One fraction-free elimination of the unit-norm system (value 1 on every
+    minimal vector, integer value rows) gives both the rank and the
+    reconstruction.  The system is consistent, because f divided by its
+    minimum solves it, so its rank is N minus the nullity, and at rank N its
+    unique solution is the reconstruction.
     """
     report = arithmetic_minimum(f, allow_large=allow_large)
-    rows = [value_row(v) for v in report.vectors]
-    rk = linalg.rank(RationalMatrix(rows))
+    sol = solve_form_from_unit_norms(report.vectors, 1)
+    if sol.kind == "inconsistent":
+        raise InvariantError("f / min(f) fails the unit-norm system of its minimal vectors")
     big_n = sym_dimension(f.n)
-    return PerfectionReport(rk, big_n, report.pair_count, rk == big_n)
+    rk = big_n - len(sol.nullspace)
+    recon = form_from_solution(sol, f.n) if sol.is_unique else None
+    return PerfectionReport(rk, big_n, report.pair_count, rk == big_n, recon)
 
 
 def is_eutactic(f: QuadraticForm, allow_large=False):

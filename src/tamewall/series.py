@@ -90,27 +90,37 @@ class WallDescriptor:
     """Primitive integer symmetric normal of the wall in form space.
 
     Frobenius convention: pairing(normal, v v^T) is the value of the
-    normal at v.  Sign fixed so the complementary vectors of the
-    big-simplex side pair positively.  printed_formula_report compares
-    the derived normal against the closed formula printed alongside the
-    construction, which fails to annihilate the dual system (documented
-    discrepancy).
+    normal at v.  coords holds the same normal in Sym(n) coordinates
+    (diagonal first, then i<j), so its value at an integer v is the
+    integer coords . value_row(v).  Sign fixed so the complementary
+    vectors of the big-simplex side pair positively.
+    printed_formula_report compares the derived normal against the closed
+    formula printed alongside the construction, which fails to annihilate
+    the dual system (documented discrepancy).
     """
 
     n: int
     normal: RationalMatrix
+    coords: tuple
     printed_formula_report: dict = field(compare=False)
 
 
-def _printed_wall_formula(n: int) -> RationalMatrix:
-    rows = [[Fraction(0)] * n for _ in range(n)]
+def _printed_wall_formula(n: int):
+    """The printed closed formula scaled by 2(n-4), as integer rows."""
+    rows = [[0] * n for _ in range(n)]
     for i in range(n - 1):
-        rows[i][n - 1] = rows[n - 1][i] = Fraction(n - 2, 2 * (n - 4))
+        rows[i][n - 1] = rows[n - 1][i] = n - 2
         for j in range(n - 1):
             if i != j:
-                rows[i][j] = Fraction(1)
-    rows[n - 1][n - 1] = Fraction(n**3 - 9 * n * n + 24 * n - 19, 2 * (n - 4))
-    return RationalMatrix(rows)
+                rows[i][j] = 2 * (n - 4)
+    rows[n - 1][n - 1] = n**3 - 9 * n * n + 24 * n - 19
+    return rows
+
+
+def _value_at(coords, v):
+    """Value at the integer vector v of the symmetric matrix with Sym(n)
+    coordinates coords."""
+    return sum(map(mul, coords, value_row(v)))
 
 
 def tw_normal(n: int) -> WallDescriptor:
@@ -118,8 +128,7 @@ def tw_normal(n: int) -> WallDescriptor:
     if n < 5:
         raise ValueError("needs n >= 5")
     duals = big_simplex_dual_vectors(n)
-    rows = [value_row(u) for u in duals]
-    kernel = linalg.nullspace(RationalMatrix(rows))
+    kernel = linalg.nullspace([value_row(u) for u in duals])
     if len(kernel) != 1:
         raise ArithmeticError(
             f"dual images span codimension {len(kernel)}, expected exactly 1"
@@ -128,42 +137,45 @@ def tw_normal(n: int) -> WallDescriptor:
     coords = [int(x * mult) for x in kernel[0]]
     g = gcd(*(abs(x) for x in coords))
     coords = [x // g for x in coords]
-    normal = forms.coords_to_sym(coords, n)
     anchor = tuple([n // 2 - 1] * (n - 1) + [n // 2])  # big-simplex-side vector
-    val = QuadraticForm(normal).evaluate(anchor)
+    val = _value_at(coords, anchor)
     if val == 0:
         raise ArithmeticError("normal orientation anchor lies on the wall")
     if val < 0:
-        normal = normal.scaled(-1)
+        coords = [-x for x in coords]
+    normal = forms.coords_to_sym(coords, n)
 
-    printed = _printed_wall_formula(n)
-    as_quadratic = [QuadraticForm(printed).evaluate(u) for u in duals]
+    scaled = _printed_wall_formula(n)
+    den = 2 * (n - 4)
+    as_quadratic = [sum(u[i] * sum(map(mul, scaled[i], u)) for i in range(n)) for u in duals]
     upper_once = [
-        sum(printed[i, j] * u[i] * u[j] for i in range(n) for j in range(i, n))
+        sum(scaled[i][j] * u[i] * u[j] for i in range(n) for j in range(i, n))
         for u in duals
     ]
     report = dict(
-        printed=printed,
-        annihilates_as_quadratic=all(x == 0 for x in as_quadratic),
-        annihilates_upper_once=all(x == 0 for x in upper_once),
-        max_abs_quadratic=max(abs(x) for x in as_quadratic),
-        max_abs_upper_once=max(abs(x) for x in upper_once),
+        printed=RationalMatrix(scaled).scaled(Fraction(1, den)),
+        annihilates_as_quadratic=not any(as_quadratic),
+        annihilates_upper_once=not any(upper_once),
+        max_abs_quadratic=Fraction(max(map(abs, as_quadratic)), den),
+        max_abs_upper_once=Fraction(max(map(abs, upper_once)), den),
     )
-    return WallDescriptor(n, normal, report)
+    return WallDescriptor(n, normal, tuple(coords), report)
 
 
 def classify_side(wall: WallDescriptor, x) -> str:
     """Sign of the Frobenius pairing with the wall normal.
 
-    Integer vectors are classified through their rank-1 image; forms
-    through their Gram matrix.
+    Integer vectors are classified through their rank-1 image, in
+    integers; forms through their Gram matrix.
     """
     if isinstance(x, QuadraticForm):
         val = pairing(wall.normal, x.gram)
     elif isinstance(x, RationalMatrix):
         val = pairing(wall.normal, x)
     else:
-        val = QuadraticForm(wall.normal).evaluate(x)
+        if len(x) != wall.n:
+            raise ValueError("vector dimension mismatch")
+        val = _value_at(wall.coords, x)
     if val == 0:
         return "on_wall"
     return "tf_side" if val > 0 else "dn_side"
@@ -433,8 +445,7 @@ def verify_theorem2(n: int, include_isometry=None, allow_large=False) -> Theorem
         f"2s = {rep.total_count}, expected {expected_2s}",
     ))
     perf = perfection_report(tf, allow_large=allow_large)
-    recon = forms.solve_form_from_unit_norms(rep.vectors, 1)
-    recon_ok = recon.is_unique and forms.form_from_solution(recon, n) == tf
+    recon_ok = perf.reconstruction == tf
     steps.append(CheckStep(
         "tf_perfect",
         perf.is_perfect and recon_ok,
@@ -454,8 +465,7 @@ def verify_theorem2(n: int, include_isometry=None, allow_large=False) -> Theorem
         f"2s = {rep_dn.total_count}, expected {2 * n * (n - 1)}",
     ))
     perf_dn = perfection_report(dn, allow_large=allow_large)
-    recon_dn = forms.solve_form_from_unit_norms(rep_dn.vectors, 1)
-    recon_dn_ok = recon_dn.is_unique and forms.form_from_solution(recon_dn, n) == dn
+    recon_dn_ok = perf_dn.reconstruction == dn
     steps.append(CheckStep(
         "dn_perfect",
         perf_dn.is_perfect and recon_dn_ok,

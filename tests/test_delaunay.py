@@ -209,6 +209,77 @@ def test_cell_roundtrip_a2(x, y):
     assert is_delaunay_cell(f, cell).verdict
 
 
+def per_vertex_minimal_face(vertices, t):
+    """The former _minimal_face, kept as its oracle: one LP per vertex,
+    maximizing that vertex's weight over the convex representations of t."""
+    k = len(vertices)
+    n = len(t)
+    eqs = [([F(v[i]) for v in vertices], t[i]) for i in range(n)]
+    eqs.append(([F(1)] * k, F(1)))
+    nonneg = []
+    for idx in range(k):
+        row = [F(0)] * k
+        row[idx] = F(-1)
+        nonneg.append((row, F(0)))
+    face = []
+    for idx in range(k):
+        obj = [F(0)] * k
+        obj[idx] = F(1)
+        res = lp.lp_solve(objective=obj, equalities=eqs, less_equal=nonneg, num_vars=k)
+        if res.status == "optimal" and res.optimum > 0:
+            face.append(vertices[idx])
+    return tuple(face)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(min_value=-2, max_value=2)] * d),
+            min_size=2,
+            max_size=6,
+            unique=True,
+        )
+    ),
+    st.data(),
+)
+def test_minimal_face_matches_per_vertex_lps(vertices, data):
+    support = data.draw(st.lists(st.sampled_from(range(len(vertices))), min_size=1, unique=True))
+    weights = data.draw(
+        st.lists(st.integers(min_value=1, max_value=5), min_size=len(support), max_size=len(support))
+    )
+    total = sum(weights)
+    d = len(vertices[0])
+    t = tuple(sum(F(w, total) * vertices[u][i] for u, w in zip(support, weights)) for i in range(d))
+    face = delaunay._minimal_face(vertices, t)
+    assert face == per_vertex_minimal_face(vertices, t)
+    assert set(vertices[u] for u in support) <= set(face)
+
+
+def test_e6_non_generic_face_is_one_lp(monkeypatch):
+    # (1/2, 1/2, 0, 0, 0, 0) lies on a 10-vertex face of a 27-vertex E6 cell;
+    # the face is captured from the per-vertex LPs.
+    face = (
+        (0, 0, -1, -1, -1, -1), (0, 0, -1, -1, -1, 0), (0, 0, -1, -1, 0, 0),
+        (0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0),
+        (1, 1, 0, 0, 0, 0), (1, 1, 1, 1, 0, 0), (1, 1, 1, 1, 1, 0),
+        (1, 1, 1, 1, 1, 1),
+    )
+    t = (F(1, 2), F(1, 2), 0, 0, 0, 0)
+    seen = []
+    real_face = delaunay._minimal_face
+    monkeypatch.setattr(delaunay, "_minimal_face", lambda v, t: seen.append(v) or real_face(v, t))
+    with pytest.raises(NonGenericPointError) as err:
+        delaunay_cell_containing(standard_gram("E6"), t)
+    assert err.value.face_vertices == face
+    assert [len(v) for v in seen] == [27]
+    solves = []
+    real_solve = lp.lp_solve
+    monkeypatch.setattr(lp, "lp_solve", lambda **kw: solves.append(1) or real_solve(**kw))
+    assert tuple(sorted(real_face(seen[0], t))) == face
+    assert len(solves) == 1
+
+
 def test_cell_lp_not_optimal_raises_invariant_error(monkeypatch):
     monkeypatch.setattr(lp, "lp_solve", lambda **kwargs: lp.LPResult("unbounded"))
     with pytest.raises(InvariantError, match="cell LP"):

@@ -1,5 +1,6 @@
 """Lattice enumeration against an independent brute-force box oracle and
-against the rational depth-first search it replaced."""
+against the rational depth-first search it replaced, and the queries on
+the integer visit contract against their former Fraction versions."""
 
 import itertools
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from tamewall.enumeration import (
     _Enumerator,
     arithmetic_minimum,
     closest_vectors,
+    first_interior_point,
     lattice_points_in_ellipsoid,
     vectors_up_to,
 )
@@ -313,6 +315,34 @@ rational_pd_form = st.tuples(
 )
 
 
+def _integer_contract(visit, seen):
+    """The integer run contract in front of a Fraction recorder: each
+    (cost, m) becomes the value cost / m, and a bound the recorder returns
+    goes back as the scaled integer floor(m * bound).  seen collects the
+    raw (cost, m) pairs."""
+
+    def scaled(x, cost, m):
+        seen.append((cost, m))
+        got = visit(x, F(cost, m))
+        if got is None or got is _STOP:
+            return got
+        return _floor_frac(m * got)
+
+    return scaled
+
+
+def _run_both(form, c, bound, shrink, slack, stop_at, half):
+    """(Fraction log, integer-contract log) of one query, after checking the
+    raw contract: integer costs, one scale m per call, the m run returns."""
+    expected, visit = _recorder(shrink, slack, stop_at)
+    fraction_run(form, c, bound, visit, half=half, shrink=shrink)
+    got, visit = _recorder(shrink, slack, stop_at)
+    seen = []
+    m = _Enumerator(form).run(c, bound, _integer_contract(visit, seen), half=half, shrink=shrink)
+    assert all(type(cost) is int and scale == m for cost, scale in seen)
+    return expected, got
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.one_of(pd_form.map(_pd_from_rows), rational_pd_form),
@@ -328,12 +358,8 @@ def test_integer_core_matches_fraction_dfs(form, center, bound, mode, slack, sto
     half = mode.startswith("half")
     shrink = mode.endswith("shrink")
     c = [0] * form.n if half else center[: form.n]
-    expected, visit = _recorder(shrink, slack, stop_at)
-    fraction_run(form, c, bound, visit, half=half, shrink=shrink)
-    got, visit = _recorder(shrink, slack, stop_at)
-    _Enumerator(form).run(c, bound, visit, half=half, shrink=shrink)
+    expected, got = _run_both(form, c, bound, shrink, slack, stop_at, half)
     assert got == expected
-    assert all(type(value) is F for _, value in got)
 
 
 def _wall_ellipsoid():
@@ -355,8 +381,93 @@ def test_integer_core_matches_fraction_dfs_on_series_forms(form, center, bound):
     half = center is None
     c = [0] * form.n if half else center
     for shrink in (False, True):
-        expected, visit = _recorder(shrink, 0, None)
-        fraction_run(form, c, bound, visit, half=half, shrink=shrink)
-        got, visit = _recorder(shrink, 0, None)
-        _Enumerator(form).run(c, bound, visit, half=half, shrink=shrink)
+        expected, got = _run_both(form, c, bound, shrink, 0, None, half)
         assert got == expected
+
+
+# -- the queries as they were on Fraction visits, kept as their oracles --------
+
+def fraction_arithmetic_minimum(f):
+    bound = min(f.gram[i, i] for i in range(f.n))
+    found = {"min": bound, "vecs": []}
+
+    def visit(x, value):
+        if value == 0 or all(v == 0 for v in x):
+            return None
+        if value < found["min"]:
+            found["min"] = value
+            found["vecs"] = [x]
+            return value
+        if value == found["min"]:
+            found["vecs"].append(x)
+        return None
+
+    fraction_run(f, [0] * f.n, bound, visit, half=True, shrink=True)
+    vecs = tuple(sorted(canonical_sign(v) for v in found["vecs"]))
+    return found["min"], vecs
+
+
+def fraction_vectors_up_to(f, bound):
+    out = []
+
+    def visit(x, value):
+        if value != 0:
+            out.append((canonical_sign(x), value))
+
+    fraction_run(f, [0] * f.n, bound, visit, half=True)
+    return sorted(out, key=lambda p: (p[1], p[0]))
+
+
+def fraction_ellipsoid(f, center, r2):
+    """(interior, boundary, first interior point in enumeration order)."""
+    interior, boundary = [], []
+
+    def visit(x, value):
+        (interior if value < r2 else boundary).append(x)
+
+    fraction_run(f, center, r2, visit)
+    return tuple(sorted(interior)), tuple(sorted(boundary)), interior[0] if interior else None
+
+
+def fraction_closest_vectors(f, target):
+    t = [F(v) for v in target]
+    start = [_floor_frac(v + F(1, 2)) for v in t]
+    found = {"best": f.evaluate([s - v for s, v in zip(start, t)]), "pts": []}
+
+    def visit(x, value):
+        if value < found["best"]:
+            found["best"] = value
+            found["pts"] = [x]
+            return value
+        if value == found["best"]:
+            found["pts"].append(x)
+        return None
+
+    fraction_run(f, t, found["best"], visit, shrink=True)
+    return found["best"], tuple(sorted(set(found["pts"])))
+
+
+centre3 = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=7), min_size=3, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(pd_form.map(_pd_from_rows), rational_pd_form),
+    centre3,
+    st.fractions(min_value=0, max_value=6, max_denominator=6),
+)
+def test_queries_match_their_fraction_versions(form, center, r2):
+    c = center[: form.n]
+    rep = arithmetic_minimum(form)
+    assert (rep.minimum, rep.vectors) == fraction_arithmetic_minimum(form)
+    assert type(rep.minimum) is F
+    listed = vectors_up_to(form, r2)
+    assert listed == fraction_vectors_up_to(form, r2)
+    assert all(type(value) is F for _, value in listed)
+    interior, boundary, first = fraction_ellipsoid(form, c, r2)
+    report = lattice_points_in_ellipsoid(form, c, r2)
+    assert (report.interior, report.boundary) == (interior, boundary)
+    assert first_interior_point(form, c, r2) == ((first, None) if first else (None, boundary))
+    d2, pts = closest_vectors(form, c)
+    assert (d2, pts) == fraction_closest_vectors(form, c)
+    assert type(d2) is F

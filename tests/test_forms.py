@@ -148,6 +148,13 @@ def test_solve_form_from_unit_norms_inconsistent():
     assert sol.kind == "inconsistent"
 
 
+def test_solve_form_from_unit_norms_takes_any_iterable():
+    vectors = [(1, 0), (0, 1), (1, 1)]
+    assert solve_form_from_unit_norms(iter(vectors), 1) == solve_form_from_unit_norms(vectors, 1)
+    with pytest.raises(ValueError, match="at least one vector"):
+        solve_form_from_unit_norms(iter(()), 1)
+
+
 def test_dual_form_identity_and_involution():
     e6 = standard_gram("E6")
     assert dual_form(QuadraticForm.identity(3)) == QuadraticForm.identity(3)

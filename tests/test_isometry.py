@@ -18,6 +18,8 @@ from tamewall.isometry import (
 )
 from tamewall.linalg import RationalMatrix
 
+from test_enumeration import fraction_run
+
 
 def doubling_fingerprint(f, levels=3):
     """The former fingerprint, kept as the oracle of the shrinking one:
@@ -34,6 +36,29 @@ def doubling_fingerprint(f, levels=3):
             break
         bound *= 2
     return Fingerprint(f.n, f.determinant(), rep.minimum, rep.pair_count, tuple(histogram))
+
+
+def fraction_fingerprint(f, levels=3):
+    """The shrinking fingerprint as it was on Fraction visits, kept as the
+    oracle of the integer one: the histogram is keyed by Fraction values."""
+    bound = min(f.gram[i, i] for i in range(f.n))
+    while True:
+        counts = {}
+
+        def visit(x, value):
+            if value == 0:
+                return None
+            counts[value] = counts.get(value, 0) + 1
+            if len(counts) > levels:
+                del counts[max(counts)]
+            return max(counts) if len(counts) == levels else None
+
+        fraction_run(f, [0] * f.n, bound, visit, half=True, shrink=True)
+        if len(counts) == levels:
+            break
+        bound *= 2
+    histogram = tuple(sorted(counts.items()))
+    return Fingerprint(f.n, f.determinant(), histogram[0][0], histogram[0][1], histogram)
 
 
 def fraction_are_equivalent(a, b):
@@ -129,6 +154,37 @@ def test_fingerprint_matches_doubling_oracle_on_random_forms(rows, k, levels):
     b = RationalMatrix(rows)
     f = QuadraticForm(b.transpose().matmul(b).scaled(F(1, k)) + RationalMatrix.identity(len(rows)))
     assert fingerprint(f, levels) == doubling_fingerprint(f, levels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=4),
+)
+def test_fingerprint_matches_fraction_visits_on_random_forms(rows, k, d, levels):
+    b = RationalMatrix(rows)
+    f = QuadraticForm(b.transpose().matmul(b).scaled(F(1, k)) + RationalMatrix.identity(len(rows)).scaled(F(1, d)))
+    got = fingerprint(f, levels)
+    assert got == fraction_fingerprint(f, levels)
+    assert all(type(value) is F for value, _ in got.level_histogram)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [pytest.param(tf_form(n), id=f"tf{n}") for n in range(5, 10)]
+    + [pytest.param(dn_neighbor_form(n), id=f"dn{n}") for n in range(5, 9)]
+    + [pytest.param(standard_gram("E6*"), id="E6*")],
+)
+def test_fingerprint_matches_fraction_visits(f):
+    assert fingerprint(f) == fraction_fingerprint(f)
 
 
 def test_fingerprint_rejects_nonpositive_levels():

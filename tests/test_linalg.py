@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tamewall import linalg
-from tamewall.forms import big_simplex_dual_vectors, tf_form, value_row, wall_interior_form
+from tamewall.enumeration import arithmetic_minimum
+from tamewall.forms import (
+    big_simplex_dual_vectors,
+    dn_neighbor_form,
+    tf_form,
+    value_row,
+    wall_interior_form,
+)
 from tamewall.linalg import RationalMatrix
 
 from test_kernels import cofactor_det, small_matrix
@@ -132,6 +139,52 @@ def test_inverse_matches_fraction_oracle(m):
             linalg.inverse(m)
     else:
         assert linalg.inverse(m) == expected
+
+
+@st.composite
+def integer_rows(draw):
+    """Integer rows up to 6x7 as plain lists, often rank-deficient."""
+    m = draw(rational_matrices())
+    return [[(x * 12).numerator for x in row] for row in m.rows()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_rows(), st.lists(st.integers(min_value=-5, max_value=5), min_size=6, max_size=6))
+def test_integer_rows_match_rational_matrix_rows(rows, values):
+    # rank, nullspace and solve on plain int rows give what the same rows
+    # give as a RationalMatrix, and what the Fraction oracle gives
+    m = RationalMatrix(rows)
+    assert linalg.rank(rows) == linalg.rank(m) == fraction_rank(m)
+    assert linalg.nullspace(rows) == linalg.nullspace(m) == fraction_nullspace(m)
+    ncols = len(rows[0])
+    consistent = [sum(a * b for a, b in zip(row, values)) for row in rows]
+    for rhs in (values[: len(rows)], consistent):
+        assert linalg.solve(rows, rhs) == linalg.solve(m, rhs) == fraction_solve(m, rhs)
+        if rhs is consistent:
+            sol = linalg.solve(rows, rhs)
+            assert sol.kind != "inconsistent"
+            assert ncols - len(sol.nullspace) == linalg.rank(rows)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [pytest.param(tf_form(n), id=f"tf{n}") for n in range(5, 10)]
+    + [pytest.param(dn_neighbor_form(n), id=f"dn{n}") for n in range(5, 10)],
+)
+def test_unit_norm_systems_on_integer_rows_match_fraction_oracle(f):
+    rows = [value_row(v) for v in arithmetic_minimum(f).vectors]
+    assert all(type(x) is int for row in rows for x in row)
+    m = RationalMatrix(rows)
+    ones = [1] * len(rows)
+    sol = linalg.solve(rows, ones)
+    assert sol == fraction_solve(m, ones)
+    assert len(m.row(0)) - len(sol.nullspace) == fraction_rank(m)
+
+
+def test_plain_rows_must_be_nonempty_and_rectangular():
+    for rows in ([], [[]], [[1, 2], [3]]):
+        with pytest.raises(ValueError):
+            linalg.rank(rows)
 
 
 @pytest.mark.parametrize("n", range(5, 11))

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tamewall import linalg
 from tamewall.enumeration import arithmetic_minimum
 from tamewall.forms import (
     QuadraticForm,
@@ -15,6 +16,7 @@ from tamewall.forms import (
     solve_form_from_unit_norms,
     standard_gram,
     tf_form,
+    value_row,
 )
 from tamewall.linalg import RationalMatrix
 from tamewall.perfect import is_eutactic, is_extreme, perfection_report
@@ -56,6 +58,38 @@ def test_perfection_equals_unique_reconstruction(f):
     assert perfection_report(f).is_perfect == (sol.kind == "unique")
     if sol.kind == "unique":
         assert form_from_solution(sol, f.n) == f
+
+
+def rational_perfection(f):
+    """The former perfection_report and reconstruction, kept as their
+    oracle: a rank over RationalMatrix rows, then a second elimination of
+    the unit-norm system."""
+    vectors = arithmetic_minimum(f).vectors
+    m = RationalMatrix([[F(x) for x in value_row(v)] for v in vectors])
+    sol = linalg.solve(m, [F(1)] * len(vectors))
+    recon = form_from_solution(sol, f.n) if sol.is_unique else None
+    return linalg.rank(m), recon
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        QuadraticForm.identity(3),
+        standard_gram("A", 3),
+        standard_gram("D", 4),
+        standard_gram("E6"),
+        scale(standard_gram("E6*"), 3),
+    ]
+    + [tf_form(n) for n in range(5, 10)]
+    + [dn_neighbor_form(n) for n in range(5, 10)],
+)
+def test_one_elimination_gives_rank_and_reconstruction(f):
+    rep = perfection_report(f)
+    rk, recon = rational_perfection(f)
+    assert (rep.rank, rep.reconstruction) == (rk, recon)
+    assert rep.is_perfect == (recon is not None)
+    if recon is not None:
+        assert scale(recon, arithmetic_minimum(f).minimum) == f
 
 
 def test_eutactic_identity():

@@ -122,6 +122,13 @@ def test_classify_side_of_forms():
     assert classify_side(wall, voronoi_image((1, -1, 0, 0, 0, 0)).matrix) == "dn_side"
 
 
+def test_classify_side_rejects_wrong_length_vector():
+    wall = tw_normal(6)
+    for x in ((1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            classify_side(wall, x)
+
+
 def test_parse_family_examples():
     assert len(parse_family("[1^{n-3},0^2;3]", 5).vectors) == 6
     assert parse_family("[0^n]", 4).vectors == ((0, 0, 0, 0),)

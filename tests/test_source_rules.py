@@ -37,3 +37,78 @@ def _is_float(node):
 def test_no_floating_point_in_package():
     # Arithmetic is exact throughout: no float literal, no float() call.
     assert _nodes_where(_is_float) == []
+
+
+_CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+_MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "defaultdict", "OrderedDict", "Counter", "deque"}
+
+
+def _is_functools_cache(node):
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "functools" and any(a.name in _CACHE_DECORATORS for a in node.names)
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in _CACHE_DECORATORS
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "functools"
+    )
+
+
+def test_no_functools_caches_in_package():
+    # No memoisation behind the caller's back: per-call state only.
+    assert _nodes_where(_is_functools_cache) == []
+
+
+def _is_mutable_container(value):
+    if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
+        return True
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in _MUTABLE_CALLS
+    return False
+
+
+def _assigned_names(stmt):
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    return {t.id for t in targets if isinstance(t, ast.Name)} or {None}
+
+
+def _mutable_globals(tree):
+    """Line numbers of module-level assignments of a mutable container,
+    __all__ aside."""
+    return [
+        stmt.lineno
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        and stmt.value is not None
+        and _is_mutable_container(stmt.value)
+        and _assigned_names(stmt) != {"__all__"}
+    ]
+
+
+def test_no_module_level_mutable_containers_in_package():
+    # A module-global list, dict or set is shared state that outlives a
+    # call (a cache by another name); __all__ is the one exception.
+    found = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in _mutable_globals(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_source_rules_catch_what_they_forbid():
+    bad = ast.parse(
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "_TABLE = {}\n"
+        "_SEEN: list = []\n"
+        "_POOL = set()\n"
+        "__all__ = ['x']\n"
+        "@functools.cache\n"
+        "def f():\n"
+        "    local = {}\n"
+    )
+    assert sum(map(_is_functools_cache, ast.walk(bad))) == 2
+    assert _mutable_globals(bad) == [3, 4, 5]
