@@ -90,7 +90,6 @@ def _check_dim(n, args, what="this command"):
             f"dimension {n} exceeds --max-dim {args.max_dim} for {what}; "
             "raise --max-dim explicitly to proceed"
         )
-    return args.max_dim > 16  # allow_large for the library guard
 
 
 def _minimum_payload(report):
@@ -129,14 +128,14 @@ def _cmd_wall(args):
 
 def _cmd_minvec(args):
     f = _load_form(args.formfile)
-    allow = _check_dim(f.n, args, "minimal-vector enumeration")
-    return _minimum_payload(arithmetic_minimum(f, allow_large=allow))
+    _check_dim(f.n, args, "minimal-vector enumeration")
+    return _minimum_payload(arithmetic_minimum(f))
 
 
 def _cmd_perfect(args):
     f = _load_form(args.formfile)
-    allow = _check_dim(f.n, args, "perfection testing")
-    rep = perfect.perfection_report(f, allow_large=allow)
+    _check_dim(f.n, args, "perfection testing")
+    rep = perfect.perfection_report(f)
     payload = {
         "rank": rep.rank,
         "sym_dim": rep.sym_dim,
@@ -150,8 +149,8 @@ def _cmd_perfect(args):
 
 def _cmd_eutactic(args):
     f = _load_form(args.formfile)
-    allow = _check_dim(f.n, args, "eutaxy testing")
-    verdict, weights = perfect.is_eutactic(f, allow_large=allow)
+    _check_dim(f.n, args, "eutaxy testing")
+    verdict, weights = perfect.is_eutactic(f)
     payload = {"is_eutactic": verdict}
     if weights is not None:
         payload["weights"] = [_frac_str(w) for w in weights]
@@ -181,8 +180,8 @@ def _cmd_doubledual(args):
 def _cmd_delaunay_check(args):
     f = _load_form(args.formfile)
     pts = _load_vectors(args.vecfile)
-    allow = _check_dim(f.n, args, "Delaunay verification")
-    cert = delaunay.is_delaunay_cell(f, pts, allow_large=allow)
+    _check_dim(f.n, args, "Delaunay verification")
+    cert = delaunay.is_delaunay_cell(f, pts)
     payload = {"certificate": cert.to_json()}
     if not cert.verdict:
         raise Refuted(payload)
@@ -191,7 +190,7 @@ def _cmd_delaunay_check(args):
 
 def _cmd_cell(args):
     f = _load_form(args.formfile)
-    allow = _check_dim(f.n, args, "cell location")
+    _check_dim(f.n, args, "cell location")
     try:
         point = [Fraction(p) for p in args.point]
     except (ValueError, ZeroDivisionError):
@@ -199,7 +198,7 @@ def _cmd_cell(args):
     if len(point) != f.n:
         raise UsageError(f"expected {f.n} coordinates, got {len(point)}")
     try:
-        cell = delaunay.delaunay_cell_containing(f, point, allow_large=allow)
+        cell = delaunay.delaunay_cell_containing(f, point)
     except delaunay.NonGenericPointError as exc:
         raise Refuted({
             "reason": "non-generic point",
@@ -228,22 +227,22 @@ def _cmd_radon(args):
 def _cmd_equiv(args):
     a = _load_form(args.formfile_a)
     b = _load_form(args.formfile_b)
-    allow = _check_dim(max(a.n, b.n), args, "equivalence testing")
+    _check_dim(max(a.n, b.n), args, "equivalence testing")
     if args.scale:
-        sim = isometry.are_similar(a, b, allow_large=allow)
+        sim = isometry.are_similar(a, b)
         if sim is None:
-            raise Refuted(_fingerprint_diff(a, b, allow))
+            raise Refuted(_fingerprint_diff(a, b))
         c, u = sim
         return {"equivalent": True, "scale": _frac_str(c), "witness": _matrix_json(u)}
-    u = isometry.are_equivalent(a, b, allow_large=allow)
+    u = isometry.are_equivalent(a, b)
     if u is None:
-        raise Refuted(_fingerprint_diff(a, b, allow))
+        raise Refuted(_fingerprint_diff(a, b))
     return {"equivalent": True, "witness": _matrix_json(u)}
 
 
-def _fingerprint_diff(a, b, allow):
-    fa = isometry.fingerprint(a, allow_large=allow)
-    fb = isometry.fingerprint(b, allow_large=allow)
+def _fingerprint_diff(a, b):
+    fa = isometry.fingerprint(a)
+    fb = isometry.fingerprint(b)
     def fp(f):
         return {
             "dimension": f.dimension,
@@ -287,8 +286,8 @@ def _theorem_payload(rep):
 
 
 def _cmd_theorem1(args):
-    allow = _check_dim(args.n, args, "theorem-1 verification")
-    rep = series.verify_theorem1(args.n, allow_large=allow)
+    _check_dim(args.n, args, "theorem-1 verification")
+    rep = series.verify_theorem1(args.n)
     payload = _theorem_payload(rep)
     if not rep.ok:
         raise Refuted(payload)
@@ -296,8 +295,8 @@ def _cmd_theorem1(args):
 
 
 def _cmd_theorem2(args):
-    allow = _check_dim(args.n, args, "theorem-2 verification")
-    rep = series.verify_theorem2(args.n, allow_large=allow)
+    _check_dim(args.n, args, "theorem-2 verification")
+    rep = series.verify_theorem2(args.n)
     payload = _theorem_payload(rep)
     if not rep.ok:
         raise Refuted(payload)
@@ -322,7 +321,7 @@ def _cmd_perturb(args):
     f = _load_form(args.formfile)
     cell = _load_vectors(args.vecfile)
     subset = _load_vectors(args.subsetfile)
-    allow = _check_dim(f.n, args, "perturbation checking")
+    _check_dim(f.n, args, "perturbation checking")
     try:
         alpha = Fraction(args.alpha)
     except (ValueError, ZeroDivisionError):
@@ -331,7 +330,7 @@ def _cmd_perturb(args):
     if quad.status != "ok":
         raise UsageError("cell vertices are not co-spherical under the form")
     phi = delaunay.InhomogeneousQuadratic.from_circumsphere(f, quad.center, quad.r2)
-    rep = delaunay.perturbation_check(f, phi, cell, subset, alpha, allow_large=allow)
+    rep = delaunay.perturbation_check(f, phi, cell, subset, alpha)
     payload = {
         "verdict": rep.verdict,
         "boundary": _vectors_json(rep.boundary),

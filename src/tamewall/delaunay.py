@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from . import kernels, linalg, lp
 from .enumeration import closest_vectors, first_interior_point, lattice_points_in_ellipsoid
@@ -161,7 +160,7 @@ def circumscribed_quadric(f: QuadraticForm, points) -> CircumscribedQuadric:
     return CircumscribedQuadric("ok", tuple(center), r2, underdetermined=sol.kind == "affine")
 
 
-def is_delaunay_cell(f: QuadraticForm, points, allow_large=False) -> DelaunayCertificate:
+def is_delaunay_cell(f: QuadraticForm, points) -> DelaunayCertificate:
     """Exact Delaunay-cell certificate.
 
     True iff the points are co-spherical under f, the circumscribed
@@ -177,7 +176,7 @@ def is_delaunay_cell(f: QuadraticForm, points, allow_large=False) -> DelaunayCer
     quad = circumscribed_quadric(f, pts)
     if quad.status != "ok":
         return DelaunayCertificate(pts, None, None, False, cospherical=False)
-    inside, boundary = first_interior_point(f, quad.center, quad.r2, allow_large=allow_large)
+    inside, boundary = first_interior_point(f, quad.center, quad.r2)
     if inside is not None:
         return DelaunayCertificate(
             pts, quad.center, quad.r2, False, offending_interior=inside
@@ -209,7 +208,7 @@ def relative_volume(points) -> int:
     return abs(kernels.det_int(rows))
 
 
-def delaunay_cell_containing(f: QuadraticForm, point, allow_large=False):
+def delaunay_cell_containing(f: QuadraticForm, point):
     """Vertex set of the Delaunay cell of f containing a generic point.
 
     Cutting planes: maximize l(t) over affine l with l(v) <= f(v) for all
@@ -218,13 +217,15 @@ def delaunay_cell_containing(f: QuadraticForm, point, allow_large=False):
     point, which makes it bounded from the first iteration.  A query point
     on a lower-dimensional face raises NonGenericPointError carrying the
     face's vertex set.
+
+    Cost: the seed alone is 2^n constraints, every LP of the cutting-plane
+    loop carries all of them, and each round adds a closest-vector search;
+    no dimension is refused here.
     """
     n = f.n
     t = tuple(_frac(c) for c in point)
     if len(t) != n:
         raise ValueError("point dimension mismatch")
-    if n > 10 and not allow_large:
-        raise ValueError("cell location uses 2^n seed constraints; pass allow_large=True beyond n=10")
     ginv = linalg.inverse(f.gram)
 
     base = [c.numerator // c.denominator for c in t]
@@ -242,7 +243,7 @@ def delaunay_cell_containing(f: QuadraticForm, point, allow_large=False):
         g = res.witness[:n]
         h = res.witness[n]
         m = ginv.matvec([x / 2 for x in g])
-        d2, pts = closest_vectors(f, m, allow_large=allow_large)
+        d2, pts = closest_vectors(f, m)
         mu = d2 - (f.evaluate(m) + h)
         if mu < 0:
             new = [p for p in pts if p not in constraints]
@@ -343,10 +344,7 @@ def radon_triangulations(points) -> RadonTriangulations:
     kernel = linalg.nullspace(RationalMatrix(rows))
     if len(kernel) != 1:
         raise ValueError("points do not form a circuit (dependence not unique)")
-    mult = lcm(*(x.denominator for x in kernel[0]))
-    lam = [int(x * mult) for x in kernel[0]]
-    g = gcd(*(abs(x) for x in lam))
-    lam = [x // g for x in lam]
+    lam = linalg.primitive_row(kernel[0])
     first = next((x for x in lam if x != 0), 0)
     if first < 0:
         lam = [-x for x in lam]
@@ -478,7 +476,6 @@ def perturbation_check(
     subset,
     alpha,
     level_vectors=None,
-    allow_large=False,
 ) -> PerturbationReport:
     """Perturb a vanishing quadratic so a chosen sub-polytope becomes a cell.
 
@@ -536,7 +533,7 @@ def perturbation_check(
     center, r2 = phi.completed_square()
     if r2 < 0:
         return PerturbationReport(phi, False, (), (), failure_reason="empty sublevel set")
-    report = lattice_points_in_ellipsoid(phi.quadratic, center, r2, allow_large=allow_large)
+    report = lattice_points_in_ellipsoid(phi.quadratic, center, r2)
     verdict = not report.interior and report.boundary == sub_pts
     return PerturbationReport(
         phi, verdict, report.boundary, report.interior, level_vectors={u: levels[u] for u in outside}

@@ -72,9 +72,7 @@ def dual01(vectors):
             "dual infinite: the set does not span the space over the rationals"
         )
     c = centre.particular
-    inside, boundary = first_interior_point(
-        QuadraticForm(gram), c, dot(c, half_sum), allow_large=True
-    )
+    inside, boundary = first_interior_point(QuadraticForm(gram), c, dot(c, half_sum))
     if inside is not None:
         raise InvariantError(f"{inside} lies strictly inside the dual ellipsoid")
     return canonical_set(boundary)

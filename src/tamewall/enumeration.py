@@ -13,6 +13,12 @@ with the common scale m of the call, so callers compare against their
 thresholds by exact integer cross-multiplication and build a Fraction
 only for a value that goes into an output (a minimum, a distance, a
 listed norm).
+
+Cost: the search tree visits every partial vector whose partial cost is
+within the bound, so the work grows with the number of lattice points in
+the ellipsoid and, in the worst case, exponentially in the dimension n.
+No dimension is refused here; callers that take input from outside the
+program bound n themselves (the CLI's --max-dim).
 """
 
 from __future__ import annotations
@@ -26,10 +32,6 @@ from . import linalg
 from .forms import QuadraticForm
 from .linalg import _frac
 from .vecset import canonical_sign
-
-# Enumeration is exact but exponential in principle; refuse silly sizes
-# unless the caller insists.
-MAX_DIMENSION = 16
 
 
 @dataclass(frozen=True)
@@ -55,14 +57,6 @@ class EllipsoidPointReport:
     boundary: tuple
 
 
-def _guard_dimension(n, allow_large):
-    if n > MAX_DIMENSION and not allow_large:
-        raise ValueError(
-            f"dimension {n} exceeds the default guard {MAX_DIMENSION}; "
-            "pass allow_large=True to override"
-        )
-
-
 def _floor_frac(a: Fraction) -> int:
     return a.numerator // a.denominator
 
@@ -74,8 +68,7 @@ _STOP = object()
 class _Enumerator:
     """Shared DFS over x_n..x_1 with exact partial-cost pruning."""
 
-    def __init__(self, form: QuadraticForm, allow_large=False):
-        _guard_dimension(form.n, allow_large)
+    def __init__(self, form: QuadraticForm):
         self.n = form.n
         self.L, self.D = linalg.ldl(form.gram)  # raises if not PD
 
@@ -166,9 +159,9 @@ class _Enumerator:
         return m
 
 
-def arithmetic_minimum(f: QuadraticForm, allow_large=False) -> MinimumReport:
+def arithmetic_minimum(f: QuadraticForm) -> MinimumReport:
     """Exact arithmetic minimum and the complete minimal-vector set."""
-    enum = _Enumerator(f, allow_large)
+    enum = _Enumerator(f)
     n = f.n
     best = [None, []]  # smallest scaled cost seen, its vectors
 
@@ -187,13 +180,13 @@ def arithmetic_minimum(f: QuadraticForm, allow_large=False) -> MinimumReport:
     return MinimumReport(Fraction(best[0], m), vecs, len(vecs), 2 * len(vecs))
 
 
-def vectors_up_to(f: QuadraticForm, bound, allow_large=False):
+def vectors_up_to(f: QuadraticForm, bound):
     """All (vector, value) with 0 < value <= bound, one per +-pair,
     sorted by (value, lex)."""
     bound = _frac(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    enum = _Enumerator(f, allow_large)
+    enum = _Enumerator(f)
     out = []
 
     def visit(x, cost, m):
@@ -206,12 +199,12 @@ def vectors_up_to(f: QuadraticForm, bound, allow_large=False):
     return [(v, Fraction(cost, m)) for cost, v in out]
 
 
-def lattice_points_in_ellipsoid(f: QuadraticForm, center, r2, allow_large=False) -> EllipsoidPointReport:
+def lattice_points_in_ellipsoid(f: QuadraticForm, center, r2) -> EllipsoidPointReport:
     """Exact classification of lattice points x with f(x - center) <= r2."""
     r2 = _frac(r2)
     if r2 < 0:
         raise ValueError("squared radius must be nonnegative")
-    enum = _Enumerator(f, allow_large)
+    enum = _Enumerator(f)
     num, den = r2.numerator, r2.denominator
     interior, boundary = [], []
 
@@ -223,7 +216,7 @@ def lattice_points_in_ellipsoid(f: QuadraticForm, center, r2, allow_large=False)
     return EllipsoidPointReport(tuple(sorted(interior)), tuple(sorted(boundary)))
 
 
-def first_interior_point(f: QuadraticForm, center, r2, allow_large=False):
+def first_interior_point(f: QuadraticForm, center, r2):
     """(x, None) for the first lattice point x in enumeration order with
     f(x - center) < r2, else (None, boundary) with the sorted points on
     f(x - center) = r2.
@@ -234,7 +227,7 @@ def first_interior_point(f: QuadraticForm, center, r2, allow_large=False):
     r2 = _frac(r2)
     if r2 < 0:
         raise ValueError("squared radius must be nonnegative")
-    enum = _Enumerator(f, allow_large)
+    enum = _Enumerator(f)
     num, den = r2.numerator, r2.denominator
     inside, boundary = [], []
 
@@ -251,9 +244,9 @@ def first_interior_point(f: QuadraticForm, center, r2, allow_large=False):
     return None, tuple(sorted(boundary))
 
 
-def closest_vectors(f: QuadraticForm, target, allow_large=False):
+def closest_vectors(f: QuadraticForm, target):
     """All lattice points minimizing f(x - target); returns (distance2, points)."""
-    enum = _Enumerator(f, allow_large)
+    enum = _Enumerator(f)
     t = [_frac(v) for v in target]
     if len(t) != f.n:
         raise ValueError("target dimension mismatch")

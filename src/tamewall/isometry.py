@@ -34,7 +34,7 @@ class Fingerprint:
     level_histogram: tuple  # ((value, pair count), ...) for the first k levels
 
 
-def fingerprint(f: QuadraticForm, levels=3, allow_large=False) -> Fingerprint:
+def fingerprint(f: QuadraticForm, levels=3) -> Fingerprint:
     """Invariants of f, with the pair counts of its `levels` smallest
     nonzero values.
 
@@ -45,7 +45,7 @@ def fingerprint(f: QuadraticForm, levels=3, allow_large=False) -> Fingerprint:
     """
     if levels < 1:
         raise ValueError("levels must be positive")
-    enum = _Enumerator(f, allow_large)
+    enum = _Enumerator(f)
     bound = min(f.gram[i, i] for i in range(f.n))
     while True:
         counts = {}  # scaled cost -> pair count
@@ -67,12 +67,12 @@ def fingerprint(f: QuadraticForm, levels=3, allow_large=False) -> Fingerprint:
     return Fingerprint(f.n, f.determinant(), minimum, pair_count, histogram)
 
 
-def _reference_basis(f: QuadraticForm, allow_large=False):
+def _reference_basis(f: QuadraticForm):
     """n linearly independent vectors of lowest norms, greedily."""
     n = f.n
     bound = min(f.gram[i, i] for i in range(n))
     while True:
-        candidates = vectors_up_to(f, bound, allow_large=allow_large)
+        candidates = vectors_up_to(f, bound)
         chosen = []
         rows = []
         for v, _ in candidates:
@@ -85,7 +85,7 @@ def _reference_basis(f: QuadraticForm, allow_large=False):
         bound *= 2
 
 
-def are_equivalent(a: QuadraticForm, b: QuadraticForm, allow_large=False):
+def are_equivalent(a: QuadraticForm, b: QuadraticForm):
     """Unimodular U with U^T Gram(a) U = Gram(b), or None (definitive).
 
     Candidates for the image of each reference vector of b are the
@@ -101,18 +101,18 @@ def are_equivalent(a: QuadraticForm, b: QuadraticForm, allow_large=False):
         raise ValueError("both forms must be positive definite")
     if a == b:
         return RationalMatrix.identity(a.n)
-    if fingerprint(a, allow_large=allow_large) != fingerprint(b, allow_large=allow_large):
+    if fingerprint(a) != fingerprint(b):
         return None
 
     n = a.n
-    basis = _reference_basis(b, allow_large=allow_large)
+    basis = _reference_basis(b)
     b_mat = RationalMatrix(list(zip(*basis)))  # columns are the basis vectors
     b_inv = linalg.inverse(b_mat)
     target = [[b.inner(basis[i], basis[j]) for j in range(n)] for i in range(n)]
 
     norm_needed = max(target[i][i] for i in range(n))
     by_norm = {}
-    for v, val in vectors_up_to(a, norm_needed, allow_large=allow_large):
+    for v, val in vectors_up_to(a, norm_needed):
         by_norm.setdefault(val, []).extend([v, tuple(-x for x in v)])
     for val in by_norm:
         by_norm[val].sort()
@@ -247,15 +247,15 @@ def _vertex_orbits(f: QuadraticForm, cell):
     return list(orbits.values()), maps
 
 
-def are_similar(a: QuadraticForm, b: QuadraticForm, allow_large=False):
+def are_similar(a: QuadraticForm, b: QuadraticForm):
     """Equivalence up to positive scale: (scale c, witness U) or None.
 
     Tries c = min(a)/min(b), the only scale that can match minima.
     """
-    rep_a = arithmetic_minimum(a, allow_large=allow_large)
-    rep_b = arithmetic_minimum(b, allow_large=allow_large)
+    rep_a = arithmetic_minimum(a)
+    rep_b = arithmetic_minimum(b)
     c = rep_a.minimum / rep_b.minimum
-    witness = are_equivalent(a, scale(b, c), allow_large=allow_large)
+    witness = are_equivalent(a, scale(b, c))
     if witness is None:
         return None
     return c, witness

@@ -174,6 +174,14 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
+def primitive_row(row):
+    """The primitive integer row on the ray of a rational row: its
+    denominators cleared by their lcm, then divided by the gcd of the
+    entries.  The sign is kept, so callers fix their own orientation."""
+    den = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
+
+
 def _eliminate(row, pivot_row, c):
     """Primitive integer combination of row and pivot_row that is 0 in column c."""
     p = pivot_row[c]
@@ -193,10 +201,7 @@ def _echelon(rows):
     integer row per pivot, zero left of its pivot.  The rank is
     len(pivots); _rref finishes the reduction.
     """
-    work = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        work.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    work = [primitive_row(row) for row in rows]
     nrows = len(work)
     ncols = len(work[0]) if work else 0
     pivots = []

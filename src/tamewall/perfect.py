@@ -32,7 +32,7 @@ class PerfectionReport:
     reconstruction: QuadraticForm | None
 
 
-def perfection_report(f: QuadraticForm, allow_large=False) -> PerfectionReport:
+def perfection_report(f: QuadraticForm) -> PerfectionReport:
     """Perfect iff the rank-1 images of the minimal vectors span Sym(n).
 
     One fraction-free elimination of the unit-norm system (value 1 on every
@@ -41,7 +41,7 @@ def perfection_report(f: QuadraticForm, allow_large=False) -> PerfectionReport:
     minimum solves it, so its rank is N minus the nullity, and at rank N its
     unique solution is the reconstruction.
     """
-    report = arithmetic_minimum(f, allow_large=allow_large)
+    report = arithmetic_minimum(f)
     sol = solve_form_from_unit_norms(report.vectors, 1)
     if sol.kind == "inconsistent":
         raise InvariantError("f / min(f) fails the unit-norm system of its minimal vectors")
@@ -51,14 +51,14 @@ def perfection_report(f: QuadraticForm, allow_large=False) -> PerfectionReport:
     return PerfectionReport(rk, big_n, report.pair_count, rk == big_n, recon)
 
 
-def is_eutactic(f: QuadraticForm, allow_large=False):
+def is_eutactic(f: QuadraticForm):
     """Exact strict-feasibility test for eutaxy.
 
     True iff the dual Gram equals sum_k alpha_k v_k v_k^T with every
     alpha_k > 0 over one representative per +-pair of minimal vectors.
     Returns (verdict, weights or None).
     """
-    report = arithmetic_minimum(f, allow_large=allow_large)
+    report = arithmetic_minimum(f)
     vecs = report.vectors
     target = dual_form(f).gram
     n = f.n
@@ -75,9 +75,9 @@ def is_eutactic(f: QuadraticForm, allow_large=False):
     return False, None
 
 
-def is_extreme(f: QuadraticForm, allow_large=False) -> bool:
+def is_extreme(f: QuadraticForm) -> bool:
     """Voronoi: extreme (local packing maximum) iff perfect and eutactic."""
-    if not perfection_report(f, allow_large=allow_large).is_perfect:
+    if not perfection_report(f).is_perfect:
         return False
-    verdict, _ = is_eutactic(f, allow_large=allow_large)
+    verdict, _ = is_eutactic(f)
     return verdict

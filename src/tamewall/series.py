@@ -15,7 +15,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb
 from operator import itemgetter, mul, neg
 
 from . import delaunay, dual01, forms, isometry, linalg
@@ -133,10 +133,7 @@ def tw_normal(n: int) -> WallDescriptor:
         raise ArithmeticError(
             f"dual images span codimension {len(kernel)}, expected exactly 1"
         )
-    mult = lcm(*(x.denominator for x in kernel[0]))
-    coords = [int(x * mult) for x in kernel[0]]
-    g = gcd(*(abs(x) for x in coords))
-    coords = [x // g for x in coords]
+    coords = linalg.primitive_row(kernel[0])
     anchor = tuple([n // 2 - 1] * (n - 1) + [n // 2])  # big-simplex-side vector
     val = _value_at(coords, anchor)
     if val == 0:
@@ -357,7 +354,7 @@ def _dual_count(n):
     return 2 * (n - 1) + comb(n - 1, 2)
 
 
-def verify_theorem1(n: int, allow_large=False) -> TheoremReport:
+def verify_theorem1(n: int) -> TheoremReport:
     """Dual system, double dual, codimension, wall form, repartitioning
     cell, and the perturbed form with the big simplex as a Delaunay cell."""
     if n < 5:
@@ -389,7 +386,7 @@ def verify_theorem1(n: int, allow_large=False) -> TheoremReport:
     wall_form = forms.wall_interior_form(n)
     steps.append(CheckStep("wall_form_pd", wall_form.is_positive_definite, "LDL pivots positive"))
 
-    cert = delaunay.is_delaunay_cell(wall_form, r_n, allow_large=allow_large)
+    cert = delaunay.is_delaunay_cell(wall_form, r_n)
     steps.append(CheckStep(
         "repartition_cell", cert.verdict, f"complex has {len(r_n)} boundary points"
     ))
@@ -402,7 +399,7 @@ def verify_theorem1(n: int, allow_large=False) -> TheoremReport:
     for _ in range(20):
         g = QuadraticForm(wall_form.gram + wall.normal.scaled(eps))
         if linalg.is_positive_definite(g.gram):
-            cert2 = delaunay.is_delaunay_cell(g, s_n, allow_large=allow_large)
+            cert2 = delaunay.is_delaunay_cell(g, s_n)
             if cert2.verdict and len(cert2.vertices) == n + 1:
                 vol = delaunay.relative_volume(s_n)
                 perturbed_ok = vol == n - 3
@@ -416,7 +413,7 @@ def verify_theorem1(n: int, allow_large=False) -> TheoremReport:
     return TheoremReport(n, all(s.ok for s in steps), tuple(steps), data)
 
 
-def verify_theorem2(n: int, include_isometry=None, allow_large=False) -> TheoremReport:
+def verify_theorem2(n: int, include_isometry=None) -> TheoremReport:
     """Both perfect forms across the wall: positive definiteness, exact
     minima, complete minimal-vector sets, perfectness with reconstruction,
     side classification, and (by default up to n = 7) the identification
@@ -432,7 +429,7 @@ def verify_theorem2(n: int, include_isometry=None, allow_large=False) -> Theorem
 
     tf = forms.tf_form(n)
     steps.append(CheckStep("tf_pd", tf.is_positive_definite, "LDL pivots positive"))
-    rep = arithmetic_minimum(tf, allow_large=allow_large)
+    rep = arithmetic_minimum(tf)
     expected_2s = n * (n + 3) if n % 2 == 0 else n * (n + 1)
     expected_vecs = canonical_set(duals + complementary_vectors(n, "TF"))
     data["minimal_vector_count"] = rep.total_count
@@ -444,7 +441,7 @@ def verify_theorem2(n: int, include_isometry=None, allow_large=False) -> Theorem
         rep.vectors == expected_vecs and rep.total_count == expected_2s,
         f"2s = {rep.total_count}, expected {expected_2s}",
     ))
-    perf = perfection_report(tf, allow_large=allow_large)
+    perf = perfection_report(tf)
     recon_ok = perf.reconstruction == tf
     steps.append(CheckStep(
         "tf_perfect",
@@ -454,7 +451,7 @@ def verify_theorem2(n: int, include_isometry=None, allow_large=False) -> Theorem
 
     dn = forms.dn_neighbor_form(n)
     steps.append(CheckStep("dn_pd", dn.is_positive_definite, "LDL pivots positive"))
-    rep_dn = arithmetic_minimum(dn, allow_large=allow_large)
+    rep_dn = arithmetic_minimum(dn)
     expected_dn = canonical_set(duals + complementary_vectors(n, "Dn"))
     steps.append(CheckStep(
         "dn_minimum", rep_dn.minimum == 1, f"minimum {rep_dn.minimum}"
@@ -464,7 +461,7 @@ def verify_theorem2(n: int, include_isometry=None, allow_large=False) -> Theorem
         rep_dn.vectors == expected_dn and rep_dn.total_count == 2 * n * (n - 1),
         f"2s = {rep_dn.total_count}, expected {2 * n * (n - 1)}",
     ))
-    perf_dn = perfection_report(dn, allow_large=allow_large)
+    perf_dn = perfection_report(dn)
     recon_dn_ok = perf_dn.reconstruction == dn
     steps.append(CheckStep(
         "dn_perfect",
@@ -487,7 +484,7 @@ def verify_theorem2(n: int, include_isometry=None, allow_large=False) -> Theorem
 
     if include_isometry:
         dn_fixture = forms.scale(forms.standard_gram("D", n), Fraction(1, 2))
-        witness = isometry.are_equivalent(dn, dn_fixture, allow_large=allow_large)
+        witness = isometry.are_equivalent(dn, dn_fixture)
         steps.append(CheckStep(
             "dn_identification",
             witness is not None,
@@ -496,7 +493,7 @@ def verify_theorem2(n: int, include_isometry=None, allow_large=False) -> Theorem
         if witness is not None:
             data["dn_witness"] = witness
         if n == 6:
-            sim = isometry.are_similar(tf, forms.standard_gram("E6*"), allow_large=allow_large)
+            sim = isometry.are_similar(tf, forms.standard_gram("E6*"))
             ok = sim is not None and sim[0] == Fraction(3, 4)
             steps.append(CheckStep(
                 "tf6_e6star", ok, f"similarity scale {sim[0] if sim else None}"
@@ -602,13 +599,13 @@ def _volume_histogram(points, orbits):
     return histogram
 
 
-def gosset_census(point=None, allow_large=False) -> GossetCensusReport:
+def gosset_census(point=None) -> GossetCensusReport:
     """Locate the 27-vertex cell of the E6 fixture and count the relative
     volumes of all 7-point sub-simplexes (C(27,7) subsets), walking only
     the subsets through one vertex per certified vertex orbit."""
     e6 = forms.standard_gram("E6")
     t = tuple(point) if point is not None else _CENSUS_POINT
-    cell = delaunay.delaunay_cell_containing(e6, t, allow_large=allow_large)
+    cell = delaunay.delaunay_cell_containing(e6, t)
     orbits, _ = isometry._vertex_orbits(e6, cell)
     hist = _volume_histogram(cell, orbits)
     nondegenerate = [v for v in hist if v > 0]

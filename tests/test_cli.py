@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tamewall import cli, dual01, forms, series
+from tamewall import cli, delaunay, dual01, forms, isometry, perfect, series
 from tamewall.errors import InvariantError
 from tamewall.forms import format_form, parse_form, tf_form
 from tamewall.series import s_n_vertices
@@ -247,14 +247,79 @@ def test_malformed_form_exit2(capsys, tmp_path):
     assert "line" in payload["error"]
 
 
-def test_max_dim_guard(capsys, tmp_path):
+# Each command that bounds its dimension by --max-dim, with the arguments
+# of a 10-dimensional input ({form} and {vecs} are files).
+_DIM_GUARDED = {
+    "minvec": ["{form}"],
+    "perfect": ["{form}"],
+    "eutactic": ["{form}"],
+    "delaunay-check": ["{form}", "{vecs}"],
+    "cell": ["{form}"] + ["1/3"] * 10,
+    "equiv": ["{form}", "{form}"],
+    "theorem1": ["10"],
+    "theorem2": ["10"],
+    "perturb": ["{form}", "{vecs}", "{vecs}"],
+}
+
+# Every library entry point those commands reach.
+_GUARDED_CALLS = [
+    (cli, "arithmetic_minimum"),
+    (perfect, "perfection_report"),
+    (perfect, "is_eutactic"),
+    (delaunay, "is_delaunay_cell"),
+    (delaunay, "delaunay_cell_containing"),
+    (delaunay, "circumscribed_quadric"),
+    (delaunay, "perturbation_check"),
+    (isometry, "are_equivalent"),
+    (isometry, "are_similar"),
+    (isometry, "fingerprint"),
+    (series, "verify_theorem1"),
+    (series, "verify_theorem2"),
+]
+
+
+@pytest.mark.parametrize("command", sorted(_DIM_GUARDED))
+def test_max_dim_guard(capsys, monkeypatch, tmp_path, command):
+    # --max-dim is the only dimension guard, so every command needs it
+    form = tmp_path / "big.form"
+    form.write_text(format_form(forms.QuadraticForm.identity(10)))
+    vecs = tmp_path / "big.vec"
+    vecs.write_text(format_vectors(s_n_vertices(10)))
+    called = []
+    for module, name in _GUARDED_CALLS:
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: called.append(name))
+    argv = [arg.format(form=form, vecs=vecs) for arg in _DIM_GUARDED[command]]
+    code, payload = run_json(capsys, command, *argv)
+    assert code == 2
+    assert payload["error"].startswith("dimension 10 exceeds --max-dim 9 for ")
+    assert called == []
+
+
+def test_raised_max_dim_admits_the_input(capsys, tmp_path):
     big = tmp_path / "big.form"
     big.write_text(format_form(forms.QuadraticForm.identity(10)))
-    code, payload = run_json(capsys, "minvec", str(big))
-    assert code == 2
     code, payload = run_json(capsys, "--max-dim", "12", "minvec", str(big))
     assert code == 0
     assert payload["total_count"] == 20
+
+
+def test_cell_beyond_ten_dimensions_under_raised_max_dim(capsys, monkeypatch, tmp_path):
+    # cell location itself refuses no dimension; the stub stands in for the
+    # real locator, whose LP over 2^11 seed corners is too slow for a test
+    form = tmp_path / "id11.form"
+    form.write_text(format_form(forms.QuadraticForm.identity(11)))
+    simplex = tuple(tuple(int(i == j) for j in range(11)) for i in range(-1, 11))
+    seen = []
+
+    def locate(f, point):
+        seen.append((f.n, len(point)))
+        return simplex
+
+    monkeypatch.setattr(delaunay, "delaunay_cell_containing", locate)
+    code, payload = run_json(capsys, "--max-dim", "12", "cell", str(form), *["1/13"] * 11)
+    assert code == 0
+    assert seen == [(11, 11)]
+    assert payload["vertex_count"] == 12
 
 
 def test_perturb_command(capsys, tmp_path):
@@ -272,7 +337,7 @@ def test_perturb_command(capsys, tmp_path):
 @pytest.mark.parametrize("fault", [KeyError("injected"), InvariantError("injected")])
 def test_internal_fault_exits_3_with_traceback(capsys, monkeypatch, fault):
     # an internal bug must never look like a refutation (exit 1)
-    def broken(n, allow_large=False):
+    def broken(n):
         raise fault
 
     monkeypatch.setattr(series, "verify_theorem1", broken)
@@ -292,7 +357,7 @@ def test_internal_fault_exits_3_with_traceback(capsys, monkeypatch, fault):
 def test_dual_invariant_failure_exits_3_not_refuted(capsys, monkeypatch, tmp_path):
     # a lattice point strictly inside the dual ellipsoid contradicts the
     # identity dual01 rests on; that is a bug, never a refutation
-    def interior(form, center, r2, allow_large=False):
+    def interior(form, center, r2):
         return tuple([0] * form.n), None
 
     monkeypatch.setattr(dual01, "first_interior_point", interior)

@@ -286,16 +286,31 @@ def test_cell_lp_not_optimal_raises_invariant_error(monkeypatch):
         delaunay_cell_containing(QuadraticForm.identity(2), (F(2, 5), F(1, 3)))
 
 
+def test_cell_location_refuses_no_dimension(monkeypatch):
+    # n = 11 goes straight to the seed LP over its 2^11 box corners; the
+    # stubbed solver stops the run there, before the slow cutting planes
+    seeds = []
+
+    def first_lp(**kwargs):
+        seeds.append(len(kwargs["less_equal"]))
+        return lp.LPResult("unbounded")
+
+    monkeypatch.setattr(lp, "lp_solve", first_lp)
+    with pytest.raises(InvariantError, match="cell LP"):
+        delaunay_cell_containing(QuadraticForm.identity(11), [F(1, 3)] * 11)
+    assert seeds == [2 ** 11]
+
+
 def test_separation_oracle_without_new_point_raises_invariant_error(monkeypatch):
     # a "violated" constraint at a point the LP already has
-    monkeypatch.setattr(delaunay, "closest_vectors", lambda f, m, allow_large=False: (F(-100), ((0, 0),)))
+    monkeypatch.setattr(delaunay, "closest_vectors", lambda f, m: (F(-100), ((0, 0),)))
     with pytest.raises(InvariantError, match="separation oracle"):
         delaunay_cell_containing(QuadraticForm.identity(2), (F(2, 5), F(1, 3)))
 
 
 def test_support_function_off_the_lift_raises_invariant_error(monkeypatch):
-    def too_far(f, m, allow_large=False):
-        d2, pts = closest_vectors(f, m, allow_large)
+    def too_far(f, m):
+        d2, pts = closest_vectors(f, m)
         return d2 + 1, pts
 
     monkeypatch.setattr(delaunay, "closest_vectors", too_far)

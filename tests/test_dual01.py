@@ -148,7 +148,7 @@ def test_dual_cardinality_formula(n):
 
 
 def test_dual_has_no_dimension_guard():
-    # n = 17 is past the enumerator's default dimension guard.
+    # n = 17 is past the CLI's default --max-dim; the library refuses no dimension.
     n = 17
     dual = dual01(s_n_vertices(n))
     assert dual == canonical_set(big_simplex_dual_vectors(n) + (tuple([0] * n),))

@@ -199,11 +199,11 @@ def test_closest_vector_beats_box_neighborhood(rows, target):
         assert f.evaluate([a - b for a, b in zip(q, t)]) >= d2
 
 
-def test_dimension_guard():
-    with pytest.raises(ValueError):
-        arithmetic_minimum(QuadraticForm.identity(17))
-    rep = arithmetic_minimum(QuadraticForm.identity(17), allow_large=True)
+def test_no_dimension_guard():
+    # the library refuses no dimension; bounding n is the CLI's --max-dim
+    rep = arithmetic_minimum(QuadraticForm.identity(17))
     assert rep.minimum == 1
+    assert rep.pair_count == 17
 
 
 # -- the rational depth-first search, kept as the oracle of the integer core --

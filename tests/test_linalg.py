@@ -1,5 +1,6 @@
 """Exact linear algebra: determinants, rank, solving, nullspaces, LDL."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -192,6 +193,20 @@ def test_sym_rank_and_nullspace_match_fraction_oracle_on_dual_images(n):
     m = RationalMatrix([value_row(u) for u in big_simplex_dual_vectors(n)])
     assert linalg.rank(m) == fraction_rank(m)
     assert linalg.nullspace(m) == fraction_nullspace(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(max_denominator=12), min_size=1, max_size=6))
+def test_primitive_row_is_the_primitive_integer_multiple(row):
+    out = linalg.primitive_row(row)
+    assert all(type(x) is int for x in out)
+    if not any(row):
+        assert out == [0] * len(row)
+        return
+    # on the same ray, sign kept, and primitive
+    c = next(F(a, x) for a, x in zip(out, row) if x)
+    assert c > 0 and [c * x for x in row] == out
+    assert math.gcd(*out) == 1
 
 
 def test_det_identity():
