@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from . import delaunay, dual01, forms, isometry, perfect, series
 from .enumeration import arithmetic_minimum
-from .forms import FormParseError, QuadraticForm
-from .vecset import VectorParseError, format_vectors, parse_vectors
+from .forms import QuadraticForm
+from .vecset import format_vectors, parse_vectors
 
 DEFAULT_MAX_DIM = 9
 
@@ -422,8 +422,6 @@ def _dispatch(args) -> CommandResult:
         return CommandResult(command, "verified", payload)
     except Refuted as exc:
         return CommandResult(command, "refuted", exc.payload)
-    except (UsageError, FormParseError, VectorParseError, series.FamilyParseError) as exc:
-        return CommandResult(command, "error", {"error": str(exc)})
     except (ValueError, ArithmeticError) as exc:
         return CommandResult(command, "error", {"error": str(exc)})
     except Exception as exc:

@@ -126,15 +126,6 @@ class RadonTriangulations:
     volumes_minus: tuple
 
 
-def _affine_rank(points):
-    pts = [tuple(p) for p in points]
-    base = pts[0]
-    rows = [list(sub(p, base)) for p in pts[1:]]
-    if not rows:
-        return 0
-    return linalg.rank(RationalMatrix(rows))
-
-
 def circumscribed_quadric(f: QuadraticForm, points) -> CircumscribedQuadric:
     """Center and squared radius of the quadric through the points, if any.
 
@@ -171,7 +162,7 @@ def is_delaunay_cell(f: QuadraticForm, points) -> DelaunayCertificate:
     """
     pts = canonical_set(points)
     n = f.n
-    if _affine_rank(pts) != n:
+    if linalg.affine_rank(pts) != n:
         raise ValueError("point set must affinely span the space")
     quad = circumscribed_quadric(f, pts)
     if quad.status != "ok":
@@ -237,7 +228,7 @@ def delaunay_cell_containing(f: QuadraticForm, point):
         rows = []
         for v in constraints:
             rows.append(([*map(Fraction, v), Fraction(1)], f.evaluate(v)))
-        res = lp.lp_solve(objective=[*t, Fraction(1)], less_equal=rows, num_vars=n + 1)
+        res = lp.lp_solve(objective=[*t, Fraction(1)], less_equal=rows)
         if res.status != "optimal":
             raise InvariantError(f"cell LP unexpectedly {res.status}")
         g = res.witness[:n]
@@ -257,28 +248,13 @@ def delaunay_cell_containing(f: QuadraticForm, point):
         vertices = canonical_set(pts)
         break
 
-    if _affine_rank(vertices) != n or not _in_relative_interior(vertices, t):
+    # t is generic iff the cell spans and t is a convex combination of all
+    # its vertices with every weight positive
+    eqs = [([v[i] for v in vertices], t[i]) for i in range(n)]
+    eqs.append(([1] * len(vertices), 1))
+    if linalg.affine_rank(vertices) != n or lp.positive_solution(eqs) is None:
         raise NonGenericPointError(_minimal_face(vertices, t))
     return vertices
-
-
-def _in_relative_interior(vertices, t):
-    """t admits a convex representation with all weights positive."""
-    k = len(vertices)
-    n = len(t)
-    eqs = [([Fraction(v[i]) for v in vertices], t[i]) for i in range(n)]
-    eqs.append(([Fraction(1)] * k, Fraction(1)))
-    # maximize delta with lambda_u >= delta: variables (lambda_1..k, delta)
-    eqs = [(row + [Fraction(0)], rhs) for row, rhs in eqs]
-    leqs = []
-    for idx in range(k):
-        row = [Fraction(0)] * (k + 1)
-        row[idx] = Fraction(-1)
-        row[k] = Fraction(1)
-        leqs.append((row, Fraction(0)))
-    obj = [Fraction(0)] * k + [Fraction(1)]
-    res = lp.lp_solve(objective=obj, equalities=eqs, less_equal=leqs, num_vars=k + 1)
-    return res.status == "optimal" and res.optimum > 0
 
 
 def _minimal_face(vertices, t):
@@ -315,10 +291,7 @@ def _minimal_face(vertices, t):
         leqs.append((row([(y, 1)]), Fraction(1)))  # y_u <= 1
         leqs.append((row([(y, 1), (u, -1)]), Fraction(0)))  # y_u <= mu_u
     res = lp.lp_solve(
-        objective=row((s_col + 1 + u, 1) for u in range(k)),
-        equalities=eqs,
-        less_equal=leqs,
-        num_vars=width,
+        objective=row((s_col + 1 + u, 1) for u in range(k)), equalities=eqs, less_equal=leqs
     )
     if res.status != "optimal":
         raise InvariantError(f"max-support LP unexpectedly {res.status}")
@@ -337,11 +310,11 @@ def radon_triangulations(points) -> RadonTriangulations:
     n = len(pts[0])
     if len(pts) != n + 2:
         raise ValueError(f"a circuit in dimension {n} needs exactly {n + 2} points")
-    if _affine_rank(pts) != n:
+    if linalg.affine_rank(pts) != n:
         raise ValueError("points must affinely span the space")
-    rows = [[Fraction(p[i]) for p in pts] for i in range(n)]
-    rows.append([Fraction(1)] * len(pts))
-    kernel = linalg.nullspace(RationalMatrix(rows))
+    rows = [[p[i] for p in pts] for i in range(n)]
+    rows.append([1] * len(pts))
+    kernel = linalg.nullspace(rows)
     if len(kernel) != 1:
         raise ValueError("points do not form a circuit (dependence not unique)")
     lam = linalg.primitive_row(kernel[0])
@@ -424,12 +397,12 @@ def _level_via_lp_box(diffs, n):
     for i in range(n):
         obj = [Fraction(0)] * n
         obj[i] = Fraction(1)
-        res_max = lp.lp_solve(objective=obj, less_equal=rows, num_vars=n)
+        res_max = lp.lp_solve(objective=obj, less_equal=rows)
         if res_max.status == "infeasible":
             return None
-        res_min = lp.lp_solve(objective=obj, less_equal=rows, num_vars=n, maximize=False)
+        res_min = lp.lp_solve(objective=[-c for c in obj], less_equal=rows)  # max -p_i
         hi = min(_floor(res_max.optimum), _LEVEL_BOX) if res_max.status == "optimal" else _LEVEL_BOX
-        lo = max(_ceil(res_min.optimum), -_LEVEL_BOX) if res_min.status == "optimal" else -_LEVEL_BOX
+        lo = max(_ceil(-res_min.optimum), -_LEVEL_BOX) if res_min.status == "optimal" else -_LEVEL_BOX
         if lo > hi:
             return None
     return _level_dfs(diffs, n, _LEVEL_BOX)

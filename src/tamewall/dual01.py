@@ -113,9 +113,7 @@ def _is_integral_simplex(vectors):
     n = len(pts[0])
     if len(pts) != n + 1:
         return False
-    base = pts[0]
-    rows = [[p[i] - base[i] for i in range(n)] for p in pts[1:]]
-    return linalg.rank(RationalMatrix(rows)) == n
+    return linalg.affine_rank(pts) == n
 
 
 def erdahl_ryshkov_certificate(vectors) -> SimplexDualCertificate:

@@ -108,7 +108,7 @@ def are_equivalent(a: QuadraticForm, b: QuadraticForm):
     basis = _reference_basis(b)
     b_mat = RationalMatrix(list(zip(*basis)))  # columns are the basis vectors
     b_inv = linalg.inverse(b_mat)
-    target = [[b.inner(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    target = b_mat.transpose().matmul(b.gram).matmul(b_mat).rows()  # B^T Gram(b) B
 
     norm_needed = max(target[i][i] for i in range(n))
     by_norm = {}

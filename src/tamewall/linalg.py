@@ -254,6 +254,14 @@ def rank(matrix) -> int:
     return len(_echelon(_rows(matrix))[0])
 
 
+def affine_rank(points) -> int:
+    """Dimension of the affine hull of a nonempty sequence of integer points."""
+    base, *rest = points
+    if not rest:
+        return 0
+    return rank([[a - b for a, b in zip(p, base)] for p in rest])
+
+
 def solve(matrix, rhs) -> LinearSystemSolution:
     """Exact solution set of A x = b with witnesses; A is a RationalMatrix
     or rows of ints or Fractions."""

@@ -6,9 +6,9 @@ unboundedness are decided exactly.  Variables are free; nonnegativity is
 expressed through constraints.  The equalities are solved once by the
 fraction-free `linalg.solve`: an inconsistent system is infeasible, and
 otherwise x = x0 + Z t over their particular solution x0 and nullspace
-basis Z, so the simplex sees only the inequality rows over t.  Strict
-inequalities are handled by maximizing an auxiliary slack bounded by 1
-and requiring its optimum to be positive.
+basis Z, so the simplex sees only the inequality rows over t.  The one
+problem shape is a maximization; `positive_solution` asks for a solution
+with every coordinate positive by maximizing a slack bounded by 1.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import InvariantError
-from .linalg import RationalMatrix, _frac
+from .linalg import _frac
 
 
 @dataclass(frozen=True)
 class LPResult:
-    status: str  # 'optimal' | 'feasible' | 'infeasible' | 'unbounded'
+    status: str  # 'optimal' | 'infeasible' | 'unbounded'
     witness: tuple | None = None
     optimum: Fraction | None = None
 
@@ -37,14 +37,6 @@ def _coerce_row(coeffs, nvars):
 
 def _coerce_constraints(constraints, nvars):
     return [(_coerce_row(coeffs, nvars), _frac(rhs)) for coeffs, rhs in constraints]
-
-
-def _infer_nvars(objective, *constraint_groups):
-    n = len(objective) if objective is not None else 0
-    for group in constraint_groups:
-        for coeffs, _ in group:
-            n = max(n, len(coeffs))
-    return n
 
 
 class _Simplex:
@@ -175,57 +167,60 @@ def _objective_split(objective, nfree, ncols_struct):
     return [*obj, *(-c for c in obj)] + [Fraction(0)] * (ncols_struct - 2 * nfree)
 
 
-def lp_solve(
-    objective=None,
-    equalities=(),
-    less_equal=(),
-    strict_less=(),
-    maximize=True,
-    num_vars=None,
-):
-    """Exact LP over free rational variables.
+def lp_solve(objective, equalities=(), less_equal=()):
+    """Maximize objective . x over free rational x, exactly.
 
-    Constraints are (coefficients, rhs) pairs meaning coeffs . x = rhs,
-    <= rhs, or (strictly) < rhs.  With an objective, returns status
-    'optimal' (witness, optimum), 'infeasible', or 'unbounded'.  Without
-    one, decides feasibility; strict constraints are certified by an
-    auxiliary maximized slack (optimum > 0).  Combining an objective with
-    strict constraints is not supported.
+    x has len(objective) coordinates.  Constraints are (coefficients, rhs)
+    pairs meaning coeffs . x = rhs or coeffs . x <= rhs; a row shorter
+    than the objective is padded with zeros.  Returns status 'optimal'
+    (witness, optimum), 'infeasible', or 'unbounded'.
 
     The equalities are solved exactly first: on their solution set
     x = x0 + Z t the other rows and the objective become rows over t, and
     the simplex runs on t alone.
     """
-    equalities = list(equalities)
-    less_equal = list(less_equal)
-    strict_less = list(strict_less)
-    if objective is not None and strict_less:
-        raise ValueError("objective together with strict constraints is unsupported")
-    nvars = num_vars if num_vars is not None else _infer_nvars(
-        objective, equalities, less_equal, strict_less
-    )
+    nvars = len(objective)
+    obj = _coerce_row(objective, nvars)
     leqs = _coerce_constraints(less_equal, nvars)
-    stricts = _coerce_constraints(strict_less, nvars)
-    obj = None if objective is None else _coerce_row(objective, nvars)
     if not equalities:
-        return _solve_free(nvars, obj, leqs, stricts, maximize)
+        return _run(nvars, obj, leqs)
 
     solutions = _eliminate(_coerce_constraints(equalities, nvars), nvars)
     if solutions is None:
         return LPResult("infeasible")
     origin, basis = solutions
-    res = _solve_free(
-        len(basis),
-        None if obj is None else [_dot(obj, z) for z in basis],
-        _substitute(leqs, origin, basis),
-        _substitute(stricts, origin, basis),
-        maximize,
-    )
-    if res.witness is None:
+    res = _run(len(basis), [_dot(obj, z) for z in basis], _substitute(leqs, origin, basis))
+    if res.status != "optimal":
         return res
     terms = [(t, z) for t, z in zip(res.witness, basis) if t]
     x = tuple(o + sum(t * z[j] for t, z in terms) for j, o in enumerate(origin))
-    return LPResult(res.status, x, None if res.optimum is None else _dot(obj, x))
+    return LPResult("optimal", x, _dot(obj, x))
+
+
+def positive_solution(equalities):
+    """x with every equality holding and every x_k > 0, or None.
+
+    The equality rows share one length k, the number of unknowns.  One LP
+    maximizes delta over (x, delta) with the rows delta - x_k <= 0 for each
+    k, then delta <= 1, then -delta <= 0: a positive solution exists iff
+    the optimum is positive, and the bound delta <= 1 keeps the LP bounded.
+    The row order sets Bland's tie-breaks, and with them the x returned.
+    """
+    k = len(equalities[0][0])
+    eqs = [([*coeffs, 0], rhs) for coeffs, rhs in equalities]
+    leqs = []
+    for i in range(k):
+        row = [0] * (k + 1)
+        row[i], row[k] = -1, 1
+        leqs.append((row, 0))
+    leqs.append(([0] * k + [1], 1))
+    leqs.append(([0] * k + [-1], 0))
+    res = lp_solve(objective=[0] * k + [1], equalities=eqs, less_equal=leqs)
+    if res.status == "unbounded":
+        raise InvariantError("bounded slack LP unexpectedly unbounded")
+    if res.status == "infeasible" or res.optimum <= 0:
+        return None
+    return res.witness[:k]
 
 
 def _dot(row, vec):
@@ -236,7 +231,7 @@ def _eliminate(eqs, nvars):
     """(x0, Z) with x0 + Z t exactly the solutions of eqs; None if there are none."""
     if nvars == 0:
         return ((), ()) if all(rhs == 0 for _, rhs in eqs) else None
-    sol = linalg.solve(RationalMatrix([row for row, _ in eqs]), [rhs for _, rhs in eqs])
+    sol = linalg.solve([row for row, _ in eqs], [rhs for _, rhs in eqs])
     if sol.kind == "inconsistent":
         return None
     return sol.particular, sol.nullspace
@@ -247,45 +242,6 @@ def _substitute(rows, origin, basis):
     return [([_dot(row, z) for z in basis], rhs - _dot(row, origin)) for row, rhs in rows]
 
 
-def _solve_free(nvars, objective, leqs, stricts, maximize):
-    """lp_solve on coerced inequality rows over nvars free variables."""
-    if nvars == 0:
-        # No variables: constraints are numeric assertions.
-        if any(rhs < 0 for _, rhs in leqs) or any(rhs <= 0 for _, rhs in stricts):
-            return LPResult("infeasible")
-        if objective is None:
-            return LPResult("feasible", witness=())
-        return LPResult("optimal", (), Fraction(0))
-
-    if stricts:
-        # Auxiliary variable delta (index nvars): maximize delta <= 1.
-        aug_leqs = [(row + [Fraction(1)], rhs) for row, rhs in stricts]
-        aug_leqs += [(row + [Fraction(0)], rhs) for row, rhs in leqs]
-        aug_leqs.append(([Fraction(0)] * nvars + [Fraction(1)], Fraction(1)))
-        aug_leqs.append(([Fraction(0)] * nvars + [Fraction(-1)], Fraction(0)))  # delta >= 0
-        obj = [Fraction(0)] * nvars + [Fraction(1)]
-        res = _run(nvars + 1, obj, aug_leqs)
-        if res.status == "infeasible":
-            return LPResult("infeasible")
-        if res.status != "optimal":
-            raise InvariantError(f"bounded slack LP unexpectedly {res.status}")
-        if res.optimum > 0:
-            return LPResult("feasible", witness=res.witness[:nvars])
-        return LPResult("infeasible")
-
-    if objective is None:
-        res = _run(nvars, [Fraction(0)] * nvars, leqs)
-        if res.status == "infeasible":
-            return LPResult("infeasible")
-        return LPResult("feasible", witness=res.witness)
-
-    obj = objective if maximize else [-c for c in objective]
-    res = _run(nvars, obj, leqs)
-    if res.status == "optimal" and not maximize:
-        return LPResult("optimal", res.witness, -res.optimum)
-    return res
-
-
 def _run(nvars, objective, leqs):
     sim = _Simplex(nvars, leqs)
     obj_split = _objective_split(objective, nvars, sim.ncols_struct)
@@ -293,5 +249,4 @@ def _run(nvars, objective, leqs):
     if status in ("infeasible", "unbounded"):
         return LPResult(status)
     witness = sim.witness()
-    value = sum(c * w for c, w in zip(objective, witness))
-    return LPResult("optimal", witness, value)
+    return LPResult("optimal", witness, _dot(objective, witness))

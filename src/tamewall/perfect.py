@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import lp
 from .enumeration import arithmetic_minimum
@@ -58,21 +57,14 @@ def is_eutactic(f: QuadraticForm):
     alpha_k > 0 over one representative per +-pair of minimal vectors.
     Returns (verdict, weights or None).
     """
-    report = arithmetic_minimum(f)
-    vecs = report.vectors
+    vecs = arithmetic_minimum(f).vectors
     target = dual_form(f).gram
     n = f.n
-    k = len(vecs)
-    equalities = []
-    for i in range(n):
-        for j in range(i, n):
-            coeffs = [Fraction(v[i] * v[j]) for v in vecs]
-            equalities.append((coeffs, target[i, j]))
-    stricts = [([Fraction(0)] * idx + [Fraction(-1)], Fraction(0)) for idx in range(k)]
-    result = lp.lp_solve(equalities=equalities, strict_less=stricts, num_vars=k)
-    if result.status == "feasible":
-        return True, result.witness
-    return False, None
+    equalities = [
+        ([v[i] * v[j] for v in vecs], target[i, j]) for i in range(n) for j in range(i, n)
+    ]
+    weights = lp.positive_solution(equalities)
+    return weights is not None, weights
 
 
 def is_extreme(f: QuadraticForm) -> bool:

@@ -8,7 +8,7 @@ from tamewall import cli, delaunay, dual01, forms, isometry, perfect, series
 from tamewall.errors import InvariantError
 from tamewall.forms import format_form, parse_form, tf_form
 from tamewall.series import s_n_vertices
-from tamewall.vecset import format_vectors, parse_vectors
+from tamewall.vecset import VectorParseError, format_vectors, parse_vectors
 
 
 def run_main(capsys, *argv):
@@ -86,29 +86,47 @@ def test_eutactic_command(capsys, tmp_path):
 
 
 # Eutaxy weights of the paper's forms, as printed before the LP solved its
-# equalities by elimination; the weights are the visible LP witness.
+# equalities by elimination (tf6, tf7, dn6) and before the LP had one
+# problem shape (tf8, dn7, wall6); the weights are the visible LP witness.
+# None marks a refutation, which prints no weights.
 EUTAXY_GOLDEN = {
     "tf6": ["2/9"] * 27,
     # a = 1/5, b = 11/40, c = 19/40 in minimal-vector order
     "tf7": [{"a": "1/5", "b": "11/40", "c": "19/40"}[x] for x in "aaaababbbbaabbbbabbbabbabaac"],
+    # a = 3/20, b = 1/5 in minimal-vector order
+    "tf8": [{"a": "3/20", "b": "1/5"}[x] for x in "aaaaababbbbbaabbbbbabbbbabbbabbabaaabbbbbbba"],
     "dn6": ["1/5"] * 30,
+    "dn7": ["1/6"] * 42,
+    "wall6": None,
 }
 
 
 @pytest.mark.parametrize(
     "name, form",
-    [("tf6", lambda: tf_form(6)), ("tf7", lambda: tf_form(7)), ("dn6", lambda: forms.dn_neighbor_form(6))],
+    [
+        ("tf6", lambda: tf_form(6)),
+        ("tf7", lambda: tf_form(7)),
+        ("tf8", lambda: tf_form(8)),
+        ("dn6", lambda: forms.dn_neighbor_form(6)),
+        ("dn7", lambda: forms.dn_neighbor_form(7)),
+        ("wall6", lambda: forms.wall_interior_form(6)),
+    ],
 )
 def test_eutactic_json_golden(capsys, tmp_path, name, form):
     path = tmp_path / f"{name}.form"
     path.write_text(format_form(form()))
     code, out, err = run_main(capsys, "--json", "eutactic", str(path))
+    weights = EUTAXY_GOLDEN[name]
+    if weights is None:
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"command": "eutactic", "status": "refuted", "is_eutactic": False}
+        return
     assert (code, err) == (0, "")
     assert json.loads(out) == {
         "command": "eutactic",
         "status": "verified",
         "is_eutactic": True,
-        "weights": EUTAXY_GOLDEN[name],
+        "weights": weights,
     }
 
 
@@ -245,6 +263,29 @@ def test_malformed_form_exit2(capsys, tmp_path):
     code, payload = run_json(capsys, "minvec", str(bad))
     assert code == 2
     assert "line" in payload["error"]
+
+
+# One input error of each kind the library raises, all ValueErrors:
+# (exception type, input file text or None, command line; {file} is the file).
+_INPUT_ERRORS = [
+    (cli.UsageError, "2\n1 0\n0 1\n", ["cell", "{file}", "abc", "1/2"]),
+    (forms.FormParseError, "2\n1 2\n1\n", ["minvec", "{file}"]),
+    (VectorParseError, "2 2\n1 0\n", ["volume", "{file}"]),
+    (series.FamilyParseError, None, ["family", "[1,0^{n-2}", "6"]),
+]
+
+
+@pytest.mark.parametrize("error, text, argv", _INPUT_ERRORS, ids=[e.__name__ for e, _, _ in _INPUT_ERRORS])
+def test_input_errors_exit2(capsys, tmp_path, error, text, argv):
+    if text is not None:
+        (tmp_path / "input").write_text(text)
+    argv = [str(tmp_path / "input") if arg == "{file}" else arg for arg in argv]
+    args = cli._build_parser().parse_args(argv)
+    with pytest.raises(error) as exc:
+        args.fn(args)
+    code, payload = run_json(capsys, *argv)
+    assert code == 2
+    assert payload == {"command": argv[0], "status": "error", "error": str(exc.value)}
 
 
 # Each command that bounds its dimension by --max-dim, with the arguments

@@ -225,7 +225,7 @@ def per_vertex_minimal_face(vertices, t):
     for idx in range(k):
         obj = [F(0)] * k
         obj[idx] = F(1)
-        res = lp.lp_solve(objective=obj, equalities=eqs, less_equal=nonneg, num_vars=k)
+        res = lp.lp_solve(objective=obj, equalities=eqs, less_equal=nonneg)
         if res.status == "optimal" and res.optimum > 0:
             face.append(vertices[idx])
     return tuple(face)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tamewall import linalg
+from tamewall import isometry, linalg
 from tamewall.enumeration import arithmetic_minimum, vectors_up_to
 from tamewall.errors import InvariantError
 from tamewall.forms import QuadraticForm, dn_neighbor_form, scale, standard_gram, tf_form
@@ -310,9 +310,9 @@ def test_equivalence_invariant_under_unimodular_precomposition(name, shears):
 
 
 def test_witness_failing_gram_identity_raises_invariant_error(monkeypatch):
-    # Target inner products taken under the wrong form: the search then
-    # builds a unimodular U that maps a onto the identity, not onto b.
-    monkeypatch.setattr(QuadraticForm, "inner", lambda self, u, v: sum(x * y for x, y in zip(u, v)))
+    # A search that skips the inner-product pruning hands accept a basis
+    # image whose U is unimodular but fails U^T Gram(a) U = Gram(b).
+    monkeypatch.setattr(isometry, "_first_image", lambda candidates, fits, accept: accept([(1, 0), (1, 1)]))
     a = QuadraticForm.identity(2)
     b = QuadraticForm(RationalMatrix([[1, 1], [1, 2]]))
     with pytest.raises(InvariantError, match="Gram identity"):

@@ -1,6 +1,9 @@
-"""Exact simplex LP: frozen cases, witness-exactness properties, and a
-differential test of equality elimination against the equality tableau."""
+"""Exact simplex LP: frozen cases, witness-exactness properties, and
+differential tests of `lp_solve` and `positive_solution` against an oracle
+that keeps the former API (strict rows, minimization, feasibility) over
+the equality tableau."""
 
+import inspect
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from tamewall import linalg, lp
 from tamewall.errors import InvariantError
-from tamewall.lp import lp_solve
+from tamewall.lp import lp_solve, positive_solution
+
+
+def test_one_problem_shape():
+    assert list(inspect.signature(lp_solve).parameters) == ["objective", "equalities", "less_equal"]
 
 
 def test_maximize_with_upper_bound():
@@ -19,18 +26,14 @@ def test_maximize_with_upper_bound():
 
 
 def test_contradictory_stricts_infeasible():
-    res = lp_solve(strict_less=[((-1,), 0), ((1,), 0)])
-    assert res.status == "infeasible"
+    # x = -1 contradicts x > 0
+    assert positive_solution([((1,), -1)]) is None
+    assert positive_solution([((1, 1), 0)]) is None
 
 
 def test_eutaxy_system_identity_two_vars():
     # alpha_1 e1 e1^T + alpha_2 e2 e2^T = I with strictly positive weights
-    res = lp_solve(
-        equalities=[((1, 0), 1), ((0, 1), 1)],
-        strict_less=[((-1, 0), 0), ((0, -1), 0)],
-    )
-    assert res.status == "feasible"
-    assert res.witness == (1, 1)
+    assert positive_solution([((1, 0), 1), ((0, 1), 1)]) == (1, 1)
 
 
 def test_unbounded():
@@ -38,20 +41,22 @@ def test_unbounded():
 
 
 def test_minimize():
-    res = lp_solve(objective=[1], less_equal=[((-1,), 2)], maximize=False)
+    # min x subject to x >= -2, as max -x
+    res = lp_solve(objective=[-1], less_equal=[((-1,), 2)])
     assert res.status == "optimal"
-    assert res.optimum == -2
+    assert res.optimum == 2
+    assert res.witness == (-2,)
 
 
 def test_equality_feasibility():
-    res = lp_solve(equalities=[((2, 3), 12)])
-    assert res.status == "feasible"
+    res = lp_solve(objective=[0, 0], equalities=[((2, 3), 12)])
+    assert res.status == "optimal" and res.optimum == 0
     x, y = res.witness
     assert 2 * x + 3 * y == 12
 
 
 def test_infeasible_equalities():
-    res = lp_solve(equalities=[((1, 1), 1), ((1, 1), 2)])
+    res = lp_solve(objective=[0, 0], equalities=[((1, 1), 1), ((1, 1), 2)])
     assert res.status == "infeasible"
 
 
@@ -72,14 +77,15 @@ def test_degenerate_cycling_guard():
     assert res.optimum == F(1, 20)
 
 
-def test_strict_with_objective_rejected():
-    with pytest.raises(ValueError):
-        lp_solve(objective=[1], strict_less=[((1,), 1)])
+def test_row_longer_than_objective_rejected():
+    with pytest.raises(ValueError, match="more coefficients"):
+        lp_solve(objective=[1], less_equal=[((1, 1), 1)])
 
 
 def test_no_variables():
-    assert lp_solve(equalities=[((), 0)]).status == "feasible"
-    assert lp_solve(equalities=[((), 1)]).status == "infeasible"
+    assert lp_solve(objective=[], equalities=[((), 0)]) == lp.LPResult("optimal", (), 0)
+    assert lp_solve(objective=[], equalities=[((), 1)]).status == "infeasible"
+    assert lp_solve(objective=[], less_equal=[((), -1)]).status == "infeasible"
 
 
 constraint_rows = st.lists(
@@ -98,8 +104,8 @@ def test_witness_satisfies_all_constraints(rows, anchor):
     # Shift every right-hand side so the anchor point is feasible; the
     # solver must then report a witness satisfying everything exactly.
     leqs = [(coeffs, sum(c * a for c, a in zip(coeffs, anchor)) + max(rhs, 0)) for coeffs, rhs in rows]
-    res = lp_solve(less_equal=leqs, num_vars=3)
-    assert res.status == "feasible"
+    res = lp_solve(objective=[0, 0, 0], less_equal=leqs)
+    assert res.status == "optimal"
     for coeffs, rhs in leqs:
         assert sum(c * w for c, w in zip(coeffs, res.witness)) <= rhs
 
@@ -114,7 +120,7 @@ def test_optimal_witness_attains_reported_optimum(rows):
         e[i] = 1
         leqs.append((tuple(e), 5))
         leqs.append((tuple(-x for x in e), 5))
-    res = lp_solve(objective=[1, 1, 1], less_equal=leqs, num_vars=3)
+    res = lp_solve(objective=[1, 1, 1], less_equal=leqs)
     if res.status == "optimal":
         assert sum(res.witness) == res.optimum
         for coeffs, rhs in leqs:
@@ -125,17 +131,19 @@ def test_optimal_witness_attains_reported_optimum(rows):
 
 def test_unbounded_slack_lp_raises_invariant_error(monkeypatch):
     # the auxiliary slack is bounded by 1, so its LP cannot be unbounded
-    monkeypatch.setattr(lp, "_run", lambda *args: lp.LPResult("unbounded"))
+    monkeypatch.setattr(lp, "lp_solve", lambda **kwargs: lp.LPResult("unbounded"))
     with pytest.raises(InvariantError, match="slack"):
-        lp_solve(strict_less=[((-1,), 0)])
+        positive_solution([((1,), 1)])
 
 
 def test_unique_equality_solution_with_objective():
     # the equalities pin x, so no simplex variable is left
-    res = lp_solve(objective=[1, 2], equalities=[((1, 1), 3), ((1, -1), 1)], less_equal=[((1, 0), 5)])
+    eqs = [((1, 1), 3), ((1, -1), 1)]
+    res = lp_solve(objective=[1, 2], equalities=eqs, less_equal=[((1, 0), 5)])
     assert res == lp.LPResult("optimal", (2, 1), 4)
-    assert lp_solve(equalities=[((1, 1), 3), ((1, -1), 1)], less_equal=[((1, 0), 1)]).status == "infeasible"
-    assert lp_solve(equalities=[((1, 1), 3), ((1, -1), 1)], strict_less=[((1, 0), 2)]).status == "infeasible"
+    assert lp_solve(objective=[1, 2], equalities=eqs, less_equal=[((1, 0), 1)]).status == "infeasible"
+    assert positive_solution(eqs) == (2, 1)
+    assert positive_solution([((1, 1), 3), ((1, -1), 5)]) is None  # x = (4, -1)
 
 
 def test_rank_deficient_equalities():
@@ -144,9 +152,9 @@ def test_rank_deficient_equalities():
         equalities=[((1, 1, 0), 2), ((2, 2, 0), 4), ((0, 0, 1), 1)],
         less_equal=[((1, 0, 0), 7)],
     )
-    res = lp_solve(objective=[1, 1, 1], maximize=False, **rows)
-    assert res.status == "optimal" and res.optimum == 3
-    assert lp_solve(objective=[1, 0, 0], maximize=False, **rows).status == "unbounded"
+    res = lp_solve(objective=[-1, -1, -1], **rows)
+    assert res.status == "optimal" and res.optimum == -3
+    assert lp_solve(objective=[-1, 0, 0], **rows).status == "unbounded"
     res = lp_solve(objective=[1, 0, 0], **rows)
     assert res == lp.LPResult("optimal", (7, -5, 1), 7)
 
@@ -162,11 +170,20 @@ def test_one_elimination_per_call_with_equalities(monkeypatch):
     monkeypatch.setattr(linalg, "solve", counting_solve)
     lp_solve(objective=[1], less_equal=[((1,), 1)])
     assert calls == []
-    lp_solve(equalities=[((1, 1), 1), ((1, -1), 0)], strict_less=[((-1, 0), 0)])
+    positive_solution([((1, 1), 1), ((1, -1), 0)])
     assert len(calls) == 1
 
 
-# -- oracle: equalities kept as tableau rows ---------------------------------
+def test_positive_solution_is_one_traceable_lp(monkeypatch):
+    # it goes through the module's lp_solve, which a tracer may replace
+    calls = []
+    real = lp.lp_solve
+    monkeypatch.setattr(lp, "lp_solve", lambda **kwargs: calls.append(kwargs) or real(**kwargs))
+    assert positive_solution([((1, 1), 2)]) == (1, 1)
+    assert len(calls) == 1
+
+
+# -- oracle: the former API, over the equality tableau -----------------------
 
 
 class _TableauWithEqualities(lp._Simplex):
@@ -175,7 +192,8 @@ class _TableauWithEqualities(lp._Simplex):
     Each equality gets a zero slack column and an artificial that phase 1
     pivots out; the pivoting, pricing and phase logic are those of
     lp._Simplex.  This is the equality handling that lp_solve replaced by
-    exact elimination.
+    exact elimination.  Without equality rows it builds lp._Simplex's
+    tableau.
     """
 
     def __init__(self, nfree, equalities, leqs):
@@ -218,12 +236,55 @@ def _oracle_run(nvars, objective, eqs, leqs):
     return lp.LPResult("optimal", witness, sum(c * w for c, w in zip(objective, witness)))
 
 
-def oracle_lp_solve(objective=None, equalities=(), less_equal=(), strict_less=(), maximize=True, num_vars=None):
-    """lp_solve with the equalities pivoted through the tableau."""
-    nvars = num_vars if num_vars is not None else lp._infer_nvars(objective, equalities, less_equal, strict_less)
+def _oracle_nvars(objective, *constraint_groups):
+    n = len(objective) if objective is not None else 0
+    for group in constraint_groups:
+        for coeffs, _ in group:
+            n = max(n, len(coeffs))
+    return n
+
+
+def oracle_lp_solve(
+    objective=None,
+    equalities=(),
+    less_equal=(),
+    strict_less=(),
+    maximize=True,
+    num_vars=None,
+    eliminate=False,
+):
+    """The former lp_solve API: maximize or minimize an objective, or, with
+    none, decide feasibility ('feasible' and a witness); strict rows are
+    certified by a slack bounded by 1 that must reach a positive optimum.
+
+    By default the equalities are pivoted through the tableau.  With
+    eliminate=True they are first solved by lp._eliminate and the rest is
+    restated over the nullspace, which reproduces the former lp_solve
+    exactly, witnesses included."""
+    if num_vars is None:
+        num_vars = _oracle_nvars(objective, equalities, less_equal, strict_less)
+    nvars = num_vars
     eqs = lp._coerce_constraints(equalities, nvars)
     leqs = lp._coerce_constraints(less_equal, nvars)
     stricts = lp._coerce_constraints(strict_less, nvars)
+    obj = None if objective is None else lp._coerce_row(objective, nvars)
+    if eliminate and eqs:
+        solutions = lp._eliminate(eqs, nvars)
+        if solutions is None:
+            return lp.LPResult("infeasible")
+        origin, basis = solutions
+        res = oracle_lp_solve(
+            None if obj is None else [lp._dot(obj, z) for z in basis],
+            (),
+            lp._substitute(leqs, origin, basis),
+            lp._substitute(stricts, origin, basis),
+            maximize,
+            len(basis),
+        )
+        if res.witness is None:
+            return res
+        x = tuple(o + sum(t * z[j] for t, z in zip(res.witness, basis)) for j, o in enumerate(origin))
+        return lp.LPResult(res.status, x, None if obj is None else lp._dot(obj, x))
     if stricts:
         aug_leqs = [(row + [F(1)], rhs) for row, rhs in stricts]
         aug_leqs += [(row + [F(0)], rhs) for row, rhs in leqs]
@@ -234,12 +295,11 @@ def oracle_lp_solve(objective=None, equalities=(), less_equal=(), strict_less=()
         if res.status == "optimal" and res.optimum > 0:
             return lp.LPResult("feasible", witness=res.witness[:nvars])
         return lp.LPResult("infeasible")
-    if objective is None:
+    if obj is None:
         res = _oracle_run(nvars, [F(0)] * nvars, eqs, leqs)
         if res.status == "infeasible":
             return res
         return lp.LPResult("feasible", witness=res.witness)
-    obj = [F(c) for c in objective] + [F(0)] * (nvars - len(objective))
     if not maximize:
         obj = [-c for c in obj]
     res = _oracle_run(nvars, obj, eqs, leqs)
@@ -251,22 +311,13 @@ def oracle_lp_solve(objective=None, equalities=(), less_equal=(), strict_less=()
 small = st.integers(min_value=-3, max_value=3)
 
 
-@st.composite
-def random_lps(draw):
-    """LPs with equalities that may be rank-deficient, inconsistent or pin
-    every variable (empty nullspace), plus <= or strict rows and an optional
-    objective; right-hand sides are shifted around an integer anchor so
-    that feasible instances are common."""
-    n = draw(st.integers(min_value=1, max_value=4))
-    anchor = draw(st.lists(small, min_size=n, max_size=n))
-
-    def rows(max_size):
-        out = []
-        for coeffs in draw(st.lists(st.lists(small, min_size=n, max_size=n), max_size=max_size)):
-            out.append((coeffs, sum(c * a for c, a in zip(coeffs, anchor))))
-        return out
-
-    eqs = rows(n + 1)
+def _equalities(draw, n, anchor, min_size=0):
+    """Rows through an integer anchor that may be rank-deficient,
+    inconsistent or pin every variable (empty nullspace)."""
+    eqs = [
+        (coeffs, sum(c * a for c, a in zip(coeffs, anchor)))
+        for coeffs in draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=min_size, max_size=n + 1))
+    ]
     if eqs and draw(st.booleans()):
         # a dependent row: the sum of two rows (or a row doubled)
         (a, b), (c, d) = draw(st.sampled_from(eqs)), draw(st.sampled_from(eqs))
@@ -274,20 +325,43 @@ def random_lps(draw):
     if eqs and draw(st.booleans()):
         i = draw(st.integers(min_value=0, max_value=len(eqs) - 1))
         eqs[i] = (eqs[i][0], eqs[i][1] + draw(small))  # often inconsistent
-    leqs = [(c, b + draw(st.integers(min_value=-1, max_value=3))) for c, b in rows(5)]
-    kind = draw(st.sampled_from(["max", "min", "strict", "feasibility"]))
-    objective = list(draw(st.lists(small, min_size=n, max_size=n))) if kind in ("max", "min") else None
-    stricts = []
-    if kind == "strict":
-        stricts = [(c, b + draw(st.integers(min_value=0, max_value=2))) for c, b in rows(4)]
-    return dict(
-        objective=objective,
-        equalities=eqs,
-        less_equal=leqs,
-        strict_less=stricts,
-        maximize=kind != "min",
-        num_vars=n,
-    )
+    return eqs
+
+
+@st.composite
+def random_lps(draw):
+    """LPs in the former API's three kinds with an objective or none:
+    'max', 'min' and 'feasibility', with equalities and <= rows whose
+    right-hand sides are shifted around an integer anchor so that feasible
+    instances are common."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    anchor = draw(st.lists(small, min_size=n, max_size=n))
+    eqs = _equalities(draw, n, anchor)
+    leqs = [
+        (coeffs, sum(c * a for c, a in zip(coeffs, anchor)) + draw(st.integers(min_value=-1, max_value=3)))
+        for coeffs in draw(st.lists(st.lists(small, min_size=n, max_size=n), max_size=5))
+    ]
+    kind = draw(st.sampled_from(["max", "min", "feasibility"]))
+    objective = list(draw(st.lists(small, min_size=n, max_size=n))) if kind != "feasibility" else None
+    return dict(objective=objective, equalities=eqs, less_equal=leqs, maximize=kind != "min", num_vars=n)
+
+
+def _one_shape(lp_args):
+    """The former call as one maximization: min c.x is max -c.x, and a
+    feasibility question maximizes the zero objective."""
+    n = lp_args["num_vars"]
+    objective = lp_args["objective"] or [0] * n
+    if not lp_args["maximize"]:
+        objective = [-c for c in objective]
+    res = lp_solve(objective=objective, equalities=lp_args["equalities"], less_equal=lp_args["less_equal"])
+    if res.status != "optimal":
+        return res
+    if lp_args["objective"] is None:
+        assert res.optimum == 0
+        return lp.LPResult("feasible", witness=res.witness)
+    if not lp_args["maximize"]:
+        return lp.LPResult("optimal", res.witness, -res.optimum)
+    return res
 
 
 def _check_witness(lp_args, res):
@@ -297,7 +371,7 @@ def _check_witness(lp_args, res):
     assert len(res.witness) == lp_args["num_vars"]
     assert all(dot(c) == b for c, b in lp_args["equalities"])
     assert all(dot(c) <= b for c, b in lp_args["less_equal"])
-    assert all(dot(c) < b for c, b in lp_args["strict_less"])
+    assert all(dot(c) < b for c, b in lp_args.get("strict_less", ()))
     if res.status == "optimal":
         assert dot(lp_args["objective"]) == res.optimum
 
@@ -305,7 +379,10 @@ def _check_witness(lp_args, res):
 @settings(max_examples=400, deadline=None)
 @given(random_lps())
 def test_elimination_matches_equality_tableau(lp_args):
-    res = lp_solve(**lp_args)
+    res = _one_shape(lp_args)
+    # the former lp_solve: the same status, witness and optimum
+    assert res == oracle_lp_solve(**lp_args, eliminate=True)
+    # the equality tableau: the same status and optimum, maybe another vertex
     ref = oracle_lp_solve(**lp_args)
     assert res.status == ref.status
     assert res.optimum == ref.optimum
@@ -314,3 +391,35 @@ def test_elimination_matches_equality_tableau(lp_args):
             _check_witness(lp_args, r)
         else:
             assert r.witness is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_positive_solution_matches_strict_rows(data):
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    anchor = data.draw(st.lists(st.integers(min_value=-1, max_value=3), min_size=n, max_size=n))
+    eqs = _equalities(data.draw, n, anchor, min_size=1)
+    stricts = [(tuple(-int(j == i) for j in range(n)), 0) for i in range(n)]
+    x = positive_solution(eqs)
+    # the former strict path, eliminated first: the very same weights
+    old = oracle_lp_solve(equalities=eqs, strict_less=stricts, num_vars=n, eliminate=True)
+    assert (old.status, old.witness) == (("infeasible", None) if x is None else ("feasible", x))
+    # the strict path over the equality tableau: the same verdict
+    ref = oracle_lp_solve(equalities=eqs, strict_less=stricts, num_vars=n)
+    assert ref.status == ("infeasible" if x is None else "feasible")
+    if x is not None:
+        _check_witness(dict(equalities=eqs, less_equal=(), strict_less=stricts, num_vars=n), ref)
+        _check_witness(
+            dict(equalities=eqs, less_equal=(), strict_less=stricts, num_vars=n),
+            lp.LPResult("feasible", x),
+        )
+
+
+def test_positive_solution_row_order_sets_the_weights():
+    # Degenerate pivots: with the two bounds on delta ahead of the rows
+    # delta - x_k <= 0, Bland's tie-breaks return (1, 11/5, 9/5, 1, 11/5)
+    # instead of the former strict path's weights.
+    eqs = [((0, -1, -2, 1, -1), -7), ((-1, -1, 2, -1, -2), -5), ((-2, 0, 2, 2, 2), 8)]
+    stricts = [(tuple(-int(j == i) for j in range(5)), 0) for i in range(5)]
+    old = oracle_lp_solve(equalities=eqs, strict_less=stricts, eliminate=True)
+    assert positive_solution(eqs) == old.witness == (1, 4, 2, 2, 1)
