@@ -431,12 +431,6 @@ def _dispatch(args) -> CommandResult:
         return CommandResult(command, "internal-error", {"error": f"{type(exc).__name__}: {exc}"})
 
 
-def run(argv=None) -> CommandResult:
-    """Parse and execute one command; raises SystemExit on bad usage."""
-    args = _build_parser().parse_args(argv)
-    return _dispatch(args)
-
-
 def _render_text(result: CommandResult, out):
     payload = dict(result.payload)
     text = payload.pop("text", None)

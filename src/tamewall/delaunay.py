@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 
 from . import kernels, linalg, lp
 from .enumeration import closest_vectors, first_interior_point, lattice_points_in_ellipsoid
@@ -37,7 +38,6 @@ class CircumscribedQuadric:
     status: str  # 'ok' | 'inconsistent'
     center: tuple | None = None
     r2: Fraction | None = None
-    underdetermined: bool = False
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def circumscribed_quadric(f: QuadraticForm, points) -> CircumscribedQuadric:
         return CircumscribedQuadric("inconsistent")
     center = sol.particular
     r2 = f.evaluate([a - b for a, b in zip(v0, center)])
-    return CircumscribedQuadric("ok", tuple(center), r2, underdetermined=sol.kind == "affine")
+    return CircumscribedQuadric("ok", tuple(center), r2)
 
 
 def is_delaunay_cell(f: QuadraticForm, points) -> DelaunayCertificate:
@@ -219,7 +219,7 @@ def delaunay_cell_containing(f: QuadraticForm, point):
         raise ValueError("point dimension mismatch")
     ginv = linalg.inverse(f.gram)
 
-    base = [c.numerator // c.denominator for c in t]
+    base = [floor(c) for c in t]
     constraints = {}
     for corner in itertools.product((0, 1), repeat=n):
         v = tuple(b + d for b, d in zip(base, corner))
@@ -389,6 +389,7 @@ def _level_via_lp_box(diffs, n):
     {1 <= d.p <= 2} can first prove the box empty (the relaxation is
     infeasible, or a coordinate's integer range inside the box is empty),
     which skips the scan; they never shrink the box that is scanned.
+    From n = 6 on, the scans they skip cost more than the 2n LPs.
     """
     rows = []
     for d in diffs:
@@ -401,8 +402,8 @@ def _level_via_lp_box(diffs, n):
         if res_max.status == "infeasible":
             return None
         res_min = lp.lp_solve(objective=[-c for c in obj], less_equal=rows)  # max -p_i
-        hi = min(_floor(res_max.optimum), _LEVEL_BOX) if res_max.status == "optimal" else _LEVEL_BOX
-        lo = max(_ceil(-res_min.optimum), -_LEVEL_BOX) if res_min.status == "optimal" else -_LEVEL_BOX
+        hi = min(floor(res_max.optimum), _LEVEL_BOX) if res_max.status == "optimal" else _LEVEL_BOX
+        lo = max(ceil(-res_min.optimum), -_LEVEL_BOX) if res_min.status == "optimal" else -_LEVEL_BOX
         if lo > hi:
             return None
     return _level_dfs(diffs, n, _LEVEL_BOX)
@@ -434,21 +435,12 @@ def find_level_vector(v, cell):
     return result
 
 
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def perturbation_check(
     f: QuadraticForm,
     phi_const: InhomogeneousQuadratic,
     cell,
     subset,
     alpha,
-    level_vectors=None,
 ) -> PerturbationReport:
     """Perturb a vanishing quadratic so a chosen sub-polytope becomes a cell.
 
@@ -475,14 +467,14 @@ def perturbation_check(
 
     n = f.n
     outside = [u for u in cell_pts if u not in set(sub_pts)]
-    levels = dict(level_vectors or {})
+    levels = {}
     for u in outside:
-        if u not in levels:
-            levels[u] = find_level_vector(u, cell_pts)
-        if levels[u] is None:
+        p = find_level_vector(u, cell_pts)
+        if p is None:
             return PerturbationReport(
                 None, False, (), (), failure_reason=f"no level vector for vertex {u}"
             )
+        levels[u] = p
 
     gram_rows = [list(r) for r in f.gram.rows()]
     linear = list(phi_const.linear)
@@ -509,5 +501,5 @@ def perturbation_check(
     report = lattice_points_in_ellipsoid(phi.quadratic, center, r2)
     verdict = not report.interior and report.boundary == sub_pts
     return PerturbationReport(
-        phi, verdict, report.boundary, report.interior, level_vectors={u: levels[u] for u in outside}
+        phi, verdict, report.boundary, report.interior, level_vectors=levels
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import floor, isqrt, lcm
 from operator import mul
 
 from . import linalg
@@ -55,10 +55,6 @@ class EllipsoidPointReport:
 
     interior: tuple
     boundary: tuple
-
-
-def _floor_frac(a: Fraction) -> int:
-    return a.numerator // a.denominator
 
 
 # Returned by a visit callback to end the enumeration.
@@ -91,25 +87,25 @@ class _Enumerator:
             k_i = -c[i] - sum(L[j][i] * c[j] for j in range(i + 1, n))
             q_i = lcm(k_i.denominator, *(L[j][i].denominator for j in range(i + 1, n)))
             q.append(q_i)
-            k.append(_floor_frac(q_i * k_i))
-            cols.append([_floor_frac(q_i * L[j][i]) for j in range(i + 1, n)])
+            k.append(floor(q_i * k_i))
+            cols.append([floor(q_i * L[j][i]) for j in range(i + 1, n)])
         rel = [d / (q_i * q_i) for d, q_i in zip(self.D, q)]
         m = lcm(*(r.denominator for r in rel))
-        return q, k, cols, [_floor_frac(m * r) for r in rel], m
+        return q, k, cols, [floor(m * r) for r in rel], m
 
-    def run(self, center, bound, visit, half=False, shrink=False):
+    def run(self, center, bound, visit, half=False):
         """Visit every x with f(x - center) <= bound.
 
         visit(x_tuple, cost, m) receives the integer cost = m f(x - center)
-        and the scale m, which is fixed for the call.  It may return a new
-        (smaller) bound in the same scaled units when shrink=True, admitting
+        and the scale m, which is fixed for the call.  It returns None to go
+        on, a new (smaller) bound in the same scaled units, admitting
         exactly the costs at most that integer, or _STOP to end the
         enumeration at once.  half=True enumerates one representative per
         +-pair (valid only for center = 0).  Returns m.
         """
         q, k, cols, weights, m = self._scaled(center)
         x = [0] * self.n
-        state = [_floor_frac(m * _frac(bound))]
+        state = [floor(m * _frac(bound))]
 
         def rec(i, cost, s, top):
             """Enumerate levels i..0 given the centre sum s of level i;
@@ -137,7 +133,7 @@ class _Enumerator:
                     new_bound = visit(tuple(x), new_cost, m)
                     if new_bound is _STOP:
                         return True
-                    if shrink and new_bound is not None:
+                    if new_bound is not None:
                         state[0] = new_bound
                 x[0] = 0
                 return False
@@ -175,7 +171,7 @@ def arithmetic_minimum(f: QuadraticForm) -> MinimumReport:
             best[1].append(x)
         return None
 
-    m = enum.run([0] * n, min(f.gram[i, i] for i in range(n)), visit, half=True, shrink=True)
+    m = enum.run([0] * n, min(f.gram[i, i] for i in range(n)), visit, half=True)
     vecs = tuple(sorted(canonical_sign(v) for v in best[1]))
     return MinimumReport(Fraction(best[0], m), vecs, len(vecs), 2 * len(vecs))
 
@@ -250,7 +246,7 @@ def closest_vectors(f: QuadraticForm, target):
     t = [_frac(v) for v in target]
     if len(t) != f.n:
         raise ValueError("target dimension mismatch")
-    start = [_floor_frac(v + Fraction(1, 2)) for v in t]
+    start = [floor(v + Fraction(1, 2)) for v in t]
     found = [f.evaluate([s - v for s, v in zip(start, t)]), []]  # distance, points
 
     def visit(x, cost, m):
@@ -263,5 +259,5 @@ def closest_vectors(f: QuadraticForm, target):
             found[1].append(x)
         return None
 
-    enum.run(t, found[0], visit, shrink=True)
+    enum.run(t, found[0], visit)
     return found[0], tuple(sorted(set(found[1])))

@@ -16,7 +16,6 @@ integers directly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -83,28 +82,8 @@ class QuadraticForm:
         return f"QuadraticForm({self.gram!r})"
 
 
-@dataclass(frozen=True)
-class FormSpaceVector:
-    """A symmetric matrix viewed as a point of Sym(n) with Frobenius pairing."""
-
-    matrix: RationalMatrix
-
-    def __post_init__(self):
-        if not self.matrix.is_symmetric:
-            raise ValueError("form-space vectors are symmetric matrices")
-
-    @property
-    def n(self):
-        return self.matrix.nrows
-
-    def pairing(self, other) -> Fraction:
-        return pairing(self.matrix, other.matrix if isinstance(other, FormSpaceVector) else other)
-
-
-def pairing(a, b) -> Fraction:
+def pairing(a: RationalMatrix, b: RationalMatrix) -> Fraction:
     """Full Frobenius pairing sum_{i,j} a_ij b_ij of two symmetric matrices."""
-    a = a.gram if isinstance(a, QuadraticForm) else a
-    b = b.gram if isinstance(b, QuadraticForm) else b
     if a.nrows != b.nrows:
         raise ValueError("dimension mismatch")
     return sum(
@@ -112,9 +91,9 @@ def pairing(a, b) -> Fraction:
     )
 
 
-def voronoi_image(v) -> FormSpaceVector:
+def voronoi_image(v) -> RationalMatrix:
     """Rank-1 symmetric matrix v v^T attached to an integer vector."""
-    return FormSpaceVector(RationalMatrix([[vi * vj for vj in v] for vi in v]))
+    return RationalMatrix([[vi * vj for vj in v] for vi in v])
 
 
 # -- coordinates on Sym(n): diagonal entries first, then i<j pairs -----------

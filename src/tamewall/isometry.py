@@ -58,7 +58,7 @@ def fingerprint(f: QuadraticForm, levels=3) -> Fingerprint:
                 del counts[max(counts)]
             return max(counts) if len(counts) == levels else None
 
-        m = enum.run([0] * f.n, bound, visit, half=True, shrink=True)
+        m = enum.run([0] * f.n, bound, visit, half=True)
         if len(counts) == levels:
             break
         bound *= 2

@@ -18,8 +18,6 @@ from math import gcd, lcm
 
 from . import kernels
 
-Rational = Fraction
-
 
 class NotPositiveDefiniteError(ValueError):
     """A symmetric matrix has a nonpositive LDL^T pivot."""
@@ -70,9 +68,6 @@ class RationalMatrix:
     def rows(self):
         return self._rows
 
-    def column(self, j):
-        return tuple(r[j] for r in self._rows)
-
     @property
     def is_square(self):
         return self.nrows == self.ncols
@@ -97,12 +92,6 @@ class RationalMatrix:
         self._check_shape(other)
         return RationalMatrix(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
-        )
-
-    def __sub__(self, other):
-        self._check_shape(other)
-        return RationalMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
         )
 
     def scaled(self, c):

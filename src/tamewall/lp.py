@@ -163,7 +163,6 @@ class _Simplex:
 
 def _objective_split(objective, nfree, ncols_struct):
     obj = [_frac(c) for c in objective]
-    obj += [Fraction(0)] * (nfree - len(obj))
     return [*obj, *(-c for c in obj)] + [Fraction(0)] * (ncols_struct - 2 * nfree)
 
 

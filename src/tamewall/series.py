@@ -130,14 +130,14 @@ def tw_normal(n: int) -> WallDescriptor:
     duals = big_simplex_dual_vectors(n)
     kernel = linalg.nullspace([value_row(u) for u in duals])
     if len(kernel) != 1:
-        raise ArithmeticError(
+        raise InvariantError(
             f"dual images span codimension {len(kernel)}, expected exactly 1"
         )
     coords = linalg.primitive_row(kernel[0])
     anchor = tuple([n // 2 - 1] * (n - 1) + [n // 2])  # big-simplex-side vector
     val = _value_at(coords, anchor)
     if val == 0:
-        raise ArithmeticError("normal orientation anchor lies on the wall")
+        raise InvariantError("normal orientation anchor lies on the wall")
     if val < 0:
         coords = [-x for x in coords]
     normal = forms.coords_to_sym(coords, n)
@@ -272,14 +272,14 @@ def _distinct_permutations(multiset):
     return out
 
 
-def parse_family(pattern: str, n: int, enforce_count: bool = True) -> FamilyPattern:
+def parse_family(pattern: str, n: int) -> FamilyPattern:
     """Expand the bracket shorthand for a family of integer n-vectors.
 
     m^k repeats entry m in k consecutive positions (k may involve the
     symbol n, e.g. 1^{n-3}); semicolons delimit segments and every
     distinct permutation is taken inside each segment independently; a
     trailing ^count annotation, when present, is validated against the
-    expansion (FamilyCountError on mismatch unless enforce_count=False).
+    expansion (FamilyCountError on mismatch).
     """
     src = pattern.strip()
     m = re.fullmatch(r"\[([^\[\]]*)\](?:\^(\{.*\}|\S+))?", src)
@@ -325,7 +325,7 @@ def parse_family(pattern: str, n: int, enforce_count: bool = True) -> FamilyPatt
     for combo in itertools.product(*per_segment):
         vectors.add(tuple(x for part in combo for x in part))
     vectors = tuple(sorted(vectors))
-    if declared is not None and enforce_count and declared != len(vectors):
+    if declared is not None and declared != len(vectors):
         raise FamilyCountError(declared, len(vectors), vectors)
     return FamilyPattern(src, n, tuple(segments), vectors, declared)
 
@@ -413,6 +413,29 @@ def verify_theorem1(n: int) -> TheoremReport:
     return TheoremReport(n, all(s.ok for s in steps), tuple(steps), data)
 
 
+def _perfect_form_steps(steps, name, f, expected_vectors, expected_total):
+    """Append the four checks that f is a perfect form of minimum 1 with
+    the expected minimal vectors: positive definiteness, minimum, minimal
+    vectors, perfection with reconstruction.  Returns the minimal-vector
+    count 2s."""
+    steps.append(CheckStep(f"{name}_pd", f.is_positive_definite, "LDL pivots positive"))
+    rep = arithmetic_minimum(f)
+    steps.append(CheckStep(f"{name}_minimum", rep.minimum == 1, f"minimum {rep.minimum}"))
+    steps.append(CheckStep(
+        f"{name}_minimal_vectors",
+        rep.vectors == expected_vectors and rep.total_count == expected_total,
+        f"2s = {rep.total_count}, expected {expected_total}",
+    ))
+    perf = perfection_report(f)
+    recon_ok = perf.reconstruction == f
+    steps.append(CheckStep(
+        f"{name}_perfect",
+        perf.is_perfect and recon_ok,
+        f"rank {perf.rank} of {perf.sym_dim}; reconstruction unique: {recon_ok}",
+    ))
+    return rep.total_count
+
+
 def verify_theorem2(n: int, include_isometry=None) -> TheoremReport:
     """Both perfect forms across the wall: positive definiteness, exact
     minima, complete minimal-vector sets, perfectness with reconstruction,
@@ -428,46 +451,17 @@ def verify_theorem2(n: int, include_isometry=None) -> TheoremReport:
     wall = tw_normal(n)
 
     tf = forms.tf_form(n)
-    steps.append(CheckStep("tf_pd", tf.is_positive_definite, "LDL pivots positive"))
-    rep = arithmetic_minimum(tf)
-    expected_2s = n * (n + 3) if n % 2 == 0 else n * (n + 1)
-    expected_vecs = canonical_set(duals + complementary_vectors(n, "TF"))
-    data["minimal_vector_count"] = rep.total_count
-    steps.append(CheckStep(
-        "tf_minimum", rep.minimum == 1, f"minimum {rep.minimum}"
-    ))
-    steps.append(CheckStep(
-        "tf_minimal_vectors",
-        rep.vectors == expected_vecs and rep.total_count == expected_2s,
-        f"2s = {rep.total_count}, expected {expected_2s}",
-    ))
-    perf = perfection_report(tf)
-    recon_ok = perf.reconstruction == tf
-    steps.append(CheckStep(
-        "tf_perfect",
-        perf.is_perfect and recon_ok,
-        f"rank {perf.rank} of {perf.sym_dim}; reconstruction unique: {recon_ok}",
-    ))
-
+    data["minimal_vector_count"] = _perfect_form_steps(
+        steps,
+        "tf",
+        tf,
+        canonical_set(duals + complementary_vectors(n, "TF")),
+        n * (n + 3) if n % 2 == 0 else n * (n + 1),
+    )
     dn = forms.dn_neighbor_form(n)
-    steps.append(CheckStep("dn_pd", dn.is_positive_definite, "LDL pivots positive"))
-    rep_dn = arithmetic_minimum(dn)
-    expected_dn = canonical_set(duals + complementary_vectors(n, "Dn"))
-    steps.append(CheckStep(
-        "dn_minimum", rep_dn.minimum == 1, f"minimum {rep_dn.minimum}"
-    ))
-    steps.append(CheckStep(
-        "dn_minimal_vectors",
-        rep_dn.vectors == expected_dn and rep_dn.total_count == 2 * n * (n - 1),
-        f"2s = {rep_dn.total_count}, expected {2 * n * (n - 1)}",
-    ))
-    perf_dn = perfection_report(dn)
-    recon_dn_ok = perf_dn.reconstruction == dn
-    steps.append(CheckStep(
-        "dn_perfect",
-        perf_dn.is_perfect and recon_dn_ok,
-        f"rank {perf_dn.rank} of {perf_dn.sym_dim}; reconstruction unique: {recon_dn_ok}",
-    ))
+    _perfect_form_steps(
+        steps, "dn", dn, canonical_set(duals + complementary_vectors(n, "Dn")), 2 * n * (n - 1)
+    )
 
     shared_ok = all(classify_side(wall, u) == "on_wall" for u in duals)
     tf_extra_ok = all(
@@ -599,13 +593,12 @@ def _volume_histogram(points, orbits):
     return histogram
 
 
-def gosset_census(point=None) -> GossetCensusReport:
+def gosset_census() -> GossetCensusReport:
     """Locate the 27-vertex cell of the E6 fixture and count the relative
     volumes of all 7-point sub-simplexes (C(27,7) subsets), walking only
     the subsets through one vertex per certified vertex orbit."""
     e6 = forms.standard_gram("E6")
-    t = tuple(point) if point is not None else _CENSUS_POINT
-    cell = delaunay.delaunay_cell_containing(e6, t)
+    cell = delaunay.delaunay_cell_containing(e6, _CENSUS_POINT)
     orbits, _ = isometry._vertex_orbits(e6, cell)
     hist = _volume_histogram(cell, orbits)
     nondegenerate = [v for v in hist if v > 0]

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from tamewall import cli, delaunay, dual01, forms, isometry, perfect, series
+from tamewall import cli, delaunay, dual01, forms, isometry, linalg, perfect, series
 from tamewall.errors import InvariantError
-from tamewall.forms import format_form, parse_form, tf_form
+from tamewall.forms import QuadraticForm, format_form, parse_form, tf_form
 from tamewall.series import s_n_vertices
 from tamewall.vecset import VectorParseError, format_vectors, parse_vectors
 
@@ -363,16 +363,87 @@ def test_cell_beyond_ten_dimensions_under_raised_max_dim(capsys, monkeypatch, tm
     assert payload["vertex_count"] == 12
 
 
+def _perturb_json(capsys, tmp_path, form, cell, subset, *options):
+    paths = []
+    for name, text in (
+        ("f.form", format_form(form)),
+        ("cell.vec", format_vectors(cell)),
+        ("sub.vec", format_vectors(subset)),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        paths.append(str(path))
+    return run_json(capsys, "perturb", *paths, *options)
+
+
 def test_perturb_command(capsys, tmp_path):
-    form = tmp_path / "id2.form"
-    form.write_text("2\n1 0\n0 1\n")
-    cell = tmp_path / "cell.vec"
-    cell.write_text(format_vectors([(0, 0), (1, 0), (0, 1), (1, 1)]))
-    subset = tmp_path / "sub.vec"
-    subset.write_text(format_vectors([(0, 0), (1, 0), (1, 1)]))
-    code, payload = run_json(capsys, "perturb", str(form), str(cell), str(subset), "--alpha", "1/4")
+    code, payload = _perturb_json(
+        capsys,
+        tmp_path,
+        QuadraticForm.identity(2),
+        [(0, 0), (1, 0), (0, 1), (1, 1)],
+        [(0, 0), (1, 0), (1, 1)],
+        "--alpha",
+        "1/4",
+    )
     assert code == 0
-    assert payload["verdict"]
+    assert payload == {
+        "command": "perturb",
+        "status": "verified",
+        "verdict": True,
+        "boundary": [[0, 0], [1, 0], [1, 1]],
+        "interior": [],
+        "level_vectors": {"[0, 1]": [1, -1]},
+    }
+
+
+# Level vectors of the E6-cell vertices outside its first 7, in the search
+# order of find_level_vector.
+E6_SUBSET_LEVEL_VECTORS = {
+    "[0, 0, -1, -2, -1, -1]": [0, -1, 0, 1, -1, 1],
+    "[0, 0, -1, -2, -1, 0]": [0, -1, 0, 1, 0, -1],
+    "[0, 0, -1, -1, -1, -1]": [0, 0, 1, -1, 0, 1],
+    "[0, 0, -1, -1, -1, 0]": [0, 0, 1, -1, 1, -1],
+    "[0, 0, -1, -1, 0, 0]": [0, 0, 1, 0, -1, 0],
+    "[0, 0, 0, -1, -1, -1]": [1, 0, -1, 0, 0, 1],
+    "[0, 0, 0, -1, -1, 0]": [1, 0, -1, 0, 1, -1],
+    "[0, 0, 0, -1, 0, 0]": [1, 0, -1, 1, -1, 0],
+    "[0, 0, 0, 0, 0, 0]": [1, 1, 0, -1, 0, 0],
+    "[0, 1, 0, 0, 0, 0]": [1, -1, 0, 0, 0, 0],
+    "[1, 0, 0, -1, -1, -1]": [-1, 0, 0, 0, 0, 1],
+    "[1, 0, 0, -1, -1, 0]": [-1, 0, 0, 0, 1, -1],
+    "[1, 0, 0, -1, 0, 0]": [-1, 0, 0, 1, -1, 0],
+    "[1, 0, 0, 0, 0, 0]": [-1, 1, 1, -1, 0, 0],
+    "[1, 0, 1, 0, 0, 0]": [0, 1, -1, 0, 0, 0],
+    "[1, 1, 0, 0, 0, 0]": [-1, -1, 1, 0, 0, 0],
+    "[1, 1, 1, 0, 0, 0]": [0, -1, -1, 1, 0, 0],
+    "[1, 1, 1, 1, 0, 0]": [0, 0, 0, -1, 1, 0],
+    "[1, 1, 1, 1, 1, 0]": [0, 0, 0, 0, -1, 1],
+    "[1, 1, 1, 1, 1, 1]": [0, 0, 0, 0, 0, -1],
+}
+
+
+def test_perturb_e6_cell_subset_json_golden(capsys, tmp_path):
+    e6 = forms.standard_gram("E6")
+    cell = delaunay.delaunay_cell_containing(e6, series._CENSUS_POINT)
+    code, payload = _perturb_json(capsys, tmp_path, e6, cell, cell[:7])
+    assert code == 0
+    assert payload == {
+        "command": "perturb",
+        "status": "verified",
+        "verdict": True,
+        "boundary": [
+            [-1, -1, -2, -3, -2, -1],
+            [0, -1, -2, -3, -2, -1],
+            [0, -1, -1, -3, -2, -1],
+            [0, -1, -1, -2, -2, -1],
+            [0, -1, -1, -2, -1, -1],
+            [0, -1, -1, -2, -1, 0],
+            [0, 0, -1, -2, -2, -1],
+        ],
+        "interior": [],
+        "level_vectors": E6_SUBSET_LEVEL_VECTORS,
+    }
 
 
 @pytest.mark.parametrize("fault", [KeyError("injected"), InvariantError("injected")])
@@ -405,6 +476,17 @@ def test_dual_invariant_failure_exits_3_not_refuted(capsys, monkeypatch, tmp_pat
     path = tmp_path / "s6.vec"
     path.write_text(format_vectors(s_n_vertices(6)))
     code, out, err = run_main(capsys, "dual", str(path))
+    assert code == 3
+    assert out == ""
+    assert "status: internal-error" in err and "InvariantError" in err
+
+
+def test_wall_invariant_failure_exits_3_not_input_error(capsys, monkeypatch):
+    # the dual images of S_n span a hyperplane of Sym(n) by construction; a
+    # two-dimensional nullspace is a bug, not a bad input (exit 2)
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda rows: nullspace(rows) * 2)
+    code, out, err = run_main(capsys, "wall", "6")
     assert code == 3
     assert out == ""
     assert "status: internal-error" in err and "InvariantError" in err

@@ -373,6 +373,18 @@ def test_level_vector_missing_is_none():
     assert find_level_vector((0,), [(0,), (1,), (3,)]) is None
 
 
+def test_level_vector_falls_back_to_the_full_box(monkeypatch):
+    # (0, 1).p in {1, 2} forces p_2 in {1, 2}, and then (1, -6).p in {1, 2}
+    # needs p_1 >= 7: the boxes of size 2 and 4 miss, the box-8 pass finds it
+    cell = [(0, 0), (0, 1), (1, -6)]
+    assert delaunay._level_dfs([(0, 1), (1, -6)], 2, 4) is None
+    calls = []
+    solve = lp.lp_solve
+    monkeypatch.setattr(lp, "lp_solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    assert find_level_vector((0, 0), cell) == (7, 1)
+    assert calls  # the LP pre-check of the box-8 pass ran
+
+
 def test_level_box_coordinate_range_of_one_integer():
     # 1 <= 2p <= 2 bounds p to [1/2, 1]: lo == hi == 1, so the box is scanned
     assert delaunay._level_via_lp_box([(2,)], 1) == (1,)

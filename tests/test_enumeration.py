@@ -338,7 +338,7 @@ def _run_both(form, c, bound, shrink, slack, stop_at, half):
     fraction_run(form, c, bound, visit, half=half, shrink=shrink)
     got, visit = _recorder(shrink, slack, stop_at)
     seen = []
-    m = _Enumerator(form).run(c, bound, _integer_contract(visit, seen), half=half, shrink=shrink)
+    m = _Enumerator(form).run(c, bound, _integer_contract(visit, seen), half=half)
     assert all(type(cost) is int and scale == m for cost, scale in seen)
     return expected, got
 

@@ -95,8 +95,8 @@ def test_series_forms_positive_definite(n):
 
 
 def test_voronoi_image_frozen():
-    assert voronoi_image((1, 0)).matrix == RationalMatrix([[1, 0], [0, 0]])
-    assert voronoi_image((1, -1)).matrix == RationalMatrix([[1, -1], [-1, 1]])
+    assert voronoi_image((1, 0)) == RationalMatrix([[1, 0], [0, 0]])
+    assert voronoi_image((1, -1)) == RationalMatrix([[1, -1], [-1, 1]])
 
 
 @settings(max_examples=150, deadline=None)
@@ -117,14 +117,14 @@ def test_pairing_of_image_evaluates_form(data):
     n = len(v)
     sym = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
     f = QuadraticForm(RationalMatrix(sym))
-    assert pairing(voronoi_image(v).matrix, f.gram) == f.evaluate(v)
+    assert pairing(voronoi_image(v), f.gram) == f.evaluate(v)
 
 
 def test_wall_interior_form_is_dual_image_sum():
     n = 5
     total = RationalMatrix.zeros(n, n)
     for u in big_simplex_dual_vectors(n):
-        total = total + voronoi_image(u).matrix
+        total = total + voronoi_image(u)
     assert wall_interior_form(n).gram == total
     assert wall_interior_form(n).is_positive_definite
 

@@ -119,7 +119,7 @@ def test_wall_form_pairs_to_zero_with_normal():
 
 def test_classify_side_of_forms():
     wall = tw_normal(6)
-    assert classify_side(wall, voronoi_image((1, -1, 0, 0, 0, 0)).matrix) == "dn_side"
+    assert classify_side(wall, voronoi_image((1, -1, 0, 0, 0, 0))) == "dn_side"
 
 
 def test_classify_side_rejects_wrong_length_vector():

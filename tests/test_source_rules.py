@@ -98,6 +98,23 @@ def test_no_module_level_mutable_containers_in_package():
     assert found == []
 
 
+_BARE_ERRORS = {"ArithmeticError", "AssertionError", "RuntimeError", "Exception"}
+
+
+def _raises_bare_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id in _BARE_ERRORS
+
+
+def test_no_bare_builtin_errors_raised_in_package():
+    # Internal invariants raise InvariantError: the CLI reads a bare
+    # ArithmeticError as an input error (exit 2), and a bare RuntimeError or
+    # Exception tells a caller nothing about what failed.
+    assert _nodes_where(_raises_bare_error) == []
+
+
 def test_source_rules_catch_what_they_forbid():
     bad = ast.parse(
         "import functools\n"
@@ -109,6 +126,10 @@ def test_source_rules_catch_what_they_forbid():
         "@functools.cache\n"
         "def f():\n"
         "    local = {}\n"
+        "    raise ArithmeticError('codimension')\n"
+        "    raise InvariantError('typed')\n"
+        "    raise\n"
     )
     assert sum(map(_is_functools_cache, ast.walk(bad))) == 2
     assert _mutable_globals(bad) == [3, 4, 5]
+    assert [node.lineno for node in ast.walk(bad) if _raises_bare_error(node)] == [10]
