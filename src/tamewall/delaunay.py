@@ -220,14 +220,12 @@ def delaunay_cell_containing(f: QuadraticForm, point):
     ginv = linalg.inverse(f.gram)
 
     base = [floor(c) for c in t]
-    constraints = {}
+    constraints = {}  # lattice point v -> f(v), in insertion order
     for corner in itertools.product((0, 1), repeat=n):
         v = tuple(b + d for b, d in zip(base, corner))
-        constraints[v] = None
+        constraints[v] = f.evaluate(v)
     while True:
-        rows = []
-        for v in constraints:
-            rows.append(([*map(Fraction, v), Fraction(1)], f.evaluate(v)))
+        rows = [([*map(Fraction, v), Fraction(1)], fv) for v, fv in constraints.items()]
         res = lp.lp_solve(objective=[*t, Fraction(1)], less_equal=rows)
         if res.status != "optimal":
             raise InvariantError(f"cell LP unexpectedly {res.status}")
@@ -241,7 +239,7 @@ def delaunay_cell_containing(f: QuadraticForm, point):
             if not new:
                 raise InvariantError("separation oracle failed to add a violated constraint")
             for p in new:
-                constraints[p] = None
+                constraints[p] = f.evaluate(p)
             continue
         if mu != 0:
             raise InvariantError("optimal support function must touch the lattice lift")

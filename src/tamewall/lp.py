@@ -6,9 +6,11 @@ unboundedness are decided exactly.  Variables are free; nonnegativity is
 expressed through constraints.  The equalities are solved once by the
 fraction-free `linalg.solve`: an inconsistent system is infeasible, and
 otherwise x = x0 + Z t over their particular solution x0 and nullspace
-basis Z, so the simplex sees only the inequality rows over t.  The one
-problem shape is a maximization; `positive_solution` asks for a solution
-with every coordinate positive by maximizing a slack bounded by 1.
+basis Z, so the simplex sees only the inequality rows over t.  Each
+phase's reduced-cost row pivots with the tableau rows, so nothing is
+priced afresh from the basis.  The one problem shape is a maximization;
+`positive_solution` asks for a solution with every coordinate positive by
+maximizing a slack bounded by 1.
 """
 
 from __future__ import annotations
@@ -43,9 +45,12 @@ class _Simplex:
     """Tableau simplex over Fractions (maximization, Bland's rule).
 
     Every row is an inequality coeffs . x <= rhs with its own slack column.
-    Original free variables are split into positive and negative parts;
-    rows are normalized to b >= 0, and a row whose rhs was negative starts
-    on an artificial column because its slack coefficient became -1.
+    Original free variables are split into positive and negative parts
+    (one block of positive parts, then the negatives); rows are normalized
+    to b >= 0, and a row whose rhs was negative starts on an artificial
+    column because its slack coefficient became -1.  Each phase's
+    reduced-cost row is kept beside the tableau and pivots with it; the
+    last one is the row being maximized.
     """
 
     def __init__(self, nfree, leqs):
@@ -57,9 +62,10 @@ class _Simplex:
         self.total_cols = self.ncols_struct + self.nart
         self.T = []
         self.basis = []
+        self.costs = []
         art = self.ncols_struct
         for i, (coeffs, rhs) in enumerate(leqs):
-            row = self._split(coeffs) + [Fraction(0)] * (m + self.nart) + [rhs]
+            row = [*coeffs, *(-c for c in coeffs)] + [Fraction(0)] * (m + self.nart) + [rhs]
             row[ncols + i] = Fraction(1)
             if rhs < 0:
                 row = [-x for x in row]
@@ -69,24 +75,6 @@ class _Simplex:
             else:
                 self.basis.append(ncols + i)
             self.T.append(row)
-
-    def _split(self, coeffs):
-        # x_j = x_j^+ - x_j^-: one block of positive parts, then the negatives
-        return [c for c in coeffs] + [-c for c in coeffs]
-
-    def _price(self, cost):
-        """Reduced-cost row for the current basis (cost over all columns)."""
-        m = len(self.T)
-        z = list(cost)
-        rhs_val = Fraction(0)
-        for i in range(m):
-            cb = cost[self.basis[i]]
-            if cb != 0:
-                row = self.T[i]
-                rhs_val += cb * row[-1]
-                for j in range(self.total_cols):
-                    z[j] -= cb * row[j]
-        return z, rhs_val
 
     def _pivot(self, r, c):
         row = self.T[r]
@@ -98,12 +86,16 @@ class _Simplex:
             if i != r and self.T[i][c] != 0:
                 f = self.T[i][c]
                 self.T[i] = [a - f * b for a, b in zip(self.T[i], prow)]
+        for k, z in enumerate(self.costs):
+            if z[c] != 0:
+                f = z[c]
+                self.costs[k] = [a - f * b for a, b in zip(z, prow)]
         self.basis[r] = c
 
-    def _iterate(self, cost, allowed):
-        """Maximize cost over the current feasible dictionary (Bland)."""
+    def _iterate(self, allowed):
+        """Maximize the last cost row over the current feasible dictionary (Bland)."""
         while True:
-            z, _ = self._price(cost)
+            z = self.costs[-1]
             enter = next((j for j in range(self.total_cols) if allowed[j] and z[j] > 0), None)
             if enter is None:
                 return "optimal"
@@ -122,18 +114,25 @@ class _Simplex:
                 return "unbounded"
             self._pivot(leave, enter)
 
-    def solve(self, objective_split):
-        """Two-phase run; objective_split is over the split+slack columns."""
+    def solve(self, objective):
+        """Two-phase run maximizing objective . x: 'optimal', 'infeasible'
+        or 'unbounded'."""
+        # the starting basis has zero cost in phase 2, so this row is priced
+        self.costs = [
+            [*objective, *(-c for c in objective)]
+            + [Fraction(0)] * (self.total_cols - 2 * self.nfree + 1)
+        ]
         allowed = [True] * self.total_cols
         if self.nart:
-            phase1 = [Fraction(0)] * self.total_cols
-            for c in range(self.ncols_struct, self.total_cols):
-                phase1[c] = Fraction(-1)
-            self._iterate(phase1, allowed)
-            total_art = sum(
-                self.T[i][-1] for i in range(len(self.T)) if self.basis[i] >= self.ncols_struct
-            )
-            if total_art != 0:
+            # maximize -sum(artificials), priced against the starting basis;
+            # its rhs is then the sum of the basic artificials
+            phase1 = [Fraction(0)] * self.ncols_struct + [Fraction(-1)] * self.nart + [Fraction(0)]
+            for row, b in zip(self.T, self.basis):
+                if b >= self.ncols_struct:
+                    phase1 = [a + x for a, x in zip(phase1, row)]
+            self.costs.append(phase1)
+            self._iterate(allowed)
+            if self.costs.pop()[-1] != 0:
                 return "infeasible"
             # Drive any zero-level artificial out of the basis if possible.
             for i in range(len(self.T)):
@@ -146,12 +145,7 @@ class _Simplex:
             # Forbid artificials from re-entering.
             for c in range(self.ncols_struct, self.total_cols):
                 allowed[c] = False
-
-        cost = list(objective_split) + [Fraction(0)] * (self.total_cols - len(objective_split))
-        status = self._iterate(cost, allowed)
-        if status == "unbounded":
-            return "unbounded"
-        return "optimal"
+        return self._iterate(allowed)
 
     def witness(self):
         vals = [Fraction(0)] * self.total_cols
@@ -159,11 +153,6 @@ class _Simplex:
             vals[b] = self.T[i][-1]
         n = self.nfree
         return tuple(vals[j] - vals[n + j] for j in range(n))
-
-
-def _objective_split(objective, nfree, ncols_struct):
-    obj = [_frac(c) for c in objective]
-    return [*obj, *(-c for c in obj)] + [Fraction(0)] * (ncols_struct - 2 * nfree)
 
 
 def lp_solve(objective, equalities=(), less_equal=()):
@@ -243,9 +232,8 @@ def _substitute(rows, origin, basis):
 
 def _run(nvars, objective, leqs):
     sim = _Simplex(nvars, leqs)
-    obj_split = _objective_split(objective, nvars, sim.ncols_struct)
-    status = sim.solve(obj_split)
-    if status in ("infeasible", "unbounded"):
+    status = sim.solve(objective)
+    if status != "optimal":
         return LPResult(status)
     witness = sim.witness()
     return LPResult("optimal", witness, _dot(objective, witness))

@@ -19,7 +19,7 @@ from math import comb
 from operator import itemgetter, mul, neg
 
 from . import delaunay, dual01, forms, isometry, linalg
-from .enumeration import arithmetic_minimum
+from .enumeration import arithmetic_minimum, closest_vectors
 from .errors import InvariantError
 from .forms import QuadraticForm, big_simplex_dual_vectors, pairing, value_row
 from .linalg import RationalMatrix
@@ -513,14 +513,11 @@ class GossetCensusReport:
         return self.vertex_count == 27 and self.max_volume == 3 and self.count_at_max == 216
 
 
-_CENSUS_POINT = (
-    Fraction(1, 23),
-    Fraction(1, 29),
-    Fraction(1, 31),
-    Fraction(1, 37),
-    Fraction(1, 41),
-    Fraction(1, 43),
-)
+# The centre of the 27-vertex cell of standard_gram("E6"): a deep hole at
+# squared distance 4/3, E6's squared covering radius at minimum 2.  The
+# closest vectors to a point lie on a sphere with no lattice point inside,
+# so a set of them that spans affinely is a Delaunay cell.
+_CENSUS_CENTER = (Fraction(1, 3), 0, Fraction(-1, 3), -1, Fraction(-2, 3), Fraction(-1, 3))
 
 
 def _volume_histogram(points, orbits):
@@ -594,11 +591,14 @@ def _volume_histogram(points, orbits):
 
 
 def gosset_census() -> GossetCensusReport:
-    """Locate the 27-vertex cell of the E6 fixture and count the relative
+    """Take the 27-vertex cell of the E6 fixture as the closest lattice
+    vectors to its centre (see `_CENSUS_CENTER`) and count the relative
     volumes of all 7-point sub-simplexes (C(27,7) subsets), walking only
     the subsets through one vertex per certified vertex orbit."""
     e6 = forms.standard_gram("E6")
-    cell = delaunay.delaunay_cell_containing(e6, _CENSUS_POINT)
+    _, cell = closest_vectors(e6, _CENSUS_CENTER)
+    if linalg.affine_rank(cell) != e6.n:
+        raise InvariantError("closest vectors to the census centre do not span a cell")
     orbits, _ = isometry._vertex_orbits(e6, cell)
     hist = _volume_histogram(cell, orbits)
     nondegenerate = [v for v in hist if v > 0]

@@ -2,12 +2,14 @@
 replaced, and the certified vertex orbits it walks through."""
 
 import itertools
+from fractions import Fraction as F
 from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tamewall import delaunay, forms, isometry, kernels, series
+from tamewall import delaunay, forms, isometry, kernels, lp, series
+from tamewall.enumeration import closest_vectors
 from tamewall.errors import InvariantError
 from tamewall.forms import QuadraticForm
 
@@ -57,7 +59,25 @@ def test_walk_matches_subset_loop(points):
 
 @pytest.fixture(scope="module")
 def e6_cell():
-    return delaunay.delaunay_cell_containing(forms.standard_gram("E6"), series._CENSUS_POINT)
+    return closest_vectors(forms.standard_gram("E6"), series._CENSUS_CENTER)[1]
+
+
+def test_census_centre_is_a_deep_hole_of_the_located_cell():
+    e6 = forms.standard_gram("E6")
+    d2, points = closest_vectors(e6, series._CENSUS_CENTER)
+    assert d2 == F(4, 3) and len(points) == 27
+    point = (F(1, 23), F(1, 29), F(1, 31), F(1, 37), F(1, 41), F(1, 43))
+    assert delaunay.delaunay_cell_containing(e6, point) == points
+    assert delaunay.is_delaunay_cell(e6, points).verdict
+
+
+def test_census_makes_no_lp_call(monkeypatch):
+    # counted through the module global, which a tracer may replace
+    calls = []
+    real = lp.lp_solve
+    monkeypatch.setattr(lp, "lp_solve", lambda **kwargs: calls.append(kwargs) or real(**kwargs))
+    assert series.gosset_census().matches_expected
+    assert calls == []
 
 
 def test_walk_matches_subset_loop_on_e6_cell_prefix(e6_cell):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tamewall import cli, delaunay, dual01, forms, isometry, linalg, perfect, series
+from tamewall.enumeration import closest_vectors
 from tamewall.errors import InvariantError
 from tamewall.forms import QuadraticForm, format_form, parse_form, tf_form
 from tamewall.series import s_n_vertices
@@ -425,7 +426,7 @@ E6_SUBSET_LEVEL_VECTORS = {
 
 def test_perturb_e6_cell_subset_json_golden(capsys, tmp_path):
     e6 = forms.standard_gram("E6")
-    cell = delaunay.delaunay_cell_containing(e6, series._CENSUS_POINT)
+    _, cell = closest_vectors(e6, series._CENSUS_CENTER)
     code, payload = _perturb_json(capsys, tmp_path, e6, cell, cell[:7])
     assert code == 0
     assert payload == {

@@ -1,10 +1,12 @@
 """Exact simplex LP: frozen cases, witness-exactness properties, and
 differential tests of `lp_solve` and `positive_solution` against an oracle
 that keeps the former API (strict rows, minimization, feasibility) over
-the equality tableau."""
+the equality tableau, and prices its reduced costs afresh from the basis
+before every pivot."""
 
 import inspect
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,21 +188,112 @@ def test_positive_solution_is_one_traceable_lp(monkeypatch):
 # -- oracle: the former API, over the equality tableau -----------------------
 
 
-class _TableauWithEqualities(lp._Simplex):
+def _split(coeffs):
+    # x_j = x_j^+ - x_j^-: one block of positive parts, then the negatives
+    return [c for c in coeffs] + [-c for c in coeffs]
+
+
+def _objective_split(objective, nfree, ncols_struct):
+    obj = [F(c) for c in objective]
+    return [*obj, *(-c for c in obj)] + [F(0)] * (ncols_struct - 2 * nfree)
+
+
+class _RepricingSimplex:
+    """The tableau simplex that lp._Simplex replaced: the same Bland's rule
+    and drive-out step, but the reduced costs are priced afresh from the
+    basis before every pivot, and phase 1 reads the basic artificials back
+    from the tableau.  A subclass builds the tableau T and its basis."""
+
+    def _price(self, cost):
+        """Reduced-cost row for the current basis (cost over all columns)."""
+        z = list(cost)
+        for i in range(len(self.T)):
+            cb = cost[self.basis[i]]
+            if cb != 0:
+                row = self.T[i]
+                for j in range(self.total_cols):
+                    z[j] -= cb * row[j]
+        return z
+
+    def _pivot(self, r, c):
+        row = self.T[r]
+        piv = row[c]
+        inv = 1 / piv
+        self.T[r] = [x * inv for x in row]
+        prow = self.T[r]
+        for i in range(len(self.T)):
+            if i != r and self.T[i][c] != 0:
+                f = self.T[i][c]
+                self.T[i] = [a - f * b for a, b in zip(self.T[i], prow)]
+        self.basis[r] = c
+
+    def _iterate(self, cost, allowed):
+        while True:
+            z = self._price(cost)
+            enter = next((j for j in range(self.total_cols) if allowed[j] and z[j] > 0), None)
+            if enter is None:
+                return "optimal"
+            leave = None
+            best = None
+            for i in range(len(self.T)):
+                a = self.T[i][enter]
+                if a > 0:
+                    ratio = self.T[i][-1] / a
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[leave]
+                    ):
+                        best = ratio
+                        leave = i
+            if leave is None:
+                return "unbounded"
+            self._pivot(leave, enter)
+
+    def solve(self, objective_split):
+        allowed = [True] * self.total_cols
+        if self.nart:
+            phase1 = [F(0)] * self.total_cols
+            for c in range(self.ncols_struct, self.total_cols):
+                phase1[c] = F(-1)
+            self._iterate(phase1, allowed)
+            total_art = sum(
+                self.T[i][-1] for i in range(len(self.T)) if self.basis[i] >= self.ncols_struct
+            )
+            if total_art != 0:
+                return "infeasible"
+            for i in range(len(self.T)):
+                if self.basis[i] >= self.ncols_struct:
+                    col = next((j for j in range(self.ncols_struct) if self.T[i][j] != 0), None)
+                    if col is not None:
+                        self._pivot(i, col)
+            for c in range(self.ncols_struct, self.total_cols):
+                allowed[c] = False
+        cost = list(objective_split) + [F(0)] * (self.total_cols - len(objective_split))
+        return self._iterate(cost, allowed)
+
+    def witness(self):
+        vals = [F(0)] * self.total_cols
+        for i, b in enumerate(self.basis):
+            vals[b] = self.T[i][-1]
+        n = self.nfree
+        return tuple(vals[j] - vals[n + j] for j in range(n))
+
+
+class _TableauWithEqualities(_RepricingSimplex):
     """The simplex with equality rows in the tableau.
 
     Each equality gets a zero slack column and an artificial that phase 1
     pivots out; the pivoting, pricing and phase logic are those of
-    lp._Simplex.  This is the equality handling that lp_solve replaced by
-    exact elimination.  Without equality rows it builds lp._Simplex's
-    tableau.
+    _RepricingSimplex.  This is the equality handling that lp_solve
+    replaced by exact elimination.  Without equality rows it builds
+    lp._Simplex's tableau.  A redundant equality can leave an artificial
+    basic at level zero with no structural column to pivot on.
     """
 
     def __init__(self, nfree, equalities, leqs):
         self.nfree = nfree
         ncols = 2 * nfree
-        rows = [(self._split(c), rhs, "eq") for c, rhs in equalities]
-        rows += [(self._split(c), rhs, "leq") for c, rhs in leqs]
+        rows = [(_split(c), rhs, "eq") for c, rhs in equalities]
+        rows += [(_split(c), rhs, "leq") for c, rhs in leqs]
         self.ncols_struct = ncols + len(rows)
         normalized = []
         for ridx, (row, rhs, kind) in enumerate(rows):
@@ -229,7 +322,7 @@ class _TableauWithEqualities(lp._Simplex):
 
 def _oracle_run(nvars, objective, eqs, leqs):
     sim = _TableauWithEqualities(nvars, eqs, leqs)
-    status = sim.solve(lp._objective_split(objective, nvars, sim.ncols_struct))
+    status = sim.solve(_objective_split(objective, nvars, sim.ncols_struct))
     if status != "optimal":
         return lp.LPResult(status)
     witness = sim.witness()
@@ -391,6 +484,63 @@ def test_elimination_matches_equality_tableau(lp_args):
             _check_witness(lp_args, r)
         else:
             assert r.witness is None
+
+
+class _PivotedTableauWithEqualities(lp._Simplex):
+    """lp._Simplex's pivoted cost rows over the equality tableau."""
+
+    __init__ = _TableauWithEqualities.__init__
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_lps())
+def test_pivoted_cost_rows_match_repricing_oracle(lp_args):
+    """Every LP that lp_solve runs, called directly or by positive_solution,
+    has the status, witness and optimum of the re-pricing oracle after
+    elimination.  The draws reach phase 1 (rows with a negative right-hand
+    side after substitution), degenerate ratio ties (rows through the
+    anchor, and positive_solution's rows delta - x_k <= 0), and unbounded
+    and infeasible outcomes.  After elimination every row keeps its own
+    slack column, so a zero-level artificial can always be driven out; in
+    the equality tableau a redundant equality leaves one that cannot be,
+    and there the pivoted cost rows must reach the oracle's status and
+    witness too."""
+    n = lp_args["num_vars"]
+    eqs, leqs = lp_args["equalities"], lp_args["less_equal"]
+    calls = []
+    real = lp.lp_solve
+
+    def recording(**kwargs):
+        calls.append((kwargs, real(**kwargs)))
+        return calls[-1][1]
+
+    pivots = []
+    real_pivot = lp._Simplex._pivot
+
+    def counted_pivot(self, r, c):
+        # these LPs end in a few Bland pivots; a cost row left stale by a
+        # pivot keeps entering the same column forever
+        pivots.append(c)
+        assert len(pivots) < 1000, "the simplex does not terminate"
+        real_pivot(self, r, c)
+
+    with mock.patch.object(lp._Simplex, "_pivot", counted_pivot):
+        with mock.patch.object(lp, "lp_solve", recording):
+            lp.lp_solve(objective=lp_args["objective"] or [0] * n, equalities=eqs, less_equal=leqs)
+            if eqs:
+                positive_solution(eqs)
+        assert len(calls) == 1 + bool(eqs)
+        for kwargs, res in calls:
+            assert res == oracle_lp_solve(**kwargs, eliminate=True)
+            nvars = len(kwargs["objective"])
+            obj = lp._coerce_row(kwargs["objective"], nvars)
+            rows = [lp._coerce_constraints(kwargs[k], nvars) for k in ("equalities", "less_equal")]
+            pivoted = _PivotedTableauWithEqualities(nvars, *rows)
+            repriced = _TableauWithEqualities(nvars, *rows)
+            status = pivoted.solve(obj)
+            assert status == repriced.solve(_objective_split(obj, nvars, repriced.ncols_struct))
+            if status == "optimal":
+                assert pivoted.witness() == repriced.witness()
 
 
 @settings(max_examples=300, deadline=None)
