@@ -5,7 +5,7 @@ Backtracking over images of a reference basis drawn from the minimal
 vectors, pruned by exact inner products; invariant fingerprints give
 fast provable negatives.  Desk scale (n <= 8) by design.  The same
 backtracking over images of an affine basis among a cell's vertices
-certifies the vertex orbits that the cell census walks through.
+certifies the orbits of vertex pairs that the cell census walks through.
 """
 
 from __future__ import annotations
@@ -167,19 +167,22 @@ def _first_image(candidates, fits, accept):
     return extend(0)
 
 
-def _vertex_orbits(f: QuadraticForm, cell):
-    """Vertex orbits of a cell under certified automorphisms: (orbits, maps).
+def _pair_orbits(f: QuadraticForm, cell):
+    """Orbits of the ordered pairs of distinct vertices of a cell under
+    certified automorphisms: (orbits, maps).
 
-    An affine basis b_0 = cell[0], b_1..b_d of the vertices is sent to
+    An affine basis b_0 = cell[0], b_1..b_d of the vertices (the greedy
+    one: the pivot columns of the edges b - b_0 as columns) is sent to
     vertices at the same pairwise f-distances.  A complete image u_0..u_d
     gives A = U.B^-1 (columns u_k - u_0 and b_k - b_0), accepted only if A
     is integral, A^T G A = G, and x -> A x + c with c = u_0 - A b_0 maps the
     vertex set onto itself.  Such a map is a lattice automorphism that
     preserves f and the cell, hence |det| of every sub-simplex.  One map
-    (A, c) is sought for each vertex not yet in the orbit of vertex 0, and
-    the vertex permutations of the accepted maps are unioned into orbits:
-    sorted index lists, ordered by their smallest index.  A cell that does
-    not span affinely gets singletons.
+    (A, c) is sought for each vertex not yet in the orbit of vertex 0.  The
+    vertex permutation of each accepted map joins, in one union-find, every
+    vertex i with perm[i] and every pair (r, s) with (perm[r], perm[s]).
+    Orbits are sorted lists of pairs, ordered by their smallest pair.  A
+    cell that does not span affinely gets singletons.
     """
     points = [tuple(p) for p in cell]
     m, d = len(points), f.n
@@ -194,17 +197,13 @@ def _vertex_orbits(f: QuadraticForm, cell):
 
     dist = [[norm(sub(p, q)) for q in points] for p in points]
     origin = points[0]
-    basis, edges = [0], []
-    for i in range(1, m):
-        trial = edges + [sub(points[i], origin)]
-        if linalg.rank(trial) == len(trial):
-            basis.append(i)
-            edges = trial
-            if len(edges) == d:
-                break
-    if len(edges) < d:
-        return [[i] for i in range(m)], []
-    b_inv = linalg.inverse(RationalMatrix(edges).transpose())
+    candidates = [sub(p, origin) for p in points[1:]]
+    pivots = linalg._echelon(list(zip(*candidates)))[0]
+    pairs = [(r, s) for r in range(m) for s in range(m) if r != s]
+    if len(pivots) < d:
+        return [[pair] for pair in pairs], []
+    basis = [0] + [j + 1 for j in pivots]
+    b_inv = linalg.inverse(RationalMatrix([candidates[j] for j in pivots]).transpose())
 
     def fits(images, cand):
         k = len(images)
@@ -224,11 +223,12 @@ def _vertex_orbits(f: QuadraticForm, cell):
             return None
         return a, c, perm
 
-    parent = list(range(m))
+    # vertex i is node i, the pair (r, s) is node m + r*m + s
+    parent = list(range(m + m * m))
 
     def root(i):
         while parent[i] != i:
-            i = parent[i]
+            parent[i] = i = parent[parent[i]]
         return i
 
     maps = []
@@ -241,9 +241,11 @@ def _vertex_orbits(f: QuadraticForm, cell):
             maps.append((a, c))
             for i, j in enumerate(perm):
                 parent[root(i)] = root(j)
+            for r, s in pairs:
+                parent[root(m + r * m + s)] = root(m + perm[r] * m + perm[s])
     orbits = {}
-    for i in range(m):
-        orbits.setdefault(root(i), []).append(i)
+    for r, s in pairs:
+        orbits.setdefault(root(m + r * m + s), []).append((r, s))
     return list(orbits.values()), maps
 
 

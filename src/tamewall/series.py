@@ -522,23 +522,28 @@ _CENSUS_CENTER = (Fraction(1, 3), 0, Fraction(-1, 3), -1, Fraction(-2, 3), Fract
 
 def _volume_histogram(points, orbits):
     """Histogram of |det| over all (d+1)-subsets of points in Z^d, walking
-    only the subsets through one representative per vertex orbit.
+    only the subsets through one representative per orbit of ordered pairs.
 
     |det| of the d x d edge matrix of a subset equals |det| of its d+1
-    homogeneous points (v, 1) in Z^(d+1).  For each orbit O with
-    representative r = O[0], a depth-first walk over the other points
-    extends (r, 1) to the subsets through r, carrying the exterior product
-    of the chosen prefix: its C(d+1, k) k x k minors, extended by one point
-    per level through a signed-term plan (Laplace expansion along the new
-    row).  At depth d the minors are the cofactors of the last row, so each
-    subset costs a (d+1)-term dot product.  A prefix whose minors all
-    vanish has a zero exterior product, so its whole subtree is counted as
-    volume 0.  Every vertex of O lies on as many subsets of each volume as
-    r when the orbits come from volume-preserving maps of the points, so
-    |O| times r's counts, summed over the orbits, count every subset once
-    per vertex: d + 1 times.  Singleton orbits give the exact full count.
+    homogeneous points (v, 1) in Z^(d+1).  For each orbit O of ordered
+    pairs of distinct indices with representative (r, s) = O[0], a
+    depth-first walk over the other points extends the exterior product of
+    (r, 1) and (s, 1) to the subsets through r and s, carrying the exterior
+    product of the chosen prefix: its C(d+1, k) k x k minors, extended by
+    one point per level through a signed-term plan (Laplace expansion
+    along the new row).  At depth d the minors are the cofactors of the
+    last row, so each subset costs a (d+1)-term dot product.  A prefix
+    whose minors all vanish has a zero exterior product, so its whole
+    subtree is counted as volume 0.  Every pair of O lies on as many
+    subsets of each volume as (r, s) when the orbits come from
+    volume-preserving maps of the points, so |O| times the counts of
+    (r, s), summed over the orbits, count every subset once per ordered
+    pair of its points: (d + 1) d times.  Singleton orbits give the exact
+    full count.
     """
     n = len(points[0]) + 1
+    if len(points) < n:
+        return {}
     rows = [(*p, 1) for p in points]
     levels = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
     # plans[k] maps the k-minors of a prefix and a new row to its (k+1)-minors:
@@ -557,36 +562,38 @@ def _volume_histogram(points, orbits):
         plans.append((itemgetter(*cols), itemgetter(*minors), k + 1))
     total = Counter()
     for orbit in orbits:
-        r = orbit[0]
-        others = rows[:r] + rows[r + 1:]
+        r, s = orbit[0]
+        # s first: the walk from (r, 1) takes s at depth 1 and never passes it
+        others = [rows[s], *(row for i, row in enumerate(rows) if i != r and i != s)]
         m = len(others)
         hist = Counter()
 
-        def walk(start, k, minors):
+        def walk(start, stop, k, minors):
             signed = [*minors, *map(neg, minors)]
             if k == n - 1:
                 # the last plan has one target, all columns in order: cofactors
                 cofactors = plans[k][1](signed)
-                hist.update(abs(sum(map(mul, cofactors, w))) for w in others[start:])
+                hist.update(abs(sum(map(mul, cofactors, w))) for w in others[start:stop])
                 return
             pick_cols, pick_minors, width = plans[k]
             terms = pick_minors(signed)
-            for i in range(start, m - (n - 1 - k)):
+            for i in range(start, stop):
                 products = list(map(mul, pick_cols(others[i]), terms))
                 extended = list(map(sum, zip(*[iter(products)] * width)))
                 if any(extended):
-                    walk(i + 1, k + 1, extended)
+                    walk(i + 1, m - (n - 2 - k), k + 1, extended)
                 else:
                     hist[0] += comb(m - i - 1, n - k - 1)
 
-        walk(0, 1, list(rows[r]))
+        walk(0, 1, 1, list(rows[r]))
         for volume, count in hist.items():
             total[volume] += len(orbit) * count
     histogram = {}
+    pairs = n * (n - 1)  # ordered pairs of points in one subset
     for volume, count in sorted(total.items()):
-        histogram[volume], rest = divmod(count, n)
+        histogram[volume], rest = divmod(count, pairs)
         if rest:
-            raise InvariantError(f"orbit-weighted count of volume {volume} is not a multiple of {n}")
+            raise InvariantError(f"orbit-weighted count of volume {volume} is not a multiple of {pairs}")
     return histogram
 
 
@@ -594,12 +601,13 @@ def gosset_census() -> GossetCensusReport:
     """Take the 27-vertex cell of the E6 fixture as the closest lattice
     vectors to its centre (see `_CENSUS_CENTER`) and count the relative
     volumes of all 7-point sub-simplexes (C(27,7) subsets), walking only
-    the subsets through one vertex per certified vertex orbit."""
+    the subsets through one ordered vertex pair per certified orbit of
+    pairs."""
     e6 = forms.standard_gram("E6")
     _, cell = closest_vectors(e6, _CENSUS_CENTER)
     if linalg.affine_rank(cell) != e6.n:
         raise InvariantError("closest vectors to the census centre do not span a cell")
-    orbits, _ = isometry._vertex_orbits(e6, cell)
+    orbits, _ = isometry._pair_orbits(e6, cell)
     hist = _volume_histogram(cell, orbits)
     nondegenerate = [v for v in hist if v > 0]
     max_vol = max(nondegenerate) if nondegenerate else 0
