@@ -14,8 +14,8 @@ from math import ceil, floor
 from . import kernels, linalg, lp
 from .enumeration import closest_vectors, first_interior_point, lattice_points_in_ellipsoid
 from .errors import InvariantError
-from .forms import QuadraticForm
-from .linalg import RationalMatrix, _frac
+from .forms import QuadraticForm, voronoi_image
+from .linalg import _frac
 from .vecset import canonical_set, dot, sub
 
 # find_level_vector searches level vectors p with every |p_i| at most this.
@@ -97,8 +97,8 @@ class InhomogeneousQuadratic:
     @classmethod
     def from_circumsphere(cls, f: QuadraticForm, center, r2):
         center = tuple(_frac(c) for c in center)
-        gc = f.gram.matvec(center)
-        linear = tuple(-2 * x for x in gc)
+        w, s = f.int_image(center)
+        linear = tuple(Fraction(-2 * t, s) for t in w)
         const = f.evaluate(center) - _frac(r2)
         return cls(f, linear, const)
 
@@ -129,25 +129,20 @@ class RadonTriangulations:
 def circumscribed_quadric(f: QuadraticForm, points) -> CircumscribedQuadric:
     """Center and squared radius of the quadric through the points, if any.
 
-    Solves 2(v_i - v_0).G.c = f(v_i) - f(v_0) exactly; an overdetermined
-    inconsistent system is a reported outcome, not an error.
+    Solves 2(v_i - v_0).G.c = f(v_i) - f(v_0) exactly, over den * G; an
+    overdetermined inconsistent system is a reported outcome, not an error.
     """
     pts = canonical_set(points)
     if len(pts) < 2:
         raise ValueError("need at least two points")
-    v0 = pts[0]
-    rows = []
-    rhs = []
-    f0 = f.evaluate(v0)
-    for v in pts[1:]:
-        d = sub(v, v0)
-        rows.append([2 * x for x in f.gram.matvec(d)])
-        rhs.append(f.evaluate(v) - f0)
-    sol = linalg.solve(RationalMatrix(rows), rhs)
+    images = [f.int_image(v)[0] for v in pts]  # den G v
+    norms = [dot(v, w) for v, w in zip(pts, images)]
+    rows = [[2 * (a - b) for a, b in zip(w, images[0])] for w in images[1:]]
+    sol = linalg.solve(rows, [q - norms[0] for q in norms[1:]])
     if sol.kind == "inconsistent":
         return CircumscribedQuadric("inconsistent")
     center = sol.particular
-    r2 = f.evaluate([a - b for a, b in zip(v0, center)])
+    r2 = f.evaluate([a - b for a, b in zip(pts[0], center)])
     return CircumscribedQuadric("ok", tuple(center), r2)
 
 
@@ -463,7 +458,6 @@ def perturbation_check(
     if bad:
         raise ValueError(f"phi_const does not vanish on cell vertex {bad[0]}")
 
-    n = f.n
     outside = [u for u in cell_pts if u not in set(sub_pts)]
     levels = {}
     for u in outside:
@@ -474,23 +468,17 @@ def perturbation_check(
             )
         levels[u] = p
 
-    gram_rows = [list(r) for r in f.gram.rows()]
+    gram = f.gram
     linear = list(phi_const.linear)
     const = phi_const.constant
     for u in outside:
         p = levels[u]
         pv = dot(p, u)
-        for i in range(n):
-            if p[i]:
-                for j in range(n):
-                    if p[j]:
-                        gram_rows[i][j] += alpha * p[i] * p[j]
-        coeff = -2 * pv - 3
-        for i in range(n):
-            linear[i] += alpha * coeff * p[i]
+        gram = gram + voronoi_image(p).scaled(alpha)
+        linear = [b + alpha * (-2 * pv - 3) * x for b, x in zip(linear, p)]
         const += alpha * (pv * pv + 3 * pv + 2)
 
-    phi = InhomogeneousQuadratic(QuadraticForm(RationalMatrix(gram_rows)), tuple(linear), const)
+    phi = InhomogeneousQuadratic(QuadraticForm(gram), tuple(linear), const)
     if not phi.quadratic.is_positive_definite:
         return PerturbationReport(phi, False, (), (), failure_reason="quadratic part not PD")
     center, r2 = phi.completed_square()

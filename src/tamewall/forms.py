@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import mul
 
-from . import linalg
+from . import kernels, linalg
 from .linalg import LinearSystemSolution, RationalMatrix, _frac
 from .vecset import dot
 
@@ -33,9 +34,11 @@ class FormParseError(ValueError):
 
 
 class QuadraticForm:
-    """Symmetric rational Gram matrix; value at an integer vector v is v.G.v"""
+    """Symmetric rational Gram matrix G (the view gram); value at an integer
+    vector v is v.G.v.  int_gram holds the integer rows of den * G, den the
+    lcm of G's denominators, so values are integer sums divided once."""
 
-    __slots__ = ("gram", "n")
+    __slots__ = ("gram", "n", "den", "int_gram")
 
     def __init__(self, gram):
         if not isinstance(gram, RationalMatrix):
@@ -44,33 +47,34 @@ class QuadraticForm:
             raise ValueError("a quadratic form needs a symmetric Gram matrix")
         self.gram = gram
         self.n = gram.nrows
+        self.int_gram, self.den = _cleared(gram.rows())
 
     @classmethod
     def identity(cls, n):
         return cls(RationalMatrix.identity(n))
 
-    def evaluate(self, v) -> Fraction:
+    def int_image(self, v):
+        """(w, s): G.v as the integer vector w over the integer scale s."""
         if len(v) != self.n:
             raise ValueError("vector dimension mismatch")
-        rows = self.gram.rows()
-        total = Fraction(0)
-        for i, vi in enumerate(v):
-            if vi == 0:
-                continue
-            row = rows[i]
-            total += vi * sum(row[j] * vj for j, vj in enumerate(v) if vj != 0)
-        return total
+        (x,), d = _cleared([v])
+        return [sum(map(mul, row, x)) for row in self.int_gram], self.den * d
+
+    def evaluate(self, v) -> Fraction:
+        return self.inner(v, v)
 
     def inner(self, u, v) -> Fraction:
         """Polarized value u.G.v"""
-        return dot(self.gram.matvec(v), u)
+        w, s = self.int_image(v)
+        (y,), d = _cleared([u])
+        return Fraction(dot(y, w), s * d)
 
     @property
     def is_positive_definite(self):
         return linalg.is_positive_definite(self.gram)
 
-    def determinant(self):
-        return linalg.det(self.gram)
+    def determinant(self) -> Fraction:
+        return Fraction(kernels.det_int(self.int_gram), self.den**self.n)
 
     def __eq__(self, other):
         return isinstance(other, QuadraticForm) and self.gram == other.gram
@@ -80,6 +84,12 @@ class QuadraticForm:
 
     def __repr__(self):
         return f"QuadraticForm({self.gram!r})"
+
+
+def _cleared(rows):
+    """(integer rows, d): the rows times d, the lcm of all their denominators."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
 
 
 def pairing(a: RationalMatrix, b: RationalMatrix) -> Fraction:

@@ -2,8 +2,10 @@
 automorphisms of a cell.
 
 Backtracking over images of a reference basis drawn from the minimal
-vectors, pruned by exact inner products; invariant fingerprints give
-fast provable negatives.  Desk scale (n <= 8) by design.  The same
+vectors, pruned by exact integer inner products; invariant fingerprints
+give fast provable negatives.  The cost lies in the enumerations (every
+vector up to a fingerprint's third value, and up to the largest reference
+norm) and in the backtracking tree they feed, not in n as such.  The same
 backtracking over images of an affine basis among a cell's vertices
 certifies the orbits of vertex pairs that the cell census walks through.
 """
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from . import linalg
@@ -106,28 +107,24 @@ def are_equivalent(a: QuadraticForm, b: QuadraticForm):
 
     n = a.n
     basis = _reference_basis(b)
-    b_mat = RationalMatrix(list(zip(*basis)))  # columns are the basis vectors
-    b_inv = linalg.inverse(b_mat)
-    target = b_mat.transpose().matmul(b.gram).matmul(b_mat).rows()  # B^T Gram(b) B
+    b_inv = linalg.inverse(RationalMatrix(list(zip(*basis))))  # B: the basis as columns
+    target = _congruence(basis, b.int_gram)  # b.den * B^T Gram(b) B
 
-    norm_needed = max(target[i][i] for i in range(n))
+    norm_needed = Fraction(max(target[i][i] for i in range(n)), b.den)
     by_norm = {}
     for v, val in vectors_up_to(a, norm_needed):
         by_norm.setdefault(val, []).extend([v, tuple(-x for x in v)])
     for val in by_norm:
         by_norm[val].sort()
 
-    # Gram(a) and the targets over one common denominator, so that pruning
-    # compares integer dot products with the precomputed G.v of a candidate.
-    den = lcm(*(x.denominator for row in (*a.gram.rows(), *target) for x in row))
-    gram = [[int(x * den) for x in row] for row in a.gram.rows()]
-    goal = [[int(x * den) for x in row] for row in target]
+    # u.Gram(a).cand against the target, over the denominator a.den * b.den
+    goal = [[a.den * x for x in row] for row in target]
     images = {}
 
     def fits(chosen, cand):
         g_cand = images.get(cand)
         if g_cand is None:
-            g_cand = images[cand] = [sum(map(mul, row, cand)) for row in gram]
+            g_cand = images[cand] = [b.den * sum(map(mul, row, cand)) for row in a.int_gram]
         level = len(chosen)
         return all(sum(map(mul, u, g_cand)) == goal[j][level] for j, u in enumerate(chosen))
 
@@ -138,11 +135,18 @@ def are_equivalent(a: QuadraticForm, b: QuadraticForm):
         u = RationalMatrix(ints)
         if linalg.det(u) not in (1, -1):
             return None
-        if u.transpose().matmul(a.gram).matmul(u) != b.gram:
+        image = _congruence(list(zip(*ints)), a.int_gram)
+        if any(x * b.den != y * a.den for ra, rb in zip(image, b.int_gram) for x, y in zip(ra, rb)):
             raise InvariantError("unimodular witness fails the Gram identity")
         return u
 
-    return _first_image([by_norm.get(target[k][k], ()) for k in range(n)], fits, accept)
+    return _first_image([by_norm.get(Fraction(target[k][k], b.den), ()) for k in range(n)], fits, accept)
+
+
+def _congruence(columns, rows):
+    """U^T R U in integers, for U given by its columns and R by its rows."""
+    r_cols = [[sum(map(mul, row, col)) for row in rows] for col in columns]
+    return tuple(tuple(sum(map(mul, u, rc)) for rc in r_cols) for u in columns)
 
 
 def _first_image(candidates, fits, accept):
@@ -189,11 +193,9 @@ def _pair_orbits(f: QuadraticForm, cell):
     index = {p: i for i, p in enumerate(points)}
     if len(index) != m:
         raise ValueError("cell vertices must be distinct")
-    den = lcm(*(x.denominator for row in f.gram.rows() for x in row))
-    gram = [[int(x * den) for x in row] for row in f.gram.rows()]
 
     def norm(e):
-        return sum(x * sum(map(mul, row, e)) for x, row in zip(e, gram))
+        return sum(x * sum(map(mul, row, e)) for x, row in zip(e, f.int_gram))
 
     dist = [[norm(sub(p, q)) for q in points] for p in points]
     origin = points[0]
@@ -214,8 +216,7 @@ def _pair_orbits(f: QuadraticForm, cell):
         a = u.transpose().matmul(b_inv).to_int_rows()
         if a is None:
             return None
-        a_mat = RationalMatrix(a)
-        if a_mat.transpose().matmul(f.gram).matmul(a_mat) != f.gram:
+        if _congruence(list(zip(*a)), f.int_gram) != f.int_gram:
             return None
         c = sub(points[images[0]], [sum(map(mul, row, origin)) for row in a])
         perm = [index.get(tuple(sum(map(mul, row, p)) + s for row, s in zip(a, c))) for p in points]

@@ -144,9 +144,6 @@ def det(matrix: RationalMatrix) -> Fraction:
     """Exact determinant via fraction-free elimination."""
     if not matrix.is_square:
         raise ValueError("determinant requires a square matrix")
-    ints = matrix.to_int_rows()
-    if ints is not None:
-        return Fraction(kernels.det_int(ints))
     # Clear denominators row by row; det scales by the product of the factors.
     factor = 1
     rows = []

@@ -398,6 +398,18 @@ def test_perturb_command(capsys, tmp_path):
     }
 
 
+def test_perturb_form_and_cell_of_different_dimensions_is_input_error(capsys, tmp_path):
+    code, payload = _perturb_json(
+        capsys,
+        tmp_path,
+        QuadraticForm.identity(3),
+        [(0, 0), (1, 0), (0, 1), (1, 1)],
+        [(0, 0), (1, 0), (1, 1)],
+    )
+    assert code == 2
+    assert payload == {"command": "perturb", "status": "error", "error": "vector dimension mismatch"}
+
+
 # Level vectors of the E6-cell vertices outside its first 7, in the search
 # order of find_level_vector.
 E6_SUBSET_LEVEL_VECTORS = {

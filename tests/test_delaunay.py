@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tamewall import delaunay, lp
+from tamewall import delaunay, linalg, lp
 from tamewall.delaunay import (
+    CircumscribedQuadric,
     InhomogeneousQuadratic,
     NonGenericPointError,
     circumscribed_quadric,
@@ -22,6 +23,9 @@ from tamewall.errors import InvariantError
 from tamewall.forms import QuadraticForm, standard_gram, tf_form, wall_interior_form
 from tamewall.series import r_n_vertices, s_n_vertices, tw_normal
 from tamewall.linalg import RationalMatrix, rank
+from tamewall.vecset import canonical_set, sub
+
+from test_forms import fraction_evaluate, symmetric_forms
 
 UNIT_SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
@@ -39,6 +43,50 @@ def test_circumscribed_r6_wall_form_consistent():
 
 def test_circumscribed_r6_off_wall_inconsistent():
     assert circumscribed_quadric(tf_form(6), r_n_vertices(6)).status == "inconsistent"
+
+
+def fraction_circumscribed_quadric(f, points):
+    """The centre solve on Fraction rows 2 G (v - v_0) and Fraction values."""
+    pts = canonical_set(points)
+    if len(pts) < 2:
+        raise ValueError("need at least two points")
+    v0 = pts[0]
+    f0 = fraction_evaluate(f, v0)
+    rows = [[2 * x for x in f.gram.matvec(sub(v, v0))] for v in pts[1:]]
+    rhs = [fraction_evaluate(f, v) - f0 for v in pts[1:]]
+    sol = linalg.solve(RationalMatrix(rows), rhs)
+    if sol.kind == "inconsistent":
+        return CircumscribedQuadric("inconsistent")
+    center = sol.particular
+    return CircumscribedQuadric("ok", tuple(center), fraction_evaluate(f, [a - b for a, b in zip(v0, center)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_circumscribed_quadric_matches_fraction_oracle(data):
+    f = data.draw(symmetric_forms(max_n=4))
+    point = st.tuples(*[st.integers(-3, 3)] * f.n)
+    pts = data.draw(st.lists(point, min_size=2, max_size=f.n + 3, unique=True))
+    quad = circumscribed_quadric(f, pts)
+    assert quad == fraction_circumscribed_quadric(f, pts)
+    if quad.status == "ok":
+        phi = InhomogeneousQuadratic.from_circumsphere(f, quad.center, quad.r2)
+        assert phi.linear == tuple(-2 * x for x in f.gram.matvec(quad.center))
+        assert phi.constant == fraction_evaluate(f, quad.center) - quad.r2
+        assert all(phi.evaluate(v) == 0 for v in pts)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0, 0), (1, 0), (0, 1)],  # every point one coordinate short
+        [(0, 0, 0), (1, 0, 0), (0, 1)],  # one point short
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0, 0)],  # one point long
+    ],
+)
+def test_circumscribed_quadric_rejects_points_of_another_dimension(points):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        circumscribed_quadric(QuadraticForm.identity(3), points)
 
 
 def test_is_delaunay_cell_unit_square():

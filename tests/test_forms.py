@@ -1,11 +1,12 @@
 """Form constructors, the rank-1 map, recovery from norms, fixtures, IO."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tamewall import forms
+from tamewall import forms, linalg
 from tamewall.enumeration import arithmetic_minimum
 from tamewall.forms import (
     QuadraticForm,
@@ -33,6 +34,93 @@ def test_evaluate_identity_unit_vector():
 def test_evaluate_dimension_mismatch():
     with pytest.raises(ValueError):
         QuadraticForm.identity(2).evaluate((1, 0, 0))
+
+
+# -- the integer Gram against the Fraction code it replaced ------------------
+
+def fraction_evaluate(f, v):
+    """v.G.v as a sum of Fraction products over the rational Gram."""
+    if len(v) != f.n:
+        raise ValueError("vector dimension mismatch")
+    rows = f.gram.rows()
+    total = F(0)
+    for i, vi in enumerate(v):
+        if vi == 0:
+            continue
+        row = rows[i]
+        total += vi * sum(row[j] * vj for j, vj in enumerate(v) if vj != 0)
+    return total
+
+
+def fraction_inner(f, u, v):
+    """u.G.v through a Fraction matvec."""
+    return sum(a * b for a, b in zip(f.gram.matvec(v), u))
+
+
+def fraction_determinant(f):
+    """det G, clearing G's denominators row by row inside linalg.det."""
+    return linalg.det(f.gram)
+
+
+_ENTRIES = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def symmetric_forms(draw, max_n=5):
+    """A form with a random symmetric rational Gram (not always PD)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(_ENTRIES)
+    return QuadraticForm(RationalMatrix(rows))
+
+
+def _vectors(n):
+    return st.one_of(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7), min_size=n, max_size=n),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_gram_matches_fraction_oracles(data):
+    f = data.draw(symmetric_forms())
+    u = data.draw(_vectors(f.n))
+    v = data.draw(_vectors(f.n))
+    assert f.evaluate(v) == fraction_evaluate(f, v)
+    assert f.inner(u, v) == fraction_inner(f, u, v)
+    w, s = f.int_image(v)
+    assert all(isinstance(t, int) for t in (*w, s))
+    assert tuple(F(t, s) for t in w) == f.gram.matvec(v)
+    assert f.determinant() == fraction_determinant(f)
+    assert all(isinstance(x, F) for x in (f.evaluate(v), f.inner(u, v), f.determinant()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_forms())
+def test_integer_gram_is_reduced_over_its_denominator(f):
+    assert gcd(f.den, *(x for row in f.int_gram for x in row)) == 1
+    assert all(isinstance(x, int) for row in f.int_gram for x in row)
+    assert [[F(x, f.den) for x in row] for row in f.int_gram] == [list(row) for row in f.gram.rows()]
+
+
+@pytest.mark.parametrize(
+    "f, den",
+    [(tf_form(6), 4), (tf_form(7), 6), (dn_neighbor_form(6), 2), (standard_gram("E6"), 1)],
+)
+def test_paper_forms_carry_small_denominators(f, den):
+    assert f.den == den
+    assert f.determinant() == linalg.det(f.gram)
+
+
+def test_inner_dimension_mismatch():
+    f = QuadraticForm.identity(2)
+    with pytest.raises(ValueError):
+        f.inner((1, 0), (1, 0, 0))
+    with pytest.raises(ValueError):
+        f.inner((1, 0, 0), (1, 0))
 
 
 def test_tf5_frozen_entries():

@@ -115,6 +115,26 @@ def test_no_bare_builtin_errors_raised_in_package():
     assert _nodes_where(_raises_bare_error) == []
 
 
+# The modules that own a denominator: forms the Gram's (int_gram over den),
+# linalg the elimination rows', enumeration the LDL scaling's.
+_LCM_OWNERS = {"forms.py", "linalg.py", "enumeration.py"}
+
+
+def _uses_lcm(node):
+    if isinstance(node, ast.ImportFrom):
+        return any(a.name == "lcm" for a in node.names)
+    return (isinstance(node, ast.Name) and node.id == "lcm") or (
+        isinstance(node, ast.Attribute) and node.attr == "lcm"
+    )
+
+
+def test_lcm_only_where_denominators_are_owned():
+    # Any other module reads a form's integer Gram and its one denominator
+    # instead of clearing denominators itself.
+    found = [site for site in _nodes_where(_uses_lcm) if site.split(":")[0] not in _LCM_OWNERS]
+    assert found == []
+
+
 def test_source_rules_catch_what_they_forbid():
     bad = ast.parse(
         "import functools\n"
@@ -129,7 +149,10 @@ def test_source_rules_catch_what_they_forbid():
         "    raise ArithmeticError('codimension')\n"
         "    raise InvariantError('typed')\n"
         "    raise\n"
+        "from math import lcm\n"
+        "den = math.lcm(2, lcm(3, 4))\n"
     )
     assert sum(map(_is_functools_cache, ast.walk(bad))) == 2
     assert _mutable_globals(bad) == [3, 4, 5]
     assert [node.lineno for node in ast.walk(bad) if _raises_bare_error(node)] == [10]
+    assert sorted(node.lineno for node in ast.walk(bad) if _uses_lcm(node)) == [13, 14, 14]
