@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from operator import mul
 
 from . import kernels, linalg
@@ -47,26 +47,33 @@ class QuadraticForm:
             raise ValueError("a quadratic form needs a symmetric Gram matrix")
         self.gram = gram
         self.n = gram.nrows
-        self.int_gram, self.den = _cleared(gram.rows())
+        self.int_gram, self.den = linalg.cleared(gram.rows())
 
     @classmethod
     def identity(cls, n):
         return cls(RationalMatrix.identity(n))
 
-    def int_image(self, v):
-        """(w, s): G.v as the integer vector w over the integer scale s."""
+    def _cleared(self, v):
+        """(x, d): the vector v as the integer vector x over the integer d."""
         if len(v) != self.n:
             raise ValueError("vector dimension mismatch")
-        (x,), d = _cleared([v])
+        (x,), d = linalg.cleared([v])
+        return x, d
+
+    def int_image(self, v):
+        """(w, s): G.v as the integer vector w over the integer scale s."""
+        x, d = self._cleared(v)
         return [sum(map(mul, row, x)) for row in self.int_gram], self.den * d
 
     def evaluate(self, v) -> Fraction:
-        return self.inner(v, v)
+        x, d = self._cleared(v)
+        total = sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, self.int_gram) if xi)
+        return Fraction(total, self.den * d * d)
 
     def inner(self, u, v) -> Fraction:
         """Polarized value u.G.v"""
         w, s = self.int_image(v)
-        (y,), d = _cleared([u])
+        y, d = self._cleared(u)
         return Fraction(dot(y, w), s * d)
 
     @property
@@ -84,12 +91,6 @@ class QuadraticForm:
 
     def __repr__(self):
         return f"QuadraticForm({self.gram!r})"
-
-
-def _cleared(rows):
-    """(integer rows, d): the rows times d, the lcm of all their denominators."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
 
 
 def pairing(a: RationalMatrix, b: RationalMatrix) -> Fraction:

@@ -140,18 +140,19 @@ class LinearSystemSolution:
         return self.kind == "unique"
 
 
+def cleared(rows):
+    """(integer rows, d): the rational rows times d, the lcm of all their
+    denominators."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
+
+
 def det(matrix: RationalMatrix) -> Fraction:
     """Exact determinant via fraction-free elimination."""
     if not matrix.is_square:
         raise ValueError("determinant requires a square matrix")
-    # Clear denominators row by row; det scales by the product of the factors.
-    factor = 1
-    rows = []
-    for row in matrix.rows():
-        mult = lcm(*(x.denominator for x in row))
-        factor *= mult
-        rows.append([int(x * mult) for x in row])
-    return Fraction(kernels.det_int(rows), factor)
+    rows, d = cleared(matrix.rows())
+    return Fraction(kernels.det_int(rows), d**matrix.nrows)
 
 
 def _primitive(row):
@@ -164,8 +165,8 @@ def primitive_row(row):
     """The primitive integer row on the ray of a rational row: its
     denominators cleared by their lcm, then divided by the gcd of the
     entries.  The sign is kept, so callers fix their own orientation."""
-    den = lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (den // x.denominator) for x in row])
+    (ints,), _ = cleared([row])
+    return _primitive(list(ints))
 
 
 def _eliminate(row, pivot_row, c):

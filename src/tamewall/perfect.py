@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lp
-from .enumeration import MinimumReport, arithmetic_minimum
+from .enumeration import arithmetic_minimum
 from .errors import InvariantError
 from .forms import (
     QuadraticForm,
@@ -21,15 +21,14 @@ class PerfectionReport:
     """Rank of the minimal-vector images inside Sym(n).
 
     reconstruction is the unique form taking the value 1 on every minimal
-    vector (f divided by its minimum) when f is perfect, else None.  minimum
-    is the arithmetic minimum the test was taken from."""
+    vector (f divided by its minimum) when f is perfect, else None.
+    """
 
     rank: int
     sym_dim: int
     minimal_pair_count: int
     is_perfect: bool
     reconstruction: QuadraticForm | None
-    minimum: MinimumReport
 
 
 def perfection_report(f: QuadraticForm) -> PerfectionReport:
@@ -48,7 +47,7 @@ def perfection_report(f: QuadraticForm) -> PerfectionReport:
     big_n = sym_dimension(f.n)
     rk = big_n - len(sol.nullspace)
     recon = form_from_solution(sol, f.n) if sol.is_unique else None
-    return PerfectionReport(rk, big_n, report.pair_count, rk == big_n, recon, report)
+    return PerfectionReport(rk, big_n, report.pair_count, rk == big_n, recon)
 
 
 def is_eutactic(f: QuadraticForm):

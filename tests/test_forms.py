@@ -1,12 +1,12 @@
 """Form constructors, the rank-1 map, recovery from norms, fixtures, IO."""
 
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tamewall import forms, linalg
+from tamewall import forms, kernels, linalg
 from tamewall.enumeration import arithmetic_minimum
 from tamewall.forms import (
     QuadraticForm,
@@ -58,8 +58,14 @@ def fraction_inner(f, u, v):
 
 
 def fraction_determinant(f):
-    """det G, clearing G's denominators row by row inside linalg.det."""
-    return linalg.det(f.gram)
+    """det G with G's denominators cleared row by row, one factor per row."""
+    factor = 1
+    rows = []
+    for row in f.gram.rows():
+        mult = lcm(*(x.denominator for x in row))
+        factor *= mult
+        rows.append([int(x * mult) for x in row])
+    return F(kernels.det_int(rows), factor)
 
 
 _ENTRIES = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -94,7 +100,7 @@ def test_integer_gram_matches_fraction_oracles(data):
     w, s = f.int_image(v)
     assert all(isinstance(t, int) for t in (*w, s))
     assert tuple(F(t, s) for t in w) == f.gram.matvec(v)
-    assert f.determinant() == fraction_determinant(f)
+    assert f.determinant() == fraction_determinant(f) == linalg.det(f.gram)
     assert all(isinstance(x, F) for x in (f.evaluate(v), f.inner(u, v), f.determinant()))
 
 
@@ -112,7 +118,7 @@ def test_integer_gram_is_reduced_over_its_denominator(f):
 )
 def test_paper_forms_carry_small_denominators(f, den):
     assert f.den == den
-    assert f.determinant() == linalg.det(f.gram)
+    assert f.determinant() == fraction_determinant(f) == linalg.det(f.gram)
 
 
 def test_inner_dimension_mismatch():

@@ -115,9 +115,10 @@ def test_no_bare_builtin_errors_raised_in_package():
     assert _nodes_where(_raises_bare_error) == []
 
 
-# The modules that own a denominator: forms the Gram's (int_gram over den),
-# linalg the elimination rows', enumeration the LDL scaling's.
-_LCM_OWNERS = {"forms.py", "linalg.py", "enumeration.py"}
+# The modules that clear denominators: linalg (linalg.cleared, which gives a
+# form its int_gram over den, and the elimination rows), enumeration (the
+# LDL scaling).
+_LCM_OWNERS = {"linalg.py", "enumeration.py"}
 
 
 def _uses_lcm(node):
