@@ -7,13 +7,16 @@ give fast provable negatives.  The cost lies in the enumerations (every
 vector up to a fingerprint's third value, and up to the largest reference
 norm) and in the backtracking tree they feed, not in n as such.  The same
 backtracking over images of an affine basis among a cell's vertices
-certifies the orbits of vertex pairs that the cell census walks through.
+certifies the orbits of unordered vertex triples that the cell census
+walks through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from operator import mul
 
 from . import linalg
@@ -171,8 +174,8 @@ def _first_image(candidates, fits, accept):
     return extend(0)
 
 
-def _pair_orbits(f: QuadraticForm, cell):
-    """Orbits of the ordered pairs of distinct vertices of a cell under
+def _triple_orbits(f: QuadraticForm, cell):
+    """Orbits of the unordered triples of distinct vertices of a cell under
     certified automorphisms: (orbits, maps).
 
     An affine basis b_0 = cell[0], b_1..b_d of the vertices (the greedy
@@ -184,8 +187,10 @@ def _pair_orbits(f: QuadraticForm, cell):
     preserves f and the cell, hence |det| of every sub-simplex.  One map
     (A, c) is sought for each vertex not yet in the orbit of vertex 0.  The
     vertex permutation of each accepted map joins, in one union-find, every
-    vertex i with perm[i] and every pair (r, s) with (perm[r], perm[s]).
-    Orbits are sorted lists of pairs, ordered by their smallest pair.  A
+    vertex i with perm[i] and every triple x < y < z with the sorted image
+    of (perm[x], perm[y], perm[z]); a triple's node is its rank
+    x + C(y, 2) + C(z, 3) in the combinatorial number system.  Orbits are
+    sorted lists of sorted triples, ordered by their smallest triple.  A
     cell that does not span affinely gets singletons.
     """
     points = [tuple(p) for p in cell]
@@ -201,9 +206,8 @@ def _pair_orbits(f: QuadraticForm, cell):
     origin = points[0]
     candidates = [sub(p, origin) for p in points[1:]]
     pivots = linalg._echelon(list(zip(*candidates)))[0]
-    pairs = [(r, s) for r in range(m) for s in range(m) if r != s]
     if len(pivots) < d:
-        return [[pair] for pair in pairs], []
+        return [[t] for t in combinations(range(m), 3)], []
     basis = [0] + [j + 1 for j in pivots]
     b_inv = linalg.inverse(RationalMatrix([candidates[j] for j in pivots]).transpose())
 
@@ -224,8 +228,10 @@ def _pair_orbits(f: QuadraticForm, cell):
             return None
         return a, c, perm
 
-    # vertex i is node i, the pair (r, s) is node m + r*m + s
-    parent = list(range(m + m * m))
+    # vertex i is node i, the triple x < y < z is node m + x + C(y, 2) + C(z, 3)
+    pair_rank = [comb(b, 2) for b in range(m)]
+    triple_rank = [m + comb(c, 3) for c in range(m)]
+    parent = list(range(m + comb(m, 3)))
 
     def root(i):
         while parent[i] != i:
@@ -242,11 +248,24 @@ def _pair_orbits(f: QuadraticForm, cell):
             maps.append((a, c))
             for i, j in enumerate(perm):
                 parent[root(i)] = root(j)
-            for r, s in pairs:
-                parent[root(m + r * m + s)] = root(m + perm[r] * m + perm[s])
+            node = m  # the triples in colex order, rank by rank
+            for z in range(m):
+                for y in range(z):
+                    lo, hi = sorted((perm[y], perm[z]))
+                    for x in range(y):
+                        # the rank of the sorted image, with perm[x] put in place
+                        p = perm[x]
+                        if p < lo:
+                            image = p + pair_rank[lo] + triple_rank[hi]
+                        elif p < hi:
+                            image = lo + pair_rank[p] + triple_rank[hi]
+                        else:
+                            image = lo + pair_rank[hi] + triple_rank[p]
+                        parent[root(node)] = root(image)
+                        node += 1
     orbits = {}
-    for r, s in pairs:
-        orbits.setdefault(root(m + r * m + s), []).append((r, s))
+    for x, y, z in combinations(range(m), 3):
+        orbits.setdefault(root(x + pair_rank[y] + triple_rank[z]), []).append((x, y, z))
     return list(orbits.values()), maps
 
 

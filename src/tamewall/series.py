@@ -291,7 +291,7 @@ def parse_family(pattern: str, n: int) -> FamilyPattern:
         inner = count_src[1:-1] if count_src.startswith("{") else count_src
         declared = _eval_count(inner, n)
 
-    segments = []
+    runs = []  # per segment, its (value, repeat count) pairs
     for seg_src in body.split(";"):
         seg_src = seg_src.strip()
         if not seg_src:
@@ -312,14 +312,16 @@ def parse_family(pattern: str, n: int) -> FamilyPattern:
                 if rep_val.denominator != 1 or rep_val < 0:
                     raise FamilyParseError(f"exponent must be a nonnegative integer: {item!r}")
                 rep = int(rep_val)
-            entries.extend([value] * rep)
-        segments.append(tuple(entries))
+            entries.append((value, rep))
+        runs.append(entries)
 
-    total_len = sum(len(s) for s in segments)
+    # the length is checked before anything is expanded: m^k may be huge
+    total_len = sum(rep for entries in runs for _, rep in entries)
     if total_len != n:
         raise FamilyParseError(
             f"entries expand to length {total_len}, expected the dimension {n}"
         )
+    segments = [tuple(value for value, rep in entries for _ in range(rep)) for entries in runs]
     vectors = set()
     per_segment = [_distinct_permutations(seg) for seg in segments]
     for combo in itertools.product(*per_segment):
@@ -522,28 +524,35 @@ _CENSUS_CENTER = (Fraction(1, 3), 0, Fraction(-1, 3), -1, Fraction(-2, 3), Fract
 
 def _volume_histogram(points, orbits):
     """Histogram of |det| over all (d+1)-subsets of points in Z^d, walking
-    only the subsets through one representative per orbit of ordered pairs.
+    only the subsets through one representative per orbit of k-subsets.
 
-    |det| of the d x d edge matrix of a subset equals |det| of its d+1
-    homogeneous points (v, 1) in Z^(d+1).  For each orbit O of ordered
-    pairs of distinct indices with representative (r, s) = O[0], a
-    depth-first walk over the other points extends the exterior product of
-    (r, 1) and (s, 1) to the subsets through r and s, carrying the exterior
-    product of the chosen prefix: its C(d+1, k) k x k minors, extended by
-    one point per level through a signed-term plan (Laplace expansion
-    along the new row).  At depth d the minors are the cofactors of the
-    last row, so each subset costs a (d+1)-term dot product.  A prefix
-    whose minors all vanish has a zero exterior product, so its whole
-    subtree is counted as volume 0.  Every pair of O lies on as many
-    subsets of each volume as (r, s) when the orbits come from
-    volume-preserving maps of the points, so |O| times the counts of
-    (r, s), summed over the orbits, count every subset once per ordered
-    pair of its points: (d + 1) d times.  Singleton orbits give the exact
-    full count.
+    The orbits partition the k-subsets of indices for one k, 1 <= k <= d+1
+    (ValueError otherwise).  |det| of the d x d edge matrix of a subset
+    equals |det| of its d+1 homogeneous points (v, 1) in Z^(d+1).  For each
+    orbit O with representative R = O[0], the exterior product of R's k
+    rows is built through a signed-term plan per level (its C(d+1, j) j x j
+    minors extended by one row at a time: Laplace expansion along the new
+    row), and a depth-first walk over the other points extends it to the
+    subsets through R, carrying the exterior product of the chosen prefix.
+    At depth d the minors are the cofactors of the last row, so each
+    subset costs a (d+1)-term dot product.  A prefix whose minors all
+    vanish has a zero exterior product, so all its completions (C(m - k,
+    d + 1 - k) for R itself) are counted as volume 0.  Every member of O
+    lies on as many subsets of each volume as R when the orbits come from
+    volume-preserving maps of the points, so |O| times the counts of R,
+    summed over the orbits, count every subset once per k-subset of its
+    points: C(d + 1, k) times; a division that is not exact is an
+    InvariantError.  Singleton orbits give the exact full count.
     """
     n = len(points[0]) + 1
     if len(points) < n:
         return {}
+    arities = {len(subset) for orbit in orbits for subset in orbit}
+    arity = arities.pop() if len(arities) == 1 else 0
+    if not 1 <= arity <= n:
+        raise ValueError(f"orbits must hold index subsets of one size between 1 and {n}")
+    if sum(map(len, orbits)) != comb(len(points), arity):
+        raise ValueError(f"orbits must partition the {arity}-subsets of the points")
     rows = [(*p, 1) for p in points]
     levels = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
     # plans[k] maps the k-minors of a prefix and a new row to its (k+1)-minors:
@@ -560,40 +569,53 @@ def _volume_histogram(points, orbits):
                 cols.append(col)
                 minors.append(i if (k - pos) % 2 == 0 else i + size)
         plans.append((itemgetter(*cols), itemgetter(*minors), k + 1))
+
+    def signed_terms(k, minors):
+        return plans[k][1]([*minors, *map(neg, minors)])
+
+    def extend(k, terms, row):
+        pick_cols, _, width = plans[k]
+        products = list(map(mul, pick_cols(row), terms))
+        return list(map(sum, zip(*[iter(products)] * width)))
+
     total = Counter()
     for orbit in orbits:
-        r, s = orbit[0]
-        # s first: the walk from (r, 1) takes s at depth 1 and never passes it
-        others = [rows[s], *(row for i, row in enumerate(rows) if i != r and i != s)]
+        rep = orbit[0]
+        others = [row for i, row in enumerate(rows) if i not in rep]
         m = len(others)
         hist = Counter()
 
-        def walk(start, stop, k, minors):
-            signed = [*minors, *map(neg, minors)]
+        def walk(start, k, minors):
             if k == n - 1:
                 # the last plan has one target, all columns in order: cofactors
-                cofactors = plans[k][1](signed)
-                hist.update(abs(sum(map(mul, cofactors, w))) for w in others[start:stop])
+                cofactors = signed_terms(k, minors)
+                hist.update(abs(sum(map(mul, cofactors, w))) for w in others[start:])
                 return
-            pick_cols, pick_minors, width = plans[k]
-            terms = pick_minors(signed)
-            for i in range(start, stop):
-                products = list(map(mul, pick_cols(others[i]), terms))
-                extended = list(map(sum, zip(*[iter(products)] * width)))
+            prefix = signed_terms(k, minors)
+            for i in range(start, m - (n - 1 - k)):
+                extended = extend(k, prefix, others[i])
                 if any(extended):
-                    walk(i + 1, m - (n - 2 - k), k + 1, extended)
+                    walk(i + 1, k + 1, extended)
                 else:
                     hist[0] += comb(m - i - 1, n - k - 1)
 
-        walk(0, 1, 1, list(rows[r]))
+        minors = list(rows[rep[0]])
+        for k, i in enumerate(rep[1:], 1):
+            minors = extend(k, signed_terms(k, minors), rows[i])
+        if not any(minors):
+            hist[0] += comb(m, n - arity)
+        elif arity == n:
+            hist[abs(minors[0])] += 1
+        else:
+            walk(0, arity, minors)
         for volume, count in hist.items():
             total[volume] += len(orbit) * count
     histogram = {}
-    pairs = n * (n - 1)  # ordered pairs of points in one subset
+    per_subset = comb(n, arity)  # arity-subsets of one subset's points
     for volume, count in sorted(total.items()):
-        histogram[volume], rest = divmod(count, pairs)
+        histogram[volume], rest = divmod(count, per_subset)
         if rest:
-            raise InvariantError(f"orbit-weighted count of volume {volume} is not a multiple of {pairs}")
+            raise InvariantError(f"orbit-weighted count of volume {volume} is not a multiple of {per_subset}")
     return histogram
 
 
@@ -601,13 +623,14 @@ def gosset_census() -> GossetCensusReport:
     """Take the 27-vertex cell of the E6 fixture as the closest lattice
     vectors to its centre (see `_CENSUS_CENTER`) and count the relative
     volumes of all 7-point sub-simplexes (C(27,7) subsets), walking only
-    the subsets through one ordered vertex pair per certified orbit of
-    pairs."""
+    the subsets through one unordered vertex triple per certified orbit of
+    triples: the 45 tritangent triples and three orbits of 720, 1080 and
+    1080, so 4 C(24,4) leaf subsets instead of C(27,7)."""
     e6 = forms.standard_gram("E6")
     _, cell = closest_vectors(e6, _CENSUS_CENTER)
     if linalg.affine_rank(cell) != e6.n:
         raise InvariantError("closest vectors to the census centre do not span a cell")
-    orbits, _ = isometry._pair_orbits(e6, cell)
+    orbits, _ = isometry._triple_orbits(e6, cell)
     hist = _volume_histogram(cell, orbits)
     nondegenerate = [v for v in hist if v > 0]
     max_vol = max(nondegenerate) if nondegenerate else 0

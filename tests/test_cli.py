@@ -165,6 +165,15 @@ def test_family_count_mismatch_exit1(capsys):
     assert payload["actual"] == 20
 
 
+def test_family_overlong_repeat_is_an_input_error(capsys):
+    # the expanded length is checked before 10^11 entries are built
+    message = "entries expand to length 100000000000, expected the dimension 5"
+    code, payload = run_json(capsys, "family", "[1^99999999999,0]", "5")
+    assert code == 2 and payload["error"] == message
+    code, out, err = run_main(capsys, "family", "[1^99999999999,0]", "5")
+    assert code == 2 and out == "" and f"error: {message}" in err
+
+
 def test_delaunay_check(capsys, tmp_path):
     form = tmp_path / "wall6.form"
     form.write_text(format_form(forms.wall_interior_form(6)))
