@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from dataclasses import dataclass
@@ -468,12 +469,23 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     result = _dispatch(args)
     out = sys.stdout if result.status in ("verified", "refuted") else sys.stderr
-    if args.json:
-        payload = {"command": result.command, "status": result.status, **result.payload}
-        payload.pop("text", None)
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        _render_text(result, out)
+    try:
+        if args.json:
+            payload = {"command": result.command, "status": result.status, **result.payload}
+            payload.pop("text", None)
+            print(json.dumps(payload, indent=2), file=out)
+        else:
+            _render_text(result, out)
+        out.flush()
+    except BrokenPipeError:
+        # The reader went away (`tamewall ... | head`).  The stream is
+        # pointed at os.devnull so the flush at exit cannot fail again, and
+        # the exit code is the shell's for SIGPIPE: not 1, which means
+        # "refuted".
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return 141
     return result.exit_code
 
 

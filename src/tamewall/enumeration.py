@@ -1,8 +1,9 @@
 """Exact enumeration of lattice vectors by norm.
 
-Depth-first bounded coordinate enumeration (Fincke-Pohst) driven by an
-exact rational LDL^T factorization of the Gram matrix.  Each call scales
-the factorization, the centre and the bound to integers once; after that
+Depth-first bounded coordinate enumeration (Fincke-Pohst) driven by the
+exact rational LDL^T factorization of the Gram matrix, which the form
+computes once and keeps (QuadraticForm.ldl).  Each call scales the
+factorization, the centre and the bound to integers once; after that
 every node works in integers only: its shifted centre is an integer sum
 over the coordinates already fixed, its interval comes from one integer
 square root, and partial costs are integer multiples of one common
@@ -28,7 +29,6 @@ from fractions import Fraction
 from math import floor, isqrt, lcm
 from operator import mul
 
-from . import linalg
 from .forms import QuadraticForm
 from .linalg import _frac
 from .vecset import canonical_sign
@@ -62,11 +62,13 @@ _STOP = object()
 
 
 class _Enumerator:
-    """Shared DFS over x_n..x_1 with exact partial-cost pruning."""
+    """Shared DFS over x_n..x_1 with exact partial-cost pruning, on the
+    form's own LDL factors (raises NotPositiveDefiniteError for a form
+    that is not positive definite)."""
 
     def __init__(self, form: QuadraticForm):
         self.n = form.n
-        self.L, self.D = linalg.ldl(form.gram)  # raises if not PD
+        self.L, self.D = form.ldl()
 
     def _scaled(self, center):
         """Integer data for f(x - center), scaled once per call.

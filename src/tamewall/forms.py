@@ -36,9 +36,10 @@ class FormParseError(ValueError):
 class QuadraticForm:
     """Symmetric rational Gram matrix G (the view gram); value at an integer
     vector v is v.G.v.  int_gram holds the integer rows of den * G, den the
-    lcm of G's denominators, so values are integer sums divided once."""
+    lcm of G's denominators, so values are integer sums divided once.
+    G is factored as L D L^T at most once, on first use (`ldl`)."""
 
-    __slots__ = ("gram", "n", "den", "int_gram")
+    __slots__ = ("gram", "n", "den", "int_gram", "_ldl")
 
     def __init__(self, gram):
         if not isinstance(gram, RationalMatrix):
@@ -48,6 +49,7 @@ class QuadraticForm:
         self.gram = gram
         self.n = gram.nrows
         self.int_gram, self.den = linalg.cleared(gram.rows())
+        self._ldl = None  # (L, D) once factored, False if G is not positive definite
 
     @classmethod
     def identity(cls, n):
@@ -76,9 +78,28 @@ class QuadraticForm:
         y, d = self._cleared(u)
         return Fraction(dot(y, w), s * d)
 
+    def ldl(self):
+        """The exact (L, D) of linalg.ldl for G as tuples, computed once per
+        form; raises NotPositiveDefiniteError when G is not positive
+        definite."""
+        if self._ldl is None:
+            try:
+                L, D = linalg.ldl(self.gram)
+            except linalg.NotPositiveDefiniteError:
+                self._ldl = False
+            else:
+                self._ldl = tuple(L), tuple(D)
+        if self._ldl is False:
+            raise linalg.NotPositiveDefiniteError("matrix is not positive definite")
+        return self._ldl
+
     @property
     def is_positive_definite(self):
-        return linalg.is_positive_definite(self.gram)
+        try:
+            self.ldl()
+        except linalg.NotPositiveDefiniteError:
+            return False
+        return True
 
     def determinant(self) -> Fraction:
         return Fraction(kernels.det_int(self.int_gram), self.den**self.n)

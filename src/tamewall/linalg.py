@@ -2,9 +2,11 @@
 
 Determinants run fraction-free (Bareiss) so integral input stays integral;
 rank, solving, nullspaces and inverses clear each row's denominators once
-and eliminate over the integers, producing fractions only for the final
-reduced row echelon form; positive definiteness is decided by the pivots
-of an exact LDL^T factorization.  rank, solve and nullspace also take
+and eliminate over the integers to an echelon form, then back-substitute
+over the integers only the vectors they return, producing fractions only
+for those.  The LDL^T factorization is fraction-free too (Bareiss on the
+cleared matrix), and its pivots decide positive definiteness.  rank,
+solve and nullspace also take
 plain rows of ints (or Fractions), so integral data such as Sym(n) value
 rows goes into the elimination without a detour through Fraction.  No
 floating point enters any code path.
@@ -53,10 +55,6 @@ class RationalMatrix:
     @classmethod
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, nrows, ncols):
-        return cls([[0] * ncols for _ in range(nrows)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -170,13 +168,16 @@ def primitive_row(row):
 
 
 def _eliminate(row, pivot_row, c):
-    """Primitive integer combination of row and pivot_row that is 0 in column c."""
+    """Primitive integer combination of row and pivot_row that is 0 in
+    column c, both rows being zero left of c; only the columns right of c
+    are computed."""
     p = pivot_row[c]
     a = row[c]
     g = gcd(p, a)
     p //= g
     a //= g
-    return _primitive([p * x - a * y for x, y in zip(row, pivot_row)])
+    tail = [p * x - a * y for x, y in zip(row[c + 1:], pivot_row[c + 1:])]
+    return _primitive([0] * (c + 1) + tail)
 
 
 def _echelon(rows):
@@ -186,7 +187,7 @@ def _echelon(rows):
     uses integer row operations only, dividing every new row by its
     content.  Returns (pivots, echelon): the pivot columns and one
     integer row per pivot, zero left of its pivot.  The rank is
-    len(pivots); _rref finishes the reduction.
+    len(pivots); _back_substitute reads solutions off the echelon.
     """
     work = [primitive_row(row) for row in rows]
     nrows = len(work)
@@ -209,21 +210,33 @@ def _echelon(rows):
     return pivots, work[:r]
 
 
-def _rref(pivots, echelon):
-    """The reduced row echelon form (one Fraction row per pivot).
+def _back_substitute(pivots, echelon, rhs):
+    """The solution X of echelon . X = rhs that is zero on the free
+    columns, rhs holding one integer row per echelon row: one Fraction
+    row of X per pivot, in pivot order.
 
-    Back-substitution over the integers clears each pivot column above
-    its pivot; dividing each row by its pivot then gives the unique RREF.
+    The triangle of pivot columns is solved from the bottom up over the
+    integers, with X held as integer rows over one common denominator.
     """
-    rows = list(echelon)
-    for k in range(len(pivots) - 1, 0, -1):
-        c = pivots[k]
-        for j in range(k):
-            if rows[j][c]:
-                rows[j] = _eliminate(rows[j], rows[k], c)
-    return [
-        [Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)
-    ]
+    r = len(pivots)
+    nums = [None] * r
+    den = 1
+    for k in range(r - 1, -1, -1):
+        row = echelon[k]
+        t = [x * den for x in rhs[k]]
+        for j in range(k + 1, r):
+            u = row[pivots[j]]
+            if u:
+                t = [a - u * b for a, b in zip(t, nums[j])]
+        p = row[pivots[k]]
+        g = gcd(p, *t)
+        p //= g
+        if p != 1:
+            den *= p
+            for j in range(k + 1, r):
+                nums[j] = [p * b for b in nums[j]]
+        nums[k] = [a // g for a in t]
+    return [[Fraction(a, den) for a in row] for row in nums]
 
 
 def _rows(matrix):
@@ -251,7 +264,12 @@ def affine_rank(points) -> int:
 
 def solve(matrix, rhs) -> LinearSystemSolution:
     """Exact solution set of A x = b with witnesses; A is a RationalMatrix
-    or rows of ints or Fractions."""
+    or rows of ints or Fractions.
+
+    The particular solution is the one that is zero on the free columns,
+    and the nullspace basis is the one `nullspace` returns; one
+    back-substitution on the echelon form of [A | b] gives both.
+    """
     rows = _rows(matrix)
     if len(rhs) != len(rows):
         raise ValueError("right-hand side length mismatch")
@@ -261,35 +279,39 @@ def solve(matrix, rhs) -> LinearSystemSolution:
     ncols = len(rows[0])
     if ncols in pivots:
         return LinearSystemSolution("inconsistent", None, ())
-    rref = _rref(pivots, echelon)
-    particular = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        particular[c] = rref[r][ncols]
-    basis = _nullspace_from_rref(rref, pivots, ncols)
+    particular, *basis = _solution_vectors(pivots, echelon, ncols, particular=True)
     kind = "unique" if not basis else "affine"
-    return LinearSystemSolution(kind, tuple(particular), tuple(basis))
+    return LinearSystemSolution(kind, particular, tuple(basis))
 
 
-def _nullspace_from_rref(rref_rows, pivots, ncols):
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
+def _solution_vectors(pivots, echelon, ncols, particular=False):
+    """The nullspace basis of the first ncols columns of the echelon form,
+    one vector per free column f (1 at f, 0 at the other free columns),
+    preceded when `particular` holds by the solution that is zero on every
+    free column, column ncols being the right-hand side."""
+    free = sorted(set(range(ncols)).difference(pivots))
+    heads = [ncols] if particular else []
+    rhs = [[row[c] for c in heads] + [-row[f] for f in free] for row in echelon]
+    values = _back_substitute(pivots, echelon, rhs)
+    vectors = []
+    for col, head in enumerate(heads + free):
         vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -rref_rows[r][free]
-        basis.append(tuple(vec))
-    return basis
+        if head < ncols:
+            vec[head] = Fraction(1)
+        for c, row in zip(pivots, values):
+            vec[c] = row[col]
+        vectors.append(tuple(vec))
+    return vectors
 
 
 def nullspace(matrix):
     """Basis of the right nullspace (empty tuple when trivial) of a
-    RationalMatrix or of rows of ints or Fractions."""
+    RationalMatrix or of rows of ints or Fractions: for each free column
+    of the echelon form, the null vector that is 1 there and 0 at the
+    other free columns."""
     rows = _rows(matrix)
     pivots, echelon = _echelon(rows)
-    return tuple(_nullspace_from_rref(_rref(pivots, echelon), pivots, len(rows[0])))
+    return tuple(_solution_vectors(pivots, echelon, len(rows[0])))
 
 
 def inverse(matrix: RationalMatrix) -> RationalMatrix:
@@ -300,7 +322,7 @@ def inverse(matrix: RationalMatrix) -> RationalMatrix:
     pivots, echelon = _echelon(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return RationalMatrix([row[n:] for row in _rref(pivots, echelon)])
+    return RationalMatrix(_back_substitute(pivots, echelon, [row[n:] for row in echelon]))
 
 
 def ldl(matrix: RationalMatrix):
@@ -309,21 +331,35 @@ def ldl(matrix: RationalMatrix):
     Returns (L, D) with L unit lower triangular (list of row tuples) and
     D the pivot list.  Raises ValueError when the matrix is not symmetric
     and NotPositiveDefiniteError when a pivot fails to be positive.
+
+    The matrix is cleared to integers once and eliminated fraction-free
+    (Bareiss) on its lower triangle: pivot k is the (k+1)-th leading
+    principal minor of the cleared matrix, so D[k] is the ratio of two
+    consecutive minors over the common denominator, and column k of L
+    is column k of the elimination over its pivot.
     """
     if not matrix.is_symmetric:
         raise ValueError("LDL requires a symmetric matrix")
     n = matrix.nrows
+    rows, den = cleared(matrix.rows())
+    work = [list(row[: i + 1]) for i, row in enumerate(rows)]
     L = [[Fraction(0)] * n for _ in range(n)]
-    D = [Fraction(0)] * n
-    for j in range(n):
-        d = matrix[j, j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
-        if d <= 0:
+    D = []
+    prev = 1
+    for k in range(n):
+        p = work[k][k]
+        if p <= 0:
             raise NotPositiveDefiniteError("matrix is not positive definite")
-        D[j] = d
-        L[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            s = matrix[i, j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))
-            L[i][j] = s / d
+        D.append(Fraction(p, prev * den))
+        L[k][k] = Fraction(1)
+        col = [0] * k + [work[i][k] for i in range(k, n)]
+        for i in range(k + 1, n):
+            L[i][k] = Fraction(col[i], p)
+            a = col[i]
+            work[i][k + 1:] = [
+                (p * x - a * y) // prev for x, y in zip(work[i][k + 1:], col[k + 1:i + 1])
+            ]
+        prev = p
     return [tuple(row) for row in L], D
 
 

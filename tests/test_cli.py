@@ -1,6 +1,8 @@
 """Command-line front end: exit protocol, JSON payloads, file round trips."""
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -35,6 +37,37 @@ def dn6_file(tmp_path):
     path = tmp_path / "dn6.form"
     path.write_text(format_form(forms.dn_neighbor_form(6)))
     return str(path)
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_pipe_exits_141_without_traceback(capsys, monkeypatch, tmp_path):
+    sink = tmp_path / "sink"
+    fd = os.open(sink, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        code = cli.main(["--json", "family", "[1,0^{n-2};0]", "6"])
+        # the stream's descriptor now points at os.devnull
+        os.write(fd, b"lost")
+    finally:
+        os.close(fd)
+    assert code == 141
+    assert capsys.readouterr().err == ""
+    assert sink.read_bytes() == b""
 
 
 def test_tf_emits_reparseable_form(capsys):

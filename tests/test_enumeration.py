@@ -32,6 +32,8 @@ from tamewall.series import complementary_vectors, r_n_vertices
 from tamewall.vecset import canonical_set, canonical_sign
 from tamewall.delaunay import circumscribed_quadric
 
+from test_linalg import fraction_ldl
+
 
 def brute_force_minimum(f: QuadraticForm):
     """Independent oracle: exhaustive box search with a provable bound.
@@ -242,7 +244,7 @@ def fraction_run(form, center, bound, visit, half=False, shrink=False):
     """The former _Enumerator.run: every offset, interval and partial cost
     in Fraction."""
     n = form.n
-    L, D = linalg.ldl(form.gram)
+    L, D = fraction_ldl(form.gram)
     c = [F(t) for t in center]
     x = [0] * n
     state = {"bound": F(bound)}

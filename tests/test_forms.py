@@ -24,7 +24,7 @@ from tamewall.forms import (
     wall_interior_form,
 )
 from tamewall.linalg import RationalMatrix
-from tamewall.series import complementary_vectors
+from tamewall.series import complementary_vectors, verify_theorem2
 
 
 def test_evaluate_identity_unit_vector():
@@ -188,6 +188,39 @@ def test_series_forms_positive_definite(n):
     assert dn_neighbor_form(n).is_positive_definite
 
 
+def _count_ldl(monkeypatch):
+    calls = []
+    factor = linalg.ldl
+
+    def counting(matrix):
+        calls.append(matrix)
+        return factor(matrix)
+
+    monkeypatch.setattr(linalg, "ldl", counting)
+    return calls
+
+
+def test_theorem2_factors_each_form_once(monkeypatch):
+    # tf_form(6) and dn_neighbor_form(6) are factored once each, although
+    # both are tested for positive definiteness and enumerated several times
+    calls = _count_ldl(monkeypatch)
+    verify_theorem2(6, include_isometry=False)
+    assert len(calls) == 2
+
+
+def test_form_keeps_its_factors_and_its_refusal(monkeypatch):
+    calls = _count_ldl(monkeypatch)
+    f = tf_form(6)
+    assert f.is_positive_definite and f.ldl() is f.ldl()
+    arithmetic_minimum(f)
+    indefinite = QuadraticForm(RationalMatrix([[1, 2], [2, 1]]))
+    assert not indefinite.is_positive_definite
+    for _ in range(2):
+        with pytest.raises(linalg.NotPositiveDefiniteError, match="matrix is not positive definite"):
+            arithmetic_minimum(indefinite)
+    assert len(calls) == 2
+
+
 def test_voronoi_image_frozen():
     assert voronoi_image((1, 0)) == RationalMatrix([[1, 0], [0, 0]])
     assert voronoi_image((1, -1)) == RationalMatrix([[1, -1], [-1, 1]])
@@ -216,7 +249,7 @@ def test_pairing_of_image_evaluates_form(data):
 
 def test_wall_interior_form_is_dual_image_sum():
     n = 5
-    total = RationalMatrix.zeros(n, n)
+    total = RationalMatrix([[0] * n for _ in range(n)])
     for u in big_simplex_dual_vectors(n):
         total = total + voronoi_image(u)
     assert wall_interior_form(n).gram == total

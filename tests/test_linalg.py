@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tamewall import linalg
 from tamewall.enumeration import arithmetic_minimum
 from tamewall.forms import (
+    QuadraticForm,
     big_simplex_dual_vectors,
     dn_neighbor_form,
     tf_form,
@@ -94,6 +95,89 @@ def fraction_inverse(matrix):
     return RationalMatrix([row[n:] for row in aug])
 
 
+# -- oracle: the integer echelon with a full integer RREF that the
+# -- back-substitution of only the returned vectors replaced, and the
+# -- Fraction LDL that the fraction-free one replaced --
+
+def _rref_eliminate(row, pivot_row, c):
+    """Primitive integer combination of row and pivot_row that is 0 in column c."""
+    p, a = pivot_row[c], row[c]
+    g = math.gcd(p, a)
+    out = [p // g * x - a // g * y for x, y in zip(row, pivot_row)]
+    h = math.gcd(*out)
+    return [x // h for x in out] if h > 1 else out
+
+
+def rref_echelon(rows):
+    """(pivots, rref): the reduced row echelon form, one Fraction row per pivot."""
+    work = [linalg.primitive_row(row) for row in rows]
+    nrows, ncols = len(work), len(work[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        for i in range(r + 1, nrows):
+            if work[i][c]:
+                work[i] = _rref_eliminate(work[i], work[r], c)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    work = work[:r]
+    for k in range(len(pivots) - 1, 0, -1):
+        for j in range(k):
+            if work[j][pivots[k]]:
+                work[j] = _rref_eliminate(work[j], work[k], pivots[k])
+    return pivots, [[F(x, row[c]) for x in row] for row, c in zip(work, pivots)]
+
+
+def rref_nullspace(matrix):
+    pivots, rref = rref_echelon(matrix.rows())
+    return _oracle_nullspace(rref, pivots, matrix.ncols)
+
+
+def rref_solve(matrix, rhs):
+    pivots, rref = rref_echelon([list(row) + [F(b)] for row, b in zip(matrix.rows(), rhs)])
+    ncols = matrix.ncols
+    if ncols in pivots:
+        return linalg.LinearSystemSolution("inconsistent", None, ())
+    particular = [F(0)] * ncols
+    for r, c in enumerate(pivots):
+        particular[c] = rref[r][ncols]
+    basis = _oracle_nullspace(rref, pivots, ncols)
+    return linalg.LinearSystemSolution("unique" if not basis else "affine", tuple(particular), basis)
+
+
+def rref_inverse(matrix):
+    """The inverse as a RationalMatrix, or None when singular."""
+    n = matrix.nrows
+    aug = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(matrix.rows())]
+    pivots, rref = rref_echelon(aug)
+    if pivots != list(range(n)):
+        return None
+    return RationalMatrix([row[n:] for row in rref])
+
+
+def fraction_ldl(matrix):
+    """(L, D) by the Fraction recurrences, or None at the first
+    nonpositive pivot."""
+    n = matrix.nrows
+    L = [[F(0)] * n for _ in range(n)]
+    D = [F(0)] * n
+    for j in range(n):
+        d = matrix[j, j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
+        if d <= 0:
+            return None
+        D[j] = d
+        L[j][j] = F(1)
+        for i in range(j + 1, n):
+            L[i][j] = (matrix[i, j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / d
+    return [tuple(row) for row in L], D
+
+
 rationals = st.builds(F, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4))
 
 
@@ -120,7 +204,7 @@ def rational_matrices(draw, square=False):
 @given(rational_matrices())
 def test_rank_and_nullspace_match_fraction_oracle(m):
     assert linalg.rank(m) == fraction_rank(m)
-    assert linalg.nullspace(m) == fraction_nullspace(m)
+    assert linalg.nullspace(m) == fraction_nullspace(m) == rref_nullspace(m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -128,13 +212,14 @@ def test_rank_and_nullspace_match_fraction_oracle(m):
 def test_solve_matches_fraction_oracle(m, values):
     # an arbitrary (usually inconsistent) and a consistent right-hand side
     for rhs in (values[: m.nrows], m.matvec(values[: m.ncols])):
-        assert linalg.solve(m, rhs) == fraction_solve(m, rhs)
+        assert linalg.solve(m, rhs) == fraction_solve(m, rhs) == rref_solve(m, rhs)
 
 
 @settings(max_examples=200, deadline=None)
 @given(rational_matrices(square=True))
 def test_inverse_matches_fraction_oracle(m):
     expected = fraction_inverse(m)
+    assert rref_inverse(m) == expected
     if expected is None:
         with pytest.raises(ValueError):
             linalg.inverse(m)
@@ -237,7 +322,7 @@ def test_det_rational_entries():
 
 def test_det_requires_square():
     with pytest.raises(ValueError):
-        linalg.det(RationalMatrix.zeros(2, 3))
+        linalg.det(RationalMatrix([[0, 0, 0], [0, 0, 0]]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -247,7 +332,7 @@ def test_det_agrees_with_cofactor_oracle(rows):
 
 
 def test_rank_zero_matrix():
-    assert linalg.rank(RationalMatrix.zeros(3, 5)) == 0
+    assert linalg.rank(RationalMatrix([[0] * 5 for _ in range(3)])) == 0
 
 
 def test_rank_identity():
@@ -420,3 +505,29 @@ def test_ldl_reconstructs(rows):
     ]
     assert RationalMatrix(recon) == gram
     assert all(d > 0 for d in D)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices up to 5x5: B^T B + s I for a rational
+    shift s (positive definite, singular or indefinite), or B + B^T."""
+    b = draw(rational_matrices(square=True))
+    if draw(st.booleans()):
+        return b.transpose().matmul(b) + RationalMatrix.identity(b.nrows).scaled(draw(rationals))
+    return b + b.transpose()
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_ldl_and_pd_verdict_match_fraction_oracle(m):
+    expected = fraction_ldl(m)
+    if expected is None:
+        with pytest.raises(linalg.NotPositiveDefiniteError):
+            linalg.ldl(m)
+        with pytest.raises(linalg.NotPositiveDefiniteError):
+            QuadraticForm(m).ldl()
+    else:
+        L, D = expected
+        assert linalg.ldl(m) == expected
+        assert QuadraticForm(m).ldl() == (tuple(L), tuple(D))
+    assert linalg.is_positive_definite(m) == QuadraticForm(m).is_positive_definite == (expected is not None)

@@ -136,6 +136,30 @@ def test_lcm_only_where_denominators_are_owned():
     assert found == []
 
 
+# linalg defines ldl and forms calls it once per form (QuadraticForm.ldl);
+# every other module reads a form's kept factors.
+_LDL_CALLERS = {"linalg.py", "forms.py"}
+
+
+def _calls_linalg_ldl(node):
+    if isinstance(node, ast.ImportFrom):
+        return any(a.name == "ldl" for a in node.names)
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "ldl") or (
+        isinstance(func, ast.Attribute)
+        and func.attr == "ldl"
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "linalg"
+    )
+
+
+def test_ldl_called_only_where_forms_are_factored():
+    found = [site for site in _nodes_where(_calls_linalg_ldl) if site.split(":")[0] not in _LDL_CALLERS]
+    assert found == []
+
+
 def test_source_rules_catch_what_they_forbid():
     bad = ast.parse(
         "import functools\n"
@@ -152,8 +176,12 @@ def test_source_rules_catch_what_they_forbid():
         "    raise\n"
         "from math import lcm\n"
         "den = math.lcm(2, lcm(3, 4))\n"
+        "from .linalg import ldl\n"
+        "factors = linalg.ldl(gram)\n"
+        "factors = form.ldl()\n"
     )
     assert sum(map(_is_functools_cache, ast.walk(bad))) == 2
     assert _mutable_globals(bad) == [3, 4, 5]
     assert [node.lineno for node in ast.walk(bad) if _raises_bare_error(node)] == [10]
     assert sorted(node.lineno for node in ast.walk(bad) if _uses_lcm(node)) == [13, 14, 14]
+    assert sorted(node.lineno for node in ast.walk(bad) if _calls_linalg_ldl(node)) == [15, 16]
