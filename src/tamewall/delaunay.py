@@ -105,7 +105,6 @@ class InhomogeneousQuadratic:
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    phi: InhomogeneousQuadratic | None
     verdict: bool
     boundary: tuple
     interior: tuple
@@ -463,9 +462,8 @@ def perturbation_check(
     for u in outside:
         p = find_level_vector(u, cell_pts)
         if p is None:
-            return PerturbationReport(
-                None, False, (), (), failure_reason=f"no level vector for vertex {u}"
-            )
+            reason = f"no level vector for vertex {u}"
+            return PerturbationReport(False, (), (), failure_reason=reason)
         levels[u] = p
 
     gram = f.gram
@@ -480,12 +478,10 @@ def perturbation_check(
 
     phi = InhomogeneousQuadratic(QuadraticForm(gram), tuple(linear), const)
     if not phi.quadratic.is_positive_definite:
-        return PerturbationReport(phi, False, (), (), failure_reason="quadratic part not PD")
+        return PerturbationReport(False, (), (), failure_reason="quadratic part not PD")
     center, r2 = phi.completed_square()
     if r2 < 0:
-        return PerturbationReport(phi, False, (), (), failure_reason="empty sublevel set")
+        return PerturbationReport(False, (), (), failure_reason="empty sublevel set")
     report = lattice_points_in_ellipsoid(phi.quadratic, center, r2)
     verdict = not report.interior and report.boundary == sub_pts
-    return PerturbationReport(
-        phi, verdict, report.boundary, report.interior, level_vectors=levels
-    )
+    return PerturbationReport(verdict, report.boundary, report.interior, level_vectors=levels)

@@ -1,5 +1,6 @@
-"""Exact linear programming: equality elimination, then a dense two-phase
-simplex with Bland's rule on the inequalities.
+"""Exact linear programming: equality elimination, then a two-phase tableau
+simplex with Bland's rule on the inequalities.  A pivot touches only the
+columns where the pivot row is nonzero.
 
 Every number is a `fractions.Fraction`, so feasibility, optimality and
 unboundedness are decided exactly.  Variables are free; nonnegativity is
@@ -77,19 +78,18 @@ class _Simplex:
             self.T.append(row)
 
     def _pivot(self, r, c):
-        row = self.T[r]
-        piv = row[c]
-        inv = 1 / piv
-        self.T[r] = [x * inv for x in row]
+        """Pivot on (r, c), in place.  Only the pivot row's nonzero columns
+        change in the other rows, since a - f*0 = a."""
         prow = self.T[r]
-        for i in range(len(self.T)):
-            if i != r and self.T[i][c] != 0:
-                f = self.T[i][c]
-                self.T[i] = [a - f * b for a, b in zip(self.T[i], prow)]
-        for k, z in enumerate(self.costs):
-            if z[c] != 0:
-                f = z[c]
-                self.costs[k] = [a - f * b for a, b in zip(z, prow)]
+        inv = 1 / prow[c]
+        nonzero = [j for j, x in enumerate(prow) if x]
+        for j in nonzero:
+            prow[j] *= inv
+        for row in (*self.T, *self.costs):
+            f = row[c]
+            if f and row is not prow:
+                for j in nonzero:
+                    row[j] -= f * prow[j]
         self.basis[r] = c
 
     def _iterate(self, allowed):

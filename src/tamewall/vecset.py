@@ -24,9 +24,19 @@ def canonical_sign(v):
     return tuple(v)
 
 
+def _int_tuple(v):
+    """v as a tuple of ints: v itself when it already is one, else a copy."""
+    if type(v) is tuple and all(type(x) is int for x in v):
+        return v
+    return tuple(int(x) for x in v)
+
+
 def canonical_set(vectors):
-    """Duplicate-free lexicographically sorted tuple of integer tuples."""
-    return tuple(sorted({tuple(int(x) for x in v) for v in vectors}))
+    """Duplicate-free lexicographically sorted tuple of integer tuples.
+
+    A vector that already is a tuple of ints is kept as it is, not copied.
+    """
+    return tuple(sorted({_int_tuple(v) for v in vectors}))
 
 
 def canonical_sign_set(vectors):

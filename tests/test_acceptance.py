@@ -125,7 +125,7 @@ def test_criterion_05_perfectness(n):
     assert ok
 
 
-@pytest.mark.parametrize("n", [9, 10, 11, 12])
+@pytest.mark.parametrize("n", range(9, 17))
 def test_criterion_05_tf_eutaxy(n):
     # Voronoi: TF_n is extreme iff it is also eutactic
     t0 = time.time()
@@ -331,6 +331,18 @@ def test_criterion_12_perturbation(census):
         verdicts[name] = rep.verdict
     ok = len(subsets) >= 5 and all(verdicts.values())
     _line(12, ok, f"subsets {verdicts} with alpha 1/10 ({time.time() - t0:.2f}s)")
+    assert ok
+
+
+def test_criterion_12_cube_cell_location():
+    # the unit cube is a 128-vertex Delaunay cell of Z^7; locating [1/3]^7
+    # must return all of its vertices
+    t0 = time.time()
+    n = 7
+    cell = delaunay.delaunay_cell_containing(QuadraticForm.identity(n), [F(1, 3)] * n)
+    ok = cell == tuple(itertools.product((0, 1), repeat=n))
+    _line(12, ok, f"the cell of [1/3]^{n} in Z^{n} is the unit cube, {len(cell)} vertices "
+                  f"({time.time() - t0:.2f}s)")
     assert ok
 
 

@@ -1,5 +1,7 @@
 """Circumquadrics, cell certificates, cell location, circuits, perturbations."""
 
+import dataclasses
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -213,6 +215,14 @@ def test_relative_volume_wrong_cardinality():
 def test_cell_containing_unit_square():
     cell = delaunay_cell_containing(QuadraticForm.identity(2), (F(2, 5), F(1, 3)))
     assert cell == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_cell_containing_cube_centre_side(n):
+    # [1/3]^n lies inside the unit cube, a Delaunay cell of Z^n with 2^n
+    # vertices; the second LP of the location runs over all of them
+    cell = delaunay_cell_containing(QuadraticForm.identity(n), [F(1, 3)] * n)
+    assert cell == tuple(itertools.product((0, 1), repeat=n))
 
 
 def test_cell_containing_r5_barycenter():
@@ -476,6 +486,16 @@ def test_perturbation_unit_square_triangle():
     assert rep.verdict
     assert rep.boundary == ((0, 0), (1, 0), (1, 1))
     assert rep.interior == ()
+
+
+def test_perturbation_report_keys_level_vectors_by_the_callers_vertices():
+    f, phi = _square_phi()
+    rep = perturbation_check(f, phi, UNIT_SQUARE, [(0, 0)], F(1, 4))
+    assert rep.verdict
+    assert sorted(rep.level_vectors) == [(0, 1), (1, 0), (1, 1)]
+    assert all(any(v is u for u in UNIT_SQUARE) for v in rep.level_vectors)
+    # the report keeps no perturbed quadratic
+    assert "phi" not in {field.name for field in dataclasses.fields(rep)}
 
 
 def test_perturbation_full_cell_is_identity():

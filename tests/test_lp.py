@@ -2,7 +2,9 @@
 differential tests of `lp_solve` and `positive_solution` against an oracle
 that keeps the former API (strict rows, minimization, feasibility) over
 the equality tableau, and prices its reduced costs afresh from the basis
-before every pivot."""
+before every pivot.  A second oracle keeps the dense pivot, which rebuilt
+every touched row over all of its columns, and must make the same pivots
+through the same tableaux."""
 
 import inspect
 from fractions import Fraction as F
@@ -11,8 +13,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tamewall import linalg, lp
+from tamewall import delaunay, linalg, lp, perfect
 from tamewall.errors import InvariantError
+from tamewall.forms import standard_gram, tf_form
 from tamewall.lp import lp_solve, positive_solution
 
 
@@ -573,3 +576,101 @@ def test_positive_solution_row_order_sets_the_weights():
     stricts = [(tuple(-int(j == i) for j in range(5)), 0) for i in range(5)]
     old = oracle_lp_solve(equalities=eqs, strict_less=stricts, eliminate=True)
     assert positive_solution(eqs) == old.witness == (1, 4, 2, 2, 1)
+
+
+# -- oracle: the dense pivot -------------------------------------------------
+
+
+class _DensePivotSimplex(lp._Simplex):
+    """lp._Simplex with the pivot it replaced: the pivot row and every row
+    with a nonzero in the pivot column are rebuilt over all columns."""
+
+    def _pivot(self, r, c):
+        row = self.T[r]
+        inv = 1 / row[c]
+        self.T[r] = [x * inv for x in row]
+        prow = self.T[r]
+        for i in range(len(self.T)):
+            if i != r and self.T[i][c] != 0:
+                f = self.T[i][c]
+                self.T[i] = [a - f * b for a, b in zip(self.T[i], prow)]
+        for k, z in enumerate(self.costs):
+            if z[c] != 0:
+                f = z[c]
+                self.costs[k] = [a - f * b for a, b in zip(z, prow)]
+        self.basis[r] = c
+
+
+def _pivot_trace(simplex, call):
+    """call() with every LP run on a recording subclass of simplex: its
+    result, and per pivot the (row, col) with the basis, tableau and cost
+    rows right after it."""
+    trace = []
+
+    class Recording(simplex):
+        def _pivot(self, r, c):
+            # these calls take at most a few hundred pivots; a faulty pivot
+            # can cycle, and every recorded tableau is kept
+            assert len(trace) < 2000, "the simplex does not terminate"
+            super()._pivot(r, c)
+            trace.append(
+                ((r, c), list(self.basis), [list(row) for row in self.T], [list(z) for z in self.costs])
+            )
+
+    with mock.patch.object(lp, "_Simplex", Recording):
+        return call(), trace
+
+
+def _assert_dense_pivots(call):
+    """The sparse pivot makes the dense oracle's pivots, through equal
+    tableaux and cost rows, to the same result; returns the pivot count."""
+    res, trace = _pivot_trace(lp._Simplex, call)
+    ref, ref_trace = _pivot_trace(_DensePivotSimplex, call)
+    assert [t[0] for t in trace] == [t[0] for t in ref_trace]
+    for step, ref_step in zip(trace, ref_trace):
+        assert step == ref_step
+    assert res == ref
+    return len(trace)
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_lps())
+def test_sparse_pivot_matches_dense_pivot(lp_args):
+    eqs = lp_args["equalities"]
+
+    def call():
+        return _one_shape(lp_args), positive_solution(eqs) if eqs else None
+
+    _assert_dense_pivots(call)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_sparse_pivot_matches_dense_pivot_on_tf_eutaxy(n):
+    assert _assert_dense_pivots(lambda: perfect.is_eutactic(tf_form(n))) > 0
+
+
+# the two E6 points that the cells benchmark locates: the census base
+# point and its sign pattern (-1, 1, -1, 1, -1, 1)
+E6_POINT = tuple(F(1, p) for p in (23, 29, 31, 37, 41, 43))
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1, 1, 1, 1), (-1, 1, -1, 1, -1, 1)])
+def test_sparse_pivot_matches_dense_pivot_on_e6_location(signs):
+    point = tuple(s * x for s, x in zip(signs, E6_POINT))
+    call = lambda: delaunay.delaunay_cell_containing(standard_gram("E6"), point)
+    assert _assert_dense_pivots(call) > 0
+
+
+def test_pivot_touches_only_the_pivot_rows_nonzero_columns():
+    # columns where the pivot row is zero keep their very objects
+    sim = lp._Simplex(2, [([F(1), F(0)], F(4)), ([F(1), F(1)], F(6))])
+    sim.costs = [[F(1), F(0), F(-1), F(0), F(0), F(0), F(0)]]
+    before = [list(row) for row in sim.T] + [list(sim.costs[0])]
+    sim._pivot(0, 0)
+    after = sim.T + sim.costs
+    assert sim.T[0] == [1, 0, -1, 0, 1, 0, 4]
+    assert sim.T[1] == [0, 1, 0, -1, -1, 1, 2]
+    assert sim.costs[0] == [0, 0, 0, 0, -1, 0, -4]
+    for row, old in zip(after, before):
+        for j in (1, 3, 5):
+            assert row[j] is old[j]
