@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import traceback
 from dataclasses import dataclass
@@ -50,8 +51,8 @@ def _frac_str(x):
     return str(Fraction(x))
 
 
-def _matrix_json(m):
-    return [[_frac_str(x) for x in row] for row in m.rows()]
+def _matrix_json(rows):
+    return [[_frac_str(x) for x in row] for row in rows]
 
 
 def _vectors_json(vs):
@@ -390,6 +391,9 @@ def _build_parser():
     p.add_argument("formfile")
     p.add_argument("vecfile")
     p = add("cell", _cmd_cell, help="Delaunay cell containing a generic point")
+    # A coordinate such as -1/3 is a value, not an option; argparse reads
+    # only negative integers and decimals that way unless told otherwise.
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.add_argument("formfile")
     p.add_argument("point", nargs="+", help="rational coordinates, e.g. 2/5 1/3")
     p = add("volume", _cmd_volume, help="relative volume of a lattice simplex")

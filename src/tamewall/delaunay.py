@@ -14,7 +14,7 @@ from math import ceil, floor
 from . import kernels, linalg, lp
 from .enumeration import closest_vectors, first_interior_point, lattice_points_in_ellipsoid
 from .errors import InvariantError
-from .forms import QuadraticForm, voronoi_image
+from .forms import QuadraticForm, shifted
 from .linalg import _frac
 from .vecset import canonical_set, dot, sub
 
@@ -85,9 +85,10 @@ class InhomogeneousQuadratic:
         )
 
     def completed_square(self):
-        """(center m, r2) with phi(x) = A(x - m) - r2."""
-        g = self.quadratic.gram
-        sol = linalg.solve(g, [-b / 2 for b in self.linear])
+        """(center m, r2) with phi(x) = A(x - m) - r2: m solves
+        den A m = -den b / 2 over A's integer rows."""
+        a = self.quadratic
+        sol = linalg.solve(a.int_gram, [-a.den * b / 2 for b in self.linear])
         if not sol.is_unique:
             raise ValueError("quadratic part is singular")
         m = sol.particular
@@ -211,7 +212,8 @@ def delaunay_cell_containing(f: QuadraticForm, point):
     t = tuple(_frac(c) for c in point)
     if len(t) != n:
         raise ValueError("point dimension mismatch")
-    ginv = linalg.inverse(f.gram)
+    ginv, d = linalg.inverse(f.int_gram)  # G^-1 = den ginv / d
+    half = Fraction(f.den, 2 * d)
 
     base = [floor(c) for c in t]
     constraints = {}  # lattice point v -> f(v), in insertion order
@@ -225,7 +227,7 @@ def delaunay_cell_containing(f: QuadraticForm, point):
             raise InvariantError(f"cell LP unexpectedly {res.status}")
         g = res.witness[:n]
         h = res.witness[n]
-        m = ginv.matvec([x / 2 for x in g])
+        m = [half * dot(row, g) for row in ginv]
         d2, pts = closest_vectors(f, m)
         mu = d2 - (f.evaluate(m) + h)
         if mu < 0:
@@ -451,7 +453,7 @@ def perturbation_check(
         raise ValueError("subset must be nonempty")
     if not set(sub_pts) <= set(cell_pts):
         raise ValueError("subset must consist of cell vertices")
-    if phi_const.quadratic.gram != f.gram:
+    if phi_const.quadratic != f:
         raise ValueError("phi_const must have the given form as quadratic part")
     bad = [u for u in cell_pts if phi_const.evaluate(u) != 0]
     if bad:
@@ -466,17 +468,17 @@ def perturbation_check(
             return PerturbationReport(False, (), (), failure_reason=reason)
         levels[u] = p
 
-    gram = f.gram
     linear = list(phi_const.linear)
     const = phi_const.constant
     for u in outside:
         p = levels[u]
         pv = dot(p, u)
-        gram = gram + voronoi_image(p).scaled(alpha)
         linear = [b + alpha * (-2 * pv - 3) * x for b, x in zip(linear, p)]
         const += alpha * (pv * pv + 3 * pv + 2)
-
-    phi = InhomogeneousQuadratic(QuadraticForm(gram), tuple(linear), const)
+    # one integer Gram: f plus alpha times the sum of the level vectors' p p^T
+    n = f.n
+    images = [[sum(levels[u][i] * levels[u][j] for u in outside) for j in range(n)] for i in range(n)]
+    phi = InhomogeneousQuadratic(shifted(f, alpha, images), tuple(linear), const)
     if not phi.quadratic.is_positive_definite:
         return PerturbationReport(False, (), (), failure_reason="quadratic part not PD")
     center, r2 = phi.completed_square()

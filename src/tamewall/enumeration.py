@@ -61,6 +61,12 @@ class EllipsoidPointReport:
 _STOP = object()
 
 
+def _diagonal_minimum(f: QuadraticForm) -> Fraction:
+    """The smallest diagonal entry of the Gram matrix: at least the
+    minimum, and the value at a unit vector."""
+    return Fraction(min(row[i] for i, row in enumerate(f.int_gram)), f.den)
+
+
 class _Enumerator:
     """Shared DFS over x_n..x_1 with exact partial-cost pruning, on the
     form's own LDL factors (raises NotPositiveDefiniteError for a form
@@ -173,7 +179,7 @@ def arithmetic_minimum(f: QuadraticForm) -> MinimumReport:
             best[1].append(x)
         return None
 
-    m = enum.run([0] * n, min(f.gram[i, i] for i in range(n)), visit, half=True)
+    m = enum.run([0] * n, _diagonal_minimum(f), visit, half=True)
     vecs = tuple(sorted(canonical_sign(v) for v in best[1]))
     return MinimumReport(Fraction(best[0], m), vecs, len(vecs), 2 * len(vecs))
 

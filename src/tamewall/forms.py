@@ -1,6 +1,8 @@
-"""Quadratic forms over exact rationals.
+"""Quadratic forms with exact rational Gram matrices.
 
-Holds the form data type, the closed-form constructors for the wall-adjacent
+A symmetric rational matrix is held as integer rows over one positive
+denominator; a form reduces that pair so it is canonical.  The module
+holds the form data type, the closed-form constructors for the wall-adjacent
 perfect form family and its D_n-side neighbor, the interior form of the wall
 cone, standard root-lattice fixtures, the rank-1 (Voronoi) map from integer
 vectors into form space, form recovery from norm conditions, and the shared
@@ -17,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from operator import mul
 
 from . import kernels, linalg
-from .linalg import LinearSystemSolution, RationalMatrix, _frac
+from .linalg import LinearSystemSolution, _frac
 from .vecset import dot
 
 
@@ -34,26 +36,40 @@ class FormParseError(ValueError):
 
 
 class QuadraticForm:
-    """Symmetric rational Gram matrix G (the view gram); value at an integer
-    vector v is v.G.v.  int_gram holds the integer rows of den * G, den the
-    lcm of G's denominators, so values are integer sums divided once.
-    G is factored as L D L^T at most once, on first use (`ldl`)."""
+    """The form of the symmetric rational Gram matrix G = int_gram / den,
+    given as integer rows over a positive integer den; the value at a
+    vector v is v.G.v, an integer sum divided once.  The pair is reduced
+    so that den and the entries have no common factor, which makes
+    (int_gram, den) canonical.  G is factored as L D L^T at most once, on
+    first use (`ldl`)."""
 
-    __slots__ = ("gram", "n", "den", "int_gram", "_ldl")
+    __slots__ = ("n", "den", "int_gram", "_ldl")
 
-    def __init__(self, gram):
-        if not isinstance(gram, RationalMatrix):
-            gram = RationalMatrix(gram)
-        if not gram.is_symmetric:
+    def __init__(self, int_gram, den):
+        rows = tuple(map(tuple, int_gram))
+        n = len(rows)
+        square = n and all(len(row) == n for row in rows)
+        if not square or any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
             raise ValueError("a quadratic form needs a symmetric Gram matrix")
-        self.gram = gram
-        self.n = gram.nrows
-        self.int_gram, self.den = linalg.cleared(gram.rows())
+        if den < 1:
+            raise ValueError("the denominator must be positive")
+        g = gcd(den, *(x for row in rows for x in row))  # TypeError unless all are ints
+        if g > 1:
+            rows = tuple(tuple(x // g for x in row) for row in rows)
+            den //= g
+        self.n = n
+        self.int_gram = rows
+        self.den = den
         self._ldl = None  # (L, D) once factored, False if G is not positive definite
 
     @classmethod
     def identity(cls, n):
-        return cls(RationalMatrix.identity(n))
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], 1)
+
+    @property
+    def gram(self):
+        """G as rows of Fractions, a read-only view for output."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.int_gram)
 
     def _cleared(self, v):
         """(x, d): the vector v as the integer vector x over the integer d."""
@@ -84,7 +100,7 @@ class QuadraticForm:
         definite."""
         if self._ldl is None:
             try:
-                L, D = linalg.ldl(self.gram)
+                L, D = linalg.ldl(self.int_gram, self.den)
             except linalg.NotPositiveDefiniteError:
                 self._ldl = False
             else:
@@ -105,27 +121,37 @@ class QuadraticForm:
         return Fraction(kernels.det_int(self.int_gram), self.den**self.n)
 
     def __eq__(self, other):
-        return isinstance(other, QuadraticForm) and self.gram == other.gram
+        return isinstance(other, QuadraticForm) and self.den == other.den and self.int_gram == other.int_gram
 
     def __hash__(self):
-        return hash(self.gram)
+        return hash((self.den, self.int_gram))
 
     def __repr__(self):
-        return f"QuadraticForm({self.gram!r})"
+        return f"QuadraticForm({self.int_gram!r}, {self.den})"
 
 
-def pairing(a: RationalMatrix, b: RationalMatrix) -> Fraction:
-    """Full Frobenius pairing sum_{i,j} a_ij b_ij of two symmetric matrices."""
-    if a.nrows != b.nrows:
-        raise ValueError("dimension mismatch")
-    return sum(
-        x * y for ra, rb in zip(a.rows(), b.rows()) for x, y in zip(ra, rb)
+def shifted(f: QuadraticForm, c, rows) -> QuadraticForm:
+    """The form with Gram G + c M, for a rational c = a / b and M given by
+    integer symmetric rows: (b int_gram + a den M) / (b den), in integers."""
+    c = _frac(c)
+    a, b = c.numerator, c.denominator
+    return QuadraticForm(
+        [[b * x + a * f.den * y for x, y in zip(rg, rm)] for rg, rm in zip(f.int_gram, rows)],
+        b * f.den,
     )
 
 
-def voronoi_image(v) -> RationalMatrix:
-    """Rank-1 symmetric matrix v v^T attached to an integer vector."""
-    return RationalMatrix([[vi * vj for vj in v] for vi in v])
+def pairing(a, b):
+    """Full Frobenius pairing sum_{i,j} a_ij b_ij of two symmetric matrices
+    given as rows."""
+    if len(a) != len(b):
+        raise ValueError("dimension mismatch")
+    return sum(x * y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def voronoi_image(v):
+    """Rank-1 symmetric matrix v v^T of an integer vector, as integer rows."""
+    return tuple(tuple(vi * vj for vj in v) for vi in v)
 
 
 # -- coordinates on Sym(n): diagonal entries first, then i<j pairs -----------
@@ -134,16 +160,17 @@ def sym_dimension(n):
     return n * (n + 1) // 2
 
 
-def coords_to_sym(coords, n) -> RationalMatrix:
-    rows = [[Fraction(0)] * n for _ in range(n)]
+def coords_to_sym(coords, n):
+    """The symmetric matrix with Sym(n) coordinates coords, as rows."""
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = _frac(coords[i])
+        rows[i][i] = coords[i]
     k = n
     for i in range(n):
         for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = _frac(coords[k])
+            rows[i][j] = rows[j][i] = coords[k]
             k += 1
-    return RationalMatrix(rows)
+    return tuple(map(tuple, rows))
 
 
 def value_row(v):
@@ -168,22 +195,12 @@ def tf_form(n: int) -> QuadraticForm:
     if n < 5:
         raise ValueError("the construction needs n >= 5")
     if n % 2 == 0:
-        a_nn = Fraction(n * n, 2) - Fraction(7 * n, 2) + 7
-        off = Fraction(n - 4, 2 * (n - 2))
-        last = -Fraction(n * n - 6 * n + 10, 2 * (n - 2))
+        d = 2 * (n - 2)
+        rows = _bordered(n, d, n - 4, -(n * n - 6 * n + 10), (n * n - 7 * n + 14) * (n - 2))
     else:
-        a_nn = Fraction(n**3 - 8 * n * n + 23 * n - 20, 2 * (n - 1))
-        off = Fraction(n - 3, 2 * (n - 1))
-        last = -Fraction(n * n - 5 * n + 8, 2 * (n - 1))
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n - 1):
-        rows[i][i] = Fraction(1)
-        rows[i][n - 1] = rows[n - 1][i] = last
-        for j in range(n - 1):
-            if i != j:
-                rows[i][j] = off
-    rows[n - 1][n - 1] = a_nn
-    return QuadraticForm(RationalMatrix(rows))
+        d = 2 * (n - 1)
+        rows = _bordered(n, d, n - 3, -(n * n - 5 * n + 8), n**3 - 8 * n * n + 23 * n - 20)
+    return QuadraticForm(rows, d)
 
 
 def dn_neighbor_form(n: int) -> QuadraticForm:
@@ -194,15 +211,16 @@ def dn_neighbor_form(n: int) -> QuadraticForm:
     """
     if n < 5:
         raise ValueError("the construction needs n >= 5")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n - 1):
-        rows[i][i] = Fraction(1)
-        rows[i][n - 1] = rows[n - 1][i] = -Fraction(n - 2, 2)
-        for j in range(n - 1):
-            if i != j:
-                rows[i][j] = Fraction(1, 2)
-    rows[n - 1][n - 1] = Fraction(1 + comb(n - 2, 2))
-    return QuadraticForm(RationalMatrix(rows))
+    return QuadraticForm(_bordered(n, 2, 1, -(n - 2), 2 + 2 * comb(n - 2, 2)), 2)
+
+
+def _bordered(n, diag, off, last, corner):
+    """Integer rows with diag on the diagonal and off elsewhere in the
+    leading (n-1)-block, last in the rest of the last row and column, and
+    corner in the last diagonal entry."""
+    rows = [[diag if i == j else off for j in range(n - 1)] + [last] for i in range(n - 1)]
+    rows.append([last] * (n - 1) + [corner])
+    return rows
 
 
 def big_simplex_dual_vectors(n: int):
@@ -243,7 +261,7 @@ def wall_interior_form(n: int) -> QuadraticForm:
                 for j in range(n):
                     if u[j]:
                         rows[i][j] += u[i] * u[j]
-    return QuadraticForm(RationalMatrix(rows))
+    return QuadraticForm(rows, 1)
 
 
 def solve_form_from_unit_norms(vectors, m) -> LinearSystemSolution:
@@ -262,19 +280,22 @@ def solve_form_from_unit_norms(vectors, m) -> LinearSystemSolution:
 def form_from_solution(solution: LinearSystemSolution, n) -> QuadraticForm:
     if solution.kind != "unique":
         raise ValueError("solution is not unique")
-    return QuadraticForm(coords_to_sym(solution.particular, n))
+    (coords,), d = linalg.cleared([solution.particular])
+    return QuadraticForm(coords_to_sym(coords, n), d)
 
 
 def dual_form(f: QuadraticForm) -> QuadraticForm:
-    """Form whose Gram matrix is the inverse Gram matrix."""
-    return QuadraticForm(linalg.inverse(f.gram))
+    """Form whose Gram matrix is the inverse Gram matrix: G^-1 is den
+    times the inverse of the integer rows."""
+    rows, d = linalg.inverse(f.int_gram)
+    return QuadraticForm([[f.den * x for x in row] for row in rows], d)
 
 
 def scale(f: QuadraticForm, c) -> QuadraticForm:
     c = _frac(c)
     if c <= 0:
         raise ValueError("scale factor must be positive")
-    return QuadraticForm(f.gram.scaled(c))
+    return QuadraticForm([[c.numerator * x for x in row] for row in f.int_gram], c.denominator * f.den)
 
 
 def standard_gram(name: str, n: int | None = None) -> QuadraticForm:
@@ -284,7 +305,7 @@ def standard_gram(name: str, n: int | None = None) -> QuadraticForm:
         if n is None or n < 1:
             raise ValueError("A_n needs n >= 1")
         rows = [[2 if i == j else 1 for j in range(n)] for i in range(n)]
-        return QuadraticForm(RationalMatrix(rows))
+        return QuadraticForm(rows, 1)
     if key == "D":
         if n is None or n < 3:
             raise ValueError("D_n needs n >= 3")
@@ -299,7 +320,7 @@ def standard_gram(name: str, n: int | None = None) -> QuadraticForm:
             v[i - 1] = -1
             basis.append(v)
         rows = [[sum(a * b for a, b in zip(bi, bj)) for bj in basis] for bi in basis]
-        return QuadraticForm(RationalMatrix(rows))
+        return QuadraticForm(rows, 1)
     if key == "E6":
         if n not in (None, 6):
             raise ValueError("E6 lives in dimension 6")
@@ -311,7 +332,7 @@ def standard_gram(name: str, n: int | None = None) -> QuadraticForm:
             [0, 0, 0, -1, 2, -1],
             [0, 0, 0, 0, -1, 2],
         ]
-        return QuadraticForm(RationalMatrix(cartan))
+        return QuadraticForm(cartan, 1)
     if key == "E6*":
         return dual_form(standard_gram("E6"))
     raise ValueError(f"unknown lattice name {name!r}")
@@ -324,7 +345,7 @@ def format_form(f: QuadraticForm) -> str:
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
     lines = [str(f.n)]
-    for row in f.gram.rows():
+    for row in f.gram:
         lines.append(" ".join(fmt(x) for x in row))
     return "\n".join(lines) + "\n"
 
@@ -354,7 +375,6 @@ def parse_form(text: str) -> QuadraticForm:
             except (ValueError, ZeroDivisionError):
                 raise FormParseError(idx, f"entry {col} is not a rational 'p/q'") from None
         rows.append(row)
-    matrix = RationalMatrix(rows)
-    if not matrix.is_symmetric:
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
         raise FormParseError(2, "matrix must be symmetric")
-    return QuadraticForm(matrix)
+    return QuadraticForm(*linalg.cleared(rows))

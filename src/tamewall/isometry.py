@@ -19,11 +19,10 @@ from itertools import combinations
 from math import comb
 from operator import mul
 
-from . import linalg
-from .enumeration import _Enumerator, arithmetic_minimum, vectors_up_to
+from . import kernels, linalg
+from .enumeration import _diagonal_minimum, _Enumerator, arithmetic_minimum, vectors_up_to
 from .errors import InvariantError
 from .forms import QuadraticForm, scale
-from .linalg import RationalMatrix
 from .vecset import sub
 
 
@@ -50,7 +49,7 @@ def fingerprint(f: QuadraticForm, levels=3) -> Fingerprint:
     if levels < 1:
         raise ValueError("levels must be positive")
     enum = _Enumerator(f)
-    bound = min(f.gram[i, i] for i in range(f.n))
+    bound = _diagonal_minimum(f)
     while True:
         counts = {}  # scaled cost -> pair count
 
@@ -74,7 +73,7 @@ def fingerprint(f: QuadraticForm, levels=3) -> Fingerprint:
 def _reference_basis(f: QuadraticForm):
     """n linearly independent vectors of lowest norms, greedily."""
     n = f.n
-    bound = min(f.gram[i, i] for i in range(n))
+    bound = _diagonal_minimum(f)
     while True:
         candidates = vectors_up_to(f, bound)
         chosen = []
@@ -90,27 +89,28 @@ def _reference_basis(f: QuadraticForm):
 
 
 def are_equivalent(a: QuadraticForm, b: QuadraticForm):
-    """Unimodular U with U^T Gram(a) U = Gram(b), or None (definitive).
+    """Unimodular U with U^T Gram(a) U = Gram(b) as integer rows, or None
+    (definitive).
 
     Candidates for the image of each reference vector of b are the
     vectors of a with the same norm; partial maps are pruned on exact
     pairwise inner products.  A full tuple is accepted only if the
-    induced matrix is integral with determinant +-1 (then the Gram
-    identity holds automatically and is checked); a negative answer
-    means the finite compatible tree was exhausted.
+    induced matrix is integral with determinant +-1, both checked in
+    integers (then the Gram identity holds automatically and is checked);
+    a negative answer means the finite compatible tree was exhausted.
     """
     if a.n != b.n:
         raise ValueError("dimension mismatch")
     if not (a.is_positive_definite and b.is_positive_definite):
         raise ValueError("both forms must be positive definite")
     if a == b:
-        return RationalMatrix.identity(a.n)
+        return tuple(tuple(int(i == j) for j in range(a.n)) for i in range(a.n))
     if fingerprint(a) != fingerprint(b):
         return None
 
     n = a.n
     basis = _reference_basis(b)
-    b_inv = linalg.inverse(RationalMatrix(list(zip(*basis))))  # B: the basis as columns
+    b_inv = linalg.inverse(list(zip(*basis)))  # B: the basis as columns
     target = _congruence(basis, b.int_gram)  # b.den * B^T Gram(b) B
 
     norm_needed = Fraction(max(target[i][i] for i in range(n)), b.den)
@@ -132,18 +132,25 @@ def are_equivalent(a: QuadraticForm, b: QuadraticForm):
         return all(sum(map(mul, u, g_cand)) == goal[j][level] for j, u in enumerate(chosen))
 
     def accept(chosen):
-        ints = RationalMatrix(list(zip(*chosen))).matmul(b_inv).to_int_rows()
-        if ints is None:
+        u = _integral_map(chosen, b_inv)
+        if u is None or kernels.det_int(u) not in (1, -1):
             return None
-        u = RationalMatrix(ints)
-        if linalg.det(u) not in (1, -1):
-            return None
-        image = _congruence(list(zip(*ints)), a.int_gram)
+        image = _congruence(list(zip(*u)), a.int_gram)
         if any(x * b.den != y * a.den for ra, rb in zip(image, b.int_gram) for x, y in zip(ra, rb)):
             raise InvariantError("unimodular witness fails the Gram identity")
         return u
 
     return _first_image([by_norm.get(Fraction(target[k][k], b.den), ()) for k in range(n)], fits, accept)
+
+
+def _integral_map(columns, inverse):
+    """U B^-1 as integer rows, for U given by its columns and B^-1 as the
+    (rows, d) of linalg.inverse, or None when an entry is not an integer."""
+    inv, d = inverse
+    product = [[sum(map(mul, row, col)) for col in zip(*inv)] for row in zip(*columns)]
+    if any(x % d for row in product for x in row):
+        return None
+    return tuple(tuple(x // d for x in row) for row in product)
 
 
 def _congruence(columns, rows):
@@ -209,15 +216,14 @@ def _triple_orbits(f: QuadraticForm, cell):
     if len(pivots) < d:
         return [[t] for t in combinations(range(m), 3)], []
     basis = [0] + [j + 1 for j in pivots]
-    b_inv = linalg.inverse(RationalMatrix([candidates[j] for j in pivots]).transpose())
+    b_inv = linalg.inverse(list(zip(*(candidates[j] for j in pivots))))
 
     def fits(images, cand):
         k = len(images)
         return all(dist[cand][images[j]] == dist[basis[k]][basis[j]] for j in range(k))
 
     def accept(images):
-        u = RationalMatrix([sub(points[i], points[images[0]]) for i in images[1:]])
-        a = u.transpose().matmul(b_inv).to_int_rows()
+        a = _integral_map([sub(points[i], points[images[0]]) for i in images[1:]], b_inv)
         if a is None:
             return None
         if _congruence(list(zip(*a)), f.int_gram) != f.int_gram:

@@ -1,15 +1,15 @@
-"""Exact rational linear algebra over `fractions.Fraction`.
+"""Exact linear algebra on matrices given as rows.
 
-Determinants run fraction-free (Bareiss) so integral input stays integral;
-rank, solving, nullspaces and inverses clear each row's denominators once
-and eliminate over the integers to an echelon form, then back-substitute
-over the integers only the vectors they return, producing fractions only
-for those.  The LDL^T factorization is fraction-free too (Bareiss on the
-cleared matrix), and its pivots decide positive definiteness.  rank,
-solve and nullspace also take
-plain rows of ints (or Fractions), so integral data such as Sym(n) value
-rows goes into the elimination without a detour through Fraction.  No
-floating point enters any code path.
+A matrix is a nonempty sequence of equal-length rows of ints or
+Fractions; a symmetric rational matrix is held as integer rows over one
+positive denominator (see `QuadraticForm`).  Rank, solving, nullspaces
+and inverses clear each row's denominators once and eliminate over the
+integers to an echelon form, then back-substitute over the integers only
+the vectors they return: solutions come out as Fractions, an inverse as
+integer rows over one denominator.  The LDL^T factorization takes
+integer rows over a denominator and runs fraction-free (Bareiss); its
+pivots decide positive definiteness.  No floating point enters any code
+path.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-from . import kernels
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -34,95 +32,6 @@ def _frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
-class RationalMatrix:
-    """Immutable dense matrix of exact rationals."""
-
-    __slots__ = ("_rows", "nrows", "ncols")
-
-    def __init__(self, rows):
-        data = tuple(tuple(_frac(x) for x in row) for row in rows)
-        if not data or not data[0]:
-            raise ValueError("matrix must have at least one row and column")
-        width = len(data[0])
-        if any(len(r) != width for r in data):
-            raise ValueError("ragged rows")
-        self._rows = data
-        self.nrows = len(data)
-        self.ncols = width
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self._rows[i][j]
-
-    def row(self, i):
-        return self._rows[i]
-
-    def rows(self):
-        return self._rows
-
-    @property
-    def is_square(self):
-        return self.nrows == self.ncols
-
-    @property
-    def is_symmetric(self):
-        if not self.is_square:
-            return False
-        n = self.nrows
-        return all(self._rows[i][j] == self._rows[j][i] for i in range(n) for j in range(i))
-
-    def transpose(self):
-        return RationalMatrix(list(zip(*self._rows)))
-
-    def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self._rows == other._rows
-
-    def __hash__(self):
-        return hash(self._rows)
-
-    def __add__(self, other):
-        self._check_shape(other)
-        return RationalMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
-        )
-
-    def scaled(self, c):
-        c = _frac(c)
-        return RationalMatrix([[c * x for x in row] for row in self._rows])
-
-    def matmul(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("incompatible shapes")
-        cols = other.transpose()._rows
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._rows]
-        )
-
-    def matvec(self, vec):
-        if len(vec) != self.ncols:
-            raise ValueError("incompatible shapes")
-        v = [_frac(x) for x in vec]
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self._rows)
-
-    def to_int_rows(self):
-        """Rows as plain ints, or None if any entry is non-integral."""
-        if any(x.denominator != 1 for row in self._rows for x in row):
-            return None
-        return [[int(x) for x in row] for row in self._rows]
-
-    def _check_shape(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
-        return f"RationalMatrix({self.nrows}x{self.ncols}: {body})"
 
 
 @dataclass(frozen=True)
@@ -143,14 +52,6 @@ def cleared(rows):
     denominators."""
     d = lcm(*(x.denominator for row in rows for x in row))
     return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
-
-
-def det(matrix: RationalMatrix) -> Fraction:
-    """Exact determinant via fraction-free elimination."""
-    if not matrix.is_square:
-        raise ValueError("determinant requires a square matrix")
-    rows, d = cleared(matrix.rows())
-    return Fraction(kernels.det_int(rows), d**matrix.nrows)
 
 
 def _primitive(row):
@@ -212,8 +113,9 @@ def _echelon(rows):
 
 def _back_substitute(pivots, echelon, rhs):
     """The solution X of echelon . X = rhs that is zero on the free
-    columns, rhs holding one integer row per echelon row: one Fraction
-    row of X per pivot, in pivot order.
+    columns, rhs holding one integer row per echelon row: (nums, den), X
+    as one integer row per pivot, in pivot order, over the positive
+    integer den.
 
     The triangle of pivot columns is solved from the bottom up over the
     integers, with X held as integer rows over one common denominator.
@@ -230,27 +132,27 @@ def _back_substitute(pivots, echelon, rhs):
                 t = [a - u * b for a, b in zip(t, nums[j])]
         p = row[pivots[k]]
         g = gcd(p, *t)
+        if p < 0:
+            g = -g
         p //= g
         if p != 1:
             den *= p
             for j in range(k + 1, r):
                 nums[j] = [p * b for b in nums[j]]
         nums[k] = [a // g for a in t]
-    return [[Fraction(a, den) for a in row] for row in nums]
+    return nums, den
 
 
 def _rows(matrix):
-    """The rows of a RationalMatrix, or a nonempty sequence of equal-length
-    rows of ints or Fractions as given."""
-    if isinstance(matrix, RationalMatrix):
-        return matrix.rows()
+    """A nonempty sequence of equal-length rows of ints or Fractions, as
+    given."""
     if not matrix or not matrix[0] or any(len(row) != len(matrix[0]) for row in matrix):
         raise ValueError("rows must be nonempty and of one length")
     return matrix
 
 
 def rank(matrix) -> int:
-    """Rank of a RationalMatrix or of rows of ints or Fractions."""
+    """Rank of rows of ints or Fractions."""
     return len(_echelon(_rows(matrix))[0])
 
 
@@ -263,8 +165,8 @@ def affine_rank(points) -> int:
 
 
 def solve(matrix, rhs) -> LinearSystemSolution:
-    """Exact solution set of A x = b with witnesses; A is a RationalMatrix
-    or rows of ints or Fractions.
+    """Exact solution set of A x = b with witnesses; A is rows of ints or
+    Fractions.
 
     The particular solution is the one that is zero on the free columns,
     and the nullspace basis is the one `nullspace` returns; one
@@ -292,56 +194,59 @@ def _solution_vectors(pivots, echelon, ncols, particular=False):
     free = sorted(set(range(ncols)).difference(pivots))
     heads = [ncols] if particular else []
     rhs = [[row[c] for c in heads] + [-row[f] for f in free] for row in echelon]
-    values = _back_substitute(pivots, echelon, rhs)
+    values, den = _back_substitute(pivots, echelon, rhs)
     vectors = []
     for col, head in enumerate(heads + free):
         vec = [Fraction(0)] * ncols
         if head < ncols:
             vec[head] = Fraction(1)
         for c, row in zip(pivots, values):
-            vec[c] = row[col]
+            vec[c] = Fraction(row[col], den)
         vectors.append(tuple(vec))
     return vectors
 
 
 def nullspace(matrix):
-    """Basis of the right nullspace (empty tuple when trivial) of a
-    RationalMatrix or of rows of ints or Fractions: for each free column
-    of the echelon form, the null vector that is 1 there and 0 at the
-    other free columns."""
+    """Basis of the right nullspace (empty tuple when trivial) of rows of
+    ints or Fractions: for each free column of the echelon form, the null
+    vector that is 1 there and 0 at the other free columns."""
     rows = _rows(matrix)
     pivots, echelon = _echelon(rows)
     return tuple(_solution_vectors(pivots, echelon, len(rows[0])))
 
 
-def inverse(matrix: RationalMatrix) -> RationalMatrix:
-    if not matrix.is_square:
+def inverse(matrix):
+    """The inverse of a square matrix of ints or Fractions as (rows, d):
+    integer rows over the positive integer d.  Raises ValueError when the
+    matrix is singular."""
+    rows = _rows(matrix)
+    n = len(rows)
+    if len(rows[0]) != n:
         raise ValueError("inverse requires a square matrix")
-    n = matrix.nrows
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix.rows())]
+    aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
     pivots, echelon = _echelon(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return RationalMatrix(_back_substitute(pivots, echelon, [row[n:] for row in echelon]))
+    nums, d = _back_substitute(pivots, echelon, [row[n:] for row in echelon])
+    return tuple(map(tuple, nums)), d
 
 
-def ldl(matrix: RationalMatrix):
-    """Exact LDL^T of a symmetric positive definite matrix.
+def ldl(rows, den):
+    """Exact LDL^T of the symmetric positive definite matrix rows / den,
+    for integer rows and a positive integer den.
 
     Returns (L, D) with L unit lower triangular (list of row tuples) and
     D the pivot list.  Raises ValueError when the matrix is not symmetric
     and NotPositiveDefiniteError when a pivot fails to be positive.
 
-    The matrix is cleared to integers once and eliminated fraction-free
-    (Bareiss) on its lower triangle: pivot k is the (k+1)-th leading
-    principal minor of the cleared matrix, so D[k] is the ratio of two
-    consecutive minors over the common denominator, and column k of L
-    is column k of the elimination over its pivot.
+    The integer rows are eliminated fraction-free (Bareiss) on their lower
+    triangle: pivot k is the (k+1)-th leading principal minor of the rows,
+    so D[k] is the ratio of two consecutive minors over den, and column k
+    of L is column k of the elimination over its pivot.
     """
-    if not matrix.is_symmetric:
+    n = len(rows)
+    if any(len(row) != n or any(row[j] != rows[j][i] for j in range(i)) for i, row in enumerate(rows)):
         raise ValueError("LDL requires a symmetric matrix")
-    n = matrix.nrows
-    rows, den = cleared(matrix.rows())
     work = [list(row[: i + 1]) for i, row in enumerate(rows)]
     L = [[Fraction(0)] * n for _ in range(n)]
     D = []
@@ -361,14 +266,3 @@ def ldl(matrix: RationalMatrix):
             ]
         prev = p
     return [tuple(row) for row in L], D
-
-
-def is_positive_definite(matrix: RationalMatrix) -> bool:
-    """Sylvester test via exact LDL pivots; requires symmetric input."""
-    if not matrix.is_symmetric:
-        raise ValueError("positive definiteness is tested on symmetric matrices only")
-    try:
-        ldl(matrix)
-    except NotPositiveDefiniteError:
-        return False
-    return True

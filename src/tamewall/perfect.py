@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import lp
 from .enumeration import arithmetic_minimum
@@ -58,10 +59,12 @@ def is_eutactic(f: QuadraticForm):
     Returns (verdict, weights or None).
     """
     vecs = arithmetic_minimum(f).vectors
-    target = dual_form(f).gram
+    dual = dual_form(f)
     n = f.n
     equalities = [
-        ([v[i] * v[j] for v in vecs], target[i, j]) for i in range(n) for j in range(i, n)
+        ([v[i] * v[j] for v in vecs], Fraction(dual.int_gram[i][j], dual.den))
+        for i in range(n)
+        for j in range(i, n)
     ]
     weights = lp.positive_solution(equalities)
     return weights is not None, weights

@@ -22,7 +22,6 @@ from . import delaunay, dual01, forms, isometry, linalg
 from .enumeration import arithmetic_minimum, closest_vectors
 from .errors import InvariantError
 from .forms import QuadraticForm, big_simplex_dual_vectors, pairing, value_row
-from .linalg import RationalMatrix
 from .perfect import perfection_report
 from .vecset import canonical_set, canonical_sign_set
 
@@ -89,18 +88,19 @@ def complementary_vectors(n: int, side: str):
 class WallDescriptor:
     """Primitive integer symmetric normal of the wall in form space.
 
-    Frobenius convention: pairing(normal, v v^T) is the value of the
-    normal at v.  coords holds the same normal in Sym(n) coordinates
-    (diagonal first, then i<j), so its value at an integer v is the
-    integer coords . value_row(v).  Sign fixed so the complementary
+    normal holds the matrix as integer rows.  Frobenius convention:
+    pairing(normal, v v^T) is the value of the normal at v.  coords holds
+    the same normal in Sym(n) coordinates (diagonal first, then i<j), so
+    its value at an integer v is the integer coords . value_row(v).  Sign fixed so the complementary
     vectors of the big-simplex side pair positively.
     printed_formula_report compares the derived normal against the closed
     formula printed alongside the construction, which fails to annihilate
-    the dual system (documented discrepancy).
+    the dual system (documented discrepancy); its "printed" matrix is
+    rows of Fractions.
     """
 
     n: int
-    normal: RationalMatrix
+    normal: tuple
     coords: tuple
     printed_formula_report: dict = field(compare=False)
 
@@ -150,7 +150,7 @@ def tw_normal(n: int) -> WallDescriptor:
         for u in duals
     ]
     report = dict(
-        printed=RationalMatrix(scaled).scaled(Fraction(1, den)),
+        printed=tuple(tuple(Fraction(x, den) for x in row) for row in scaled),
         annihilates_as_quadratic=not any(as_quadratic),
         annihilates_upper_once=not any(upper_once),
         max_abs_quadratic=Fraction(max(map(abs, as_quadratic)), den),
@@ -162,13 +162,12 @@ def tw_normal(n: int) -> WallDescriptor:
 def classify_side(wall: WallDescriptor, x) -> str:
     """Sign of the Frobenius pairing with the wall normal.
 
-    Integer vectors are classified through their rank-1 image, in
-    integers; forms through their Gram matrix.
+    Integer vectors are classified through their rank-1 image, forms
+    through their integer Gram rows (the denominator is positive), both
+    in integers.
     """
     if isinstance(x, QuadraticForm):
-        val = pairing(wall.normal, x.gram)
-    elif isinstance(x, RationalMatrix):
-        val = pairing(wall.normal, x)
+        val = pairing(wall.normal, x.int_gram)
     else:
         if len(x) != wall.n:
             raise ValueError("vector dimension mismatch")
@@ -399,7 +398,7 @@ def verify_theorem1(n: int) -> TheoremReport:
     perturbed_ok = False
     detail = "no admissible perturbation size found"
     for _ in range(20):
-        g = QuadraticForm(wall_form.gram + wall.normal.scaled(eps))
+        g = forms.shifted(wall_form, eps, wall.normal)
         if g.is_positive_definite:
             cert2 = delaunay.is_delaunay_cell(g, s_n)
             if cert2.verdict and len(cert2.vertices) == n + 1:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from tamewall import delaunay, dual01, forms, isometry, perfect, series
+from tamewall import delaunay, dual01, forms, isometry, kernels, perfect, series
 from tamewall.enumeration import arithmetic_minimum
 from tamewall.forms import (
     QuadraticForm,
@@ -31,6 +31,8 @@ from tamewall.forms import (
     wall_interior_form,
 )
 from tamewall.vecset import canonical_set
+
+from rowmath import add, form, matmul, scaled, transpose
 
 N5_DEFECT = pytest.mark.xfail(
     strict=True,
@@ -138,7 +140,7 @@ def test_criterion_05_tf_eutaxy(n):
         and len(weights) == len(vecs)
         and all(w > 0 for w in weights)
         and all(
-            sum(w * v[i] * v[j] for w, v in zip(weights, vecs)) == dual[i, j]
+            sum(w * v[i] * v[j] for w, v in zip(weights, vecs)) == dual[i][j]
             for i in range(n)
             for j in range(n)
         )
@@ -158,11 +160,9 @@ def test_criterion_06_dn_identification(n):
     u = isometry.are_equivalent(a, b)
     ok = u is not None
     if ok:
-        ok = u.to_int_rows() is not None
-        from tamewall.linalg import det
-
-        ok = ok and det(u) in (1, -1)
-        ok = ok and u.transpose().matmul(a.gram).matmul(u) == b.gram
+        ok = all(type(x) is int for row in u for x in row)
+        ok = ok and kernels.det_int(u) in (1, -1)
+        ok = ok and matmul(matmul(transpose(u), a.gram), u) == b.gram
     _line(6, ok, f"n={n}: unimodular witness verified ({time.time() - t0:.2f}s)")
     assert ok
 
@@ -187,7 +187,7 @@ def test_criterion_07_e6star_identification():
     if ok:
         c, u = sim
         b = forms.scale(standard_gram("E6*"), c)
-        ok = u.transpose().matmul(a.gram).matmul(u) == b.gram
+        ok = matmul(matmul(transpose(u), a.gram), u) == b.gram
     _line(7, ok, f"scale 3/4 with verified witness ({time.time() - t0:.2f}s)")
     assert ok
 
@@ -234,7 +234,7 @@ def test_criterion_09_delaunay_on_wall(n):
     simplex_ok = False
     eps = F(1, 4)
     for _ in range(20):
-        g = QuadraticForm(wall_form.gram + wall.normal.scaled(eps))
+        g = form(add(wall_form.gram, scaled(wall.normal, eps)))
         try:
             pd = g.is_positive_definite
         except ValueError:

@@ -241,7 +241,7 @@ def check_map(f, points, a, c):
     Gram-preserving, and onto the point set."""
     assert all(type(x) is int for row in a for x in row) and all(type(x) is int for x in c)
     d = len(a)
-    gram = [[f.gram[i, j] for j in range(d)] for i in range(d)]
+    gram = [[f.gram[i][j] for j in range(d)] for i in range(d)]
     a_t_g_a = [[sum(a[k][i] * gram[k][l] * a[l][j] for k in range(d) for l in range(d))
                 for j in range(d)] for i in range(d)]
     assert a_t_g_a == gram
@@ -448,7 +448,7 @@ E7_OMEGA7 = (1, F(3, 2), 2, 3, F(5, 2), 2, F(3, 2))
 
 
 def test_e7_cell_has_five_certified_triple_orbits():
-    e7 = QuadraticForm(E7_CARTAN)
+    e7 = QuadraticForm(E7_CARTAN, 1)
     d2, cell = closest_vectors(e7, E7_OMEGA7)
     assert d2 == F(3, 2) and len(cell) == 56
     orbits, maps = isometry._triple_orbits(e7, cell)

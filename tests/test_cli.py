@@ -230,6 +230,17 @@ def test_cell_command(capsys, tmp_path):
     assert payload["reason"] == "non-generic point"
 
 
+@pytest.mark.parametrize("point", [("-1/3", "1/5"), ("1/3", "-1/5"), ("-1/3", "-.2")])
+def test_cell_takes_negative_coordinates_with_or_without_separator(capsys, tmp_path, point):
+    form = tmp_path / "id2.form"
+    form.write_text("2\n1 0\n0 1\n")
+    bare = run_main(capsys, "cell", str(form), *point)
+    separated = run_main(capsys, "cell", str(form), "--", *point)
+    assert bare[0] == separated[0] == 0
+    assert bare[1] == separated[1] != ""
+    assert bare[2] == separated[2]
+
+
 def test_radon_command(capsys, tmp_path):
     from tamewall.series import r_n_vertices
 

@@ -22,11 +22,12 @@ from tamewall.delaunay import (
 )
 from tamewall.enumeration import closest_vectors, lattice_points_in_ellipsoid
 from tamewall.errors import InvariantError
-from tamewall.forms import QuadraticForm, standard_gram, tf_form, wall_interior_form
-from tamewall.series import r_n_vertices, s_n_vertices, tw_normal
-from tamewall.linalg import RationalMatrix, rank
+from tamewall.forms import QuadraticForm, shifted, standard_gram, tf_form, wall_interior_form
+from tamewall.series import _CENSUS_CENTER, r_n_vertices, s_n_vertices, tw_normal
+from tamewall.linalg import rank
 from tamewall.vecset import canonical_set, sub
 
+from rowmath import add, identity, matmul, matvec, scaled, transpose
 from test_forms import fraction_evaluate, symmetric_forms
 
 UNIT_SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -54,9 +55,9 @@ def fraction_circumscribed_quadric(f, points):
         raise ValueError("need at least two points")
     v0 = pts[0]
     f0 = fraction_evaluate(f, v0)
-    rows = [[2 * x for x in f.gram.matvec(sub(v, v0))] for v in pts[1:]]
+    rows = [[2 * x for x in matvec(f.gram, sub(v, v0))] for v in pts[1:]]
     rhs = [fraction_evaluate(f, v) - f0 for v in pts[1:]]
-    sol = linalg.solve(RationalMatrix(rows), rhs)
+    sol = linalg.solve(rows, rhs)
     if sol.kind == "inconsistent":
         return CircumscribedQuadric("inconsistent")
     center = sol.particular
@@ -73,7 +74,7 @@ def test_circumscribed_quadric_matches_fraction_oracle(data):
     assert quad == fraction_circumscribed_quadric(f, pts)
     if quad.status == "ok":
         phi = InhomogeneousQuadratic.from_circumsphere(f, quad.center, quad.r2)
-        assert phi.linear == tuple(-2 * x for x in f.gram.matvec(quad.center))
+        assert phi.linear == tuple(-2 * x for x in matvec(f.gram, quad.center))
         assert phi.constant == fraction_evaluate(f, quad.center) - quad.r2
         assert all(phi.evaluate(v) == 0 for v in pts)
 
@@ -154,10 +155,9 @@ def assert_matches_full_enumeration(f, pts):
 def test_early_exit_verdict_matches_full_enumeration(data):
     rows, pts = data
     n = len(rows)
-    b = RationalMatrix(rows)
-    f = QuadraticForm(b.transpose().matmul(b) + RationalMatrix.identity(n))
+    f = QuadraticForm(add(matmul(transpose(rows), rows), identity(n)), 1)
     edges = [[p[i] - pts[0][i] for i in range(n)] for p in pts[1:]]
-    assume(rank(RationalMatrix(edges)) == n)
+    assume(rank(edges) == n)
     assert_matches_full_enumeration(f, pts)
 
 
@@ -168,9 +168,7 @@ def test_early_exit_matches_full_enumeration_on_theorem1_perturbations(n):
     normal = tw_normal(n).normal
     eps = F(1, 4)
     while True:
-        cert = assert_matches_full_enumeration(
-            QuadraticForm(wall_form.gram + normal.scaled(eps)), s_n_vertices(n)
-        )
+        cert = assert_matches_full_enumeration(shifted(wall_form, eps, normal), s_n_vertices(n))
         if cert.verdict:
             break
         eps /= 2
@@ -408,9 +406,8 @@ def test_radon_rejects_non_circuit():
 
 
 def test_radon_invariant_under_unimodular_images():
-    u = RationalMatrix([[1, 2, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 3],
-                        [0, 1, 0, 1, 0], [0, 0, 0, 0, 1]])
-    pts = [tuple(int(x) for x in u.matvec(p)) for p in r_n_vertices(5)]
+    u = [[1, 2, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 3], [0, 1, 0, 1, 0], [0, 0, 0, 0, 1]]
+    pts = [matvec(u, p) for p in r_n_vertices(5)]
     rad = radon_triangulations(pts)
     assert sorted(sorted(v) for v in (rad.volumes_plus, rad.volumes_minus)) == [
         [1, 1, 1, 1],
@@ -519,8 +516,57 @@ def test_perturbed_wall_form_has_big_simplex_cell():
     n = 6
     wall_form = wall_interior_form(n)
     wall = tw_normal(n)
-    g = QuadraticForm(wall_form.gram + wall.normal.scaled(F(1, 32)))
+    g = shifted(wall_form, F(1, 32), wall.normal)
     assert g.is_positive_definite
     cert = is_delaunay_cell(g, s_n_vertices(n))
     assert cert.verdict
     assert len(cert.vertices) == n + 1
+
+
+# -- the perturbed Gram against the Fraction matrix sum it replaced -----------
+
+def fraction_perturbed_gram(f, cell, subset, alpha, levels):
+    """G plus alpha p p^T for each cell vertex outside the subset, one
+    Fraction matrix addition per vertex."""
+    gram = f.gram
+    for u in canonical_set(cell):
+        if u not in set(canonical_set(subset)):
+            p = levels[u]
+            gram = add(gram, scaled(tuple(tuple(a * b for b in p) for a in p), alpha))
+    return gram
+
+
+def _perturbed_forms(monkeypatch):
+    """The quadratic parts perturbation_check hands to the enumerator."""
+    seen = []
+    enumerate_points = delaunay.lattice_points_in_ellipsoid
+
+    def recording(form, center, r2):
+        seen.append(form)
+        return enumerate_points(form, center, r2)
+
+    monkeypatch.setattr(delaunay, "lattice_points_in_ellipsoid", recording)
+    return seen
+
+
+_E6 = standard_gram("E6")
+_E6_CELL = closest_vectors(_E6, _CENSUS_CENTER)[1]
+_E6_QUAD = circumscribed_quadric(_E6, _E6_CELL)
+_E6_PHI = InhomogeneousQuadratic.from_circumsphere(_E6, _E6_QUAD.center, _E6_QUAD.r2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sets(st.integers(0, 26), min_size=1, max_size=26),
+    st.fractions(min_value=F(1, 40), max_value=4, max_denominator=40),
+)
+def test_perturbed_gram_matches_fraction_oracle(indices, alpha):
+    subset = [_E6_CELL[i] for i in sorted(indices)]
+    with pytest.MonkeyPatch.context() as m:
+        seen = _perturbed_forms(m)
+        rep = perturbation_check(_E6, _E6_PHI, _E6_CELL, subset, alpha)
+    if rep.level_vectors is None:
+        assert seen == []
+        return
+    assert len(seen) == 1
+    assert seen[0].gram == fraction_perturbed_gram(_E6, _E6_CELL, subset, alpha, rep.level_vectors)

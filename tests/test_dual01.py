@@ -1,4 +1,4 @@
-"""(0,1)-dual systems: exhaustive validity, closures, certificates."""
+"""(0,1)-dual systems: exhaustive validity, closures, cone reports."""
 
 import itertools
 from math import comb
@@ -11,14 +11,13 @@ from tamewall.dual01 import (
     delaunay_cone_report,
     double_dual01,
     dual01,
-    erdahl_ryshkov_certificate,
     image_rank,
 )
 from tamewall.forms import big_simplex_dual_vectors, sym_dimension
 from tamewall.series import r_n_vertices, s_n_vertices
-from tamewall.linalg import RationalMatrix
 from tamewall.vecset import canonical_set, dot
 
+from rowmath import matvec
 from test_linalg import fraction_inverse, fraction_rank
 
 
@@ -39,14 +38,14 @@ def fraction_dual01(vectors):
     n = len(vectors[0])
     basis = []
     for v in vectors:
-        if any(v) and fraction_rank(RationalMatrix(basis + [v])) == len(basis) + 1:
+        if any(v) and fraction_rank(basis + [v]) == len(basis) + 1:
             basis.append(v)
     if len(basis) < n:
         raise DualInfiniteError("does not span")
-    inv = fraction_inverse(RationalMatrix(basis[:n]))
+    inv = fraction_inverse(basis[:n])
     out = []
     for rhs in itertools.product((0, 1), repeat=n):
-        u = inv.matvec(rhs)
+        u = matvec(inv, rhs)
         if all(x.denominator == 1 for x in u):
             cand = tuple(int(x) for x in u)
             if all(dot(cand, v) in (0, 1) for v in vectors):
@@ -217,37 +216,6 @@ def test_cone_report_two_unit_vectors():
     assert len(rep.dual) == 4
     assert rep.image_rank == 3
     assert rep.codimension == 0
-
-
-def test_certificate_big_simplex():
-    cert = erdahl_ryshkov_certificate(s_n_vertices(6))
-    e6 = tuple([0] * 5 + [1])
-    assert cert.excess == (e6,)
-    assert cert.codimension == 1
-    assert cert.cone_claim
-    assert cert.cone_dimension == "N-1"
-
-
-def test_certificate_unit_simplex():
-    cert = erdahl_ryshkov_certificate([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert cert.excess == ()
-    assert cert.codimension == 0
-    assert cert.cone_claim
-    assert cert.cone_dimension == "N"
-
-
-def test_certificate_stretched_triangle_defers():
-    cert = erdahl_ryshkov_certificate([(0, 0), (1, 0), (0, 3)])
-    assert cert.dual_infinite
-    assert not cert.cone_claim
-    assert cert.double_dual is None
-
-
-def test_certificate_rejects_non_simplex():
-    with pytest.raises(ValueError):
-        erdahl_ryshkov_certificate([(0, 0), (1, 0), (2, 0)])
-    with pytest.raises(ValueError):
-        erdahl_ryshkov_certificate([(0, 0), (1, 0)])
 
 
 def test_image_rank_empty():

@@ -27,11 +27,11 @@ from tamewall.forms import (
     tf_form,
     wall_interior_form,
 )
-from tamewall.linalg import RationalMatrix
 from tamewall.series import complementary_vectors, r_n_vertices
 from tamewall.vecset import canonical_set, canonical_sign
 from tamewall.delaunay import circumscribed_quadric
 
+from rowmath import add, form, identity, matmul, over, scaled, transpose
 from test_linalg import fraction_ldl
 
 
@@ -41,11 +41,11 @@ def brute_force_minimum(f: QuadraticForm):
     Any v with f(v) <= C satisfies v_i^2 <= C * (G^{-1})_ii.
     """
     n = f.n
-    bound = min(f.gram[i, i] for i in range(n))
-    inv = linalg.inverse(f.gram)
+    bound = min(f.gram[i][i] for i in range(n))
+    inv = over(*linalg.inverse(f.gram))
     radii = []
     for i in range(n):
-        limit = bound * inv[i, i]
+        limit = bound * inv[i][i]
         radii.append(isqrt(limit.numerator // limit.denominator) + 1)
     best = None
     vecs = []
@@ -70,9 +70,7 @@ pd_form = st.integers(min_value=1, max_value=3).flatmap(
 
 
 def _pd_from_rows(rows):
-    n = len(rows)
-    b = RationalMatrix(rows)
-    return QuadraticForm(b.transpose().matmul(b) + RationalMatrix.identity(n))
+    return QuadraticForm(add(matmul(transpose(rows), rows), identity(len(rows))), 1)
 
 
 @settings(max_examples=120, deadline=None)
@@ -107,7 +105,7 @@ def test_minimum_counts_of_series_forms():
 
 def test_minimum_rejects_indefinite():
     with pytest.raises(ValueError):
-        arithmetic_minimum(QuadraticForm(RationalMatrix([[1, 0], [0, -1]])))
+        arithmetic_minimum(QuadraticForm([[1, 0], [0, -1]], 1))
 
 
 @pytest.mark.parametrize("n", range(5, 10))
@@ -168,10 +166,8 @@ def test_ellipsoid_classification_scale_invariant(rows, num, den):
     r2 = F(3, 2)
     base = lattice_points_in_ellipsoid(f, c, r2)
     s = F(num, den)
-    scaled = lattice_points_in_ellipsoid(
-        QuadraticForm(f.gram.scaled(s)), c, r2 * s
-    )
-    assert base == scaled
+    scaled_report = lattice_points_in_ellipsoid(form(scaled(f.gram, s)), c, r2 * s)
+    assert base == scaled_report
 
 
 def test_closest_vectors_examples():
@@ -310,9 +306,11 @@ rational_pd_form = st.tuples(
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=1, max_value=4),
 ).map(
-    lambda t: QuadraticForm(
-        RationalMatrix(t[0]).transpose().matmul(RationalMatrix(t[0])).scaled(F(1, t[1]))
-        + RationalMatrix.identity(len(t[0])).scaled(F(1, t[2]))
+    lambda t: form(
+        add(
+            scaled(matmul(transpose(t[0]), t[0]), F(1, t[1])),
+            scaled(identity(len(t[0])), F(1, t[2])),
+        )
     )
 )
 
@@ -390,7 +388,7 @@ def test_integer_core_matches_fraction_dfs_on_series_forms(form, center, bound):
 # -- the queries as they were on Fraction visits, kept as their oracles --------
 
 def fraction_arithmetic_minimum(f):
-    bound = min(f.gram[i, i] for i in range(f.n))
+    bound = min(f.gram[i][i] for i in range(f.n))
     found = {"min": bound, "vecs": []}
 
     def visit(x, value):

@@ -23,8 +23,10 @@ from tamewall.forms import (
     voronoi_image,
     wall_interior_form,
 )
-from tamewall.linalg import RationalMatrix
 from tamewall.series import complementary_vectors, verify_theorem2
+
+from rowmath import add, form, matvec, scaled
+from test_linalg import fraction_inverse
 
 
 def test_evaluate_identity_unit_vector():
@@ -42,7 +44,7 @@ def fraction_evaluate(f, v):
     """v.G.v as a sum of Fraction products over the rational Gram."""
     if len(v) != f.n:
         raise ValueError("vector dimension mismatch")
-    rows = f.gram.rows()
+    rows = f.gram
     total = F(0)
     for i, vi in enumerate(v):
         if vi == 0:
@@ -54,14 +56,14 @@ def fraction_evaluate(f, v):
 
 def fraction_inner(f, u, v):
     """u.G.v through a Fraction matvec."""
-    return sum(a * b for a, b in zip(f.gram.matvec(v), u))
+    return sum(a * b for a, b in zip(matvec(f.gram, v), u))
 
 
 def fraction_determinant(f):
     """det G with G's denominators cleared row by row, one factor per row."""
     factor = 1
     rows = []
-    for row in f.gram.rows():
+    for row in f.gram:
         mult = lcm(*(x.denominator for x in row))
         factor *= mult
         rows.append([int(x * mult) for x in row])
@@ -79,7 +81,7 @@ def symmetric_forms(draw, max_n=5):
     for i in range(n):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = draw(_ENTRIES)
-    return QuadraticForm(RationalMatrix(rows))
+    return form(rows)
 
 
 def _vectors(n):
@@ -99,8 +101,8 @@ def test_integer_gram_matches_fraction_oracles(data):
     assert f.inner(u, v) == fraction_inner(f, u, v)
     w, s = f.int_image(v)
     assert all(isinstance(t, int) for t in (*w, s))
-    assert tuple(F(t, s) for t in w) == f.gram.matvec(v)
-    assert f.determinant() == fraction_determinant(f) == linalg.det(f.gram)
+    assert tuple(F(t, s) for t in w) == matvec(f.gram, v)
+    assert f.determinant() == fraction_determinant(f)
     assert all(isinstance(x, F) for x in (f.evaluate(v), f.inner(u, v), f.determinant()))
 
 
@@ -109,7 +111,7 @@ def test_integer_gram_matches_fraction_oracles(data):
 def test_integer_gram_is_reduced_over_its_denominator(f):
     assert gcd(f.den, *(x for row in f.int_gram for x in row)) == 1
     assert all(isinstance(x, int) for row in f.int_gram for x in row)
-    assert [[F(x, f.den) for x in row] for row in f.int_gram] == [list(row) for row in f.gram.rows()]
+    assert [[F(x, f.den) for x in row] for row in f.int_gram] == [list(row) for row in f.gram]
 
 
 @pytest.mark.parametrize(
@@ -118,7 +120,7 @@ def test_integer_gram_is_reduced_over_its_denominator(f):
 )
 def test_paper_forms_carry_small_denominators(f, den):
     assert f.den == den
-    assert f.determinant() == fraction_determinant(f) == linalg.det(f.gram)
+    assert f.determinant() == fraction_determinant(f)
 
 
 def test_inner_dimension_mismatch():
@@ -131,17 +133,17 @@ def test_inner_dimension_mismatch():
 
 def test_tf5_frozen_entries():
     g = tf_form(5).gram
-    assert g[4, 4] == F(5, 2)
-    assert all(g[i, i] == 1 for i in range(4))
-    assert all(g[i, j] == F(1, 4) for i in range(4) for j in range(4) if i != j)
-    assert all(g[i, 4] == -1 for i in range(4))
+    assert g[4][4] == F(5, 2)
+    assert all(g[i][i] == 1 for i in range(4))
+    assert all(g[i][j] == F(1, 4) for i in range(4) for j in range(4) if i != j)
+    assert all(g[i][4] == -1 for i in range(4))
 
 
 def test_tf6_frozen_entries():
     g = tf_form(6).gram
-    assert [g[i, i] for i in range(6)] == [1, 1, 1, 1, 1, 4]
-    assert all(g[i, j] == F(1, 4) for i in range(5) for j in range(5) if i != j)
-    assert all(g[i, 5] == F(-5, 4) for i in range(5))
+    assert [g[i][i] for i in range(6)] == [1, 1, 1, 1, 1, 4]
+    assert all(g[i][j] == F(1, 4) for i in range(5) for j in range(5) if i != j)
+    assert all(g[i][5] == F(-5, 4) for i in range(5))
 
 
 def test_tf_values_on_marked_vectors():
@@ -156,9 +158,9 @@ def test_tf_rejects_small_dimension():
 
 def test_dn_neighbor_frozen_entries():
     g = dn_neighbor_form(6).gram
-    assert [g[i, i] for i in range(6)] == [1, 1, 1, 1, 1, 7]
-    assert all(g[i, j] == F(1, 2) for i in range(5) for j in range(5) if i != j)
-    assert all(g[i, 5] == -2 for i in range(5))
+    assert [g[i][i] for i in range(6)] == [1, 1, 1, 1, 1, 7]
+    assert all(g[i][j] == F(1, 2) for i in range(5) for j in range(5) if i != j)
+    assert all(g[i][5] == -2 for i in range(5))
 
 
 def test_dn_neighbor_values():
@@ -192,9 +194,9 @@ def _count_ldl(monkeypatch):
     calls = []
     factor = linalg.ldl
 
-    def counting(matrix):
-        calls.append(matrix)
-        return factor(matrix)
+    def counting(rows, den):
+        calls.append((rows, den))
+        return factor(rows, den)
 
     monkeypatch.setattr(linalg, "ldl", counting)
     return calls
@@ -213,7 +215,7 @@ def test_form_keeps_its_factors_and_its_refusal(monkeypatch):
     f = tf_form(6)
     assert f.is_positive_definite and f.ldl() is f.ldl()
     arithmetic_minimum(f)
-    indefinite = QuadraticForm(RationalMatrix([[1, 2], [2, 1]]))
+    indefinite = QuadraticForm([[1, 2], [2, 1]], 1)
     assert not indefinite.is_positive_definite
     for _ in range(2):
         with pytest.raises(linalg.NotPositiveDefiniteError, match="matrix is not positive definite"):
@@ -222,8 +224,8 @@ def test_form_keeps_its_factors_and_its_refusal(monkeypatch):
 
 
 def test_voronoi_image_frozen():
-    assert voronoi_image((1, 0)) == RationalMatrix([[1, 0], [0, 0]])
-    assert voronoi_image((1, -1)) == RationalMatrix([[1, -1], [-1, 1]])
+    assert voronoi_image((1, 0)) == ((1, 0), (0, 0))
+    assert voronoi_image((1, -1)) == ((1, -1), (-1, 1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,15 +245,15 @@ def test_pairing_of_image_evaluates_form(data):
     v, rows = data
     n = len(v)
     sym = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
-    f = QuadraticForm(RationalMatrix(sym))
+    f = QuadraticForm(sym, 1)
     assert pairing(voronoi_image(v), f.gram) == f.evaluate(v)
 
 
 def test_wall_interior_form_is_dual_image_sum():
     n = 5
-    total = RationalMatrix([[0] * n for _ in range(n)])
+    total = ((0,) * n,) * n
     for u in big_simplex_dual_vectors(n):
-        total = total + voronoi_image(u)
+        total = add(total, voronoi_image(u))
     assert wall_interior_form(n).gram == total
     assert wall_interior_form(n).is_positive_definite
 
@@ -290,7 +292,7 @@ def test_dual_form_identity_and_involution():
 
 
 def test_standard_a2_frozen():
-    assert standard_gram("A", 2).gram == RationalMatrix([[2, 1], [1, 2]])
+    assert standard_gram("A", 2).gram == ((2, 1), (1, 2))
 
 
 def test_standard_d4_minimum():
@@ -316,7 +318,7 @@ def test_standard_gram_rejects_bad_combos():
 
 def test_scale():
     f = QuadraticForm.identity(2)
-    assert scale(f, 2).gram == RationalMatrix([[2, 0], [0, 2]])
+    assert scale(f, 2).gram == ((2, 0), (0, 2))
     with pytest.raises(ValueError):
         scale(f, 0)
 
@@ -342,3 +344,64 @@ def test_form_text_diagnostics_carry_line():
     with pytest.raises(forms.FormParseError) as err:
         parse_form("2\n1 x\n0 1\n")
     assert err.value.line == 2
+
+
+# -- scale, dual_form and the text format against their Fraction oracles ------
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_forms(), st.fractions(min_value=F(1, 30), max_value=30, max_denominator=30))
+def test_scale_matches_fraction_oracle(f, c):
+    g = scale(f, c)
+    assert g.gram == scaled(f.gram, c)
+    assert g == form(scaled(f.gram, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_forms())
+def test_dual_form_matches_fraction_oracle(f):
+    expected = fraction_inverse(f.gram)
+    if expected is None:
+        with pytest.raises(ValueError, match="singular"):
+            dual_form(f)
+    else:
+        assert dual_form(f).gram == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_forms())
+def test_text_round_trip_matches_fraction_rows(f):
+    text = format_form(f)
+    header, *lines = text.splitlines()
+    assert int(header) == f.n
+    assert tuple(tuple(F(x) for x in line.split()) for line in lines) == f.gram
+    assert parse_form(text) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_shifted_matches_fraction_oracle(data):
+    # G + c M for a rational Gram G and an integer symmetric M, the sum
+    # perturbation_check and theorem 1 form, against Fraction arithmetic
+    f = data.draw(symmetric_forms())
+    entries = st.integers(min_value=-6, max_value=6)
+    m = [[0] * f.n for _ in range(f.n)]
+    for i in range(f.n):
+        for j in range(i, f.n):
+            m[i][j] = m[j][i] = data.draw(entries)
+    c = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=40))
+    assert forms.shifted(f, c, m).gram == add(f.gram, scaled(m, c))
+
+
+def test_form_is_canonical_over_its_denominator():
+    # one rational Gram, three integer spellings: equal, with equal hashes
+    spellings = [
+        QuadraticForm([[2, 1], [1, 2]], 4),
+        QuadraticForm([[4, 2], [2, 4]], 8),
+        form([[F(1, 2), F(1, 4)], [F(1, 4), F(1, 2)]]),
+    ]
+    assert all(f == spellings[0] and hash(f) == hash(spellings[0]) for f in spellings)
+    assert spellings[0].int_gram == ((2, 1), (1, 2)) and spellings[0].den == 4
+    with pytest.raises(TypeError):
+        QuadraticForm([[F(1, 2)]], 1)
+    with pytest.raises(ValueError):
+        QuadraticForm([[1]], 0)

@@ -45,9 +45,10 @@ def _form(name):
 
 
 def _value(x):
-    """JSON form of a report value: matrices as rows of rational strings."""
-    if hasattr(x, "rows"):
-        return [[str(e) for e in row] for row in x.rows()]
+    """JSON form of a report value: matrices (tuples of rows) as rows of
+    rational strings."""
+    if isinstance(x, tuple) and x and isinstance(x[0], tuple):
+        return [[str(e) for e in row] for row in x]
     if isinstance(x, tuple):
         return [_value(e) for e in x]
     if isinstance(x, Fraction):

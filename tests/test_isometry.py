@@ -16,9 +16,11 @@ from tamewall.isometry import (
     are_similar,
     fingerprint,
 )
-from tamewall.linalg import RationalMatrix
 
+from rowmath import add, form, identity, matmul, matvec, scaled, transpose
 from test_enumeration import fraction_run
+from test_kernels import cofactor_det
+from test_linalg import fraction_inverse
 
 
 def doubling_fingerprint(f, levels=3):
@@ -41,7 +43,7 @@ def doubling_fingerprint(f, levels=3):
 def fraction_fingerprint(f, levels=3):
     """The shrinking fingerprint as it was on Fraction visits, kept as the
     oracle of the integer one: the histogram is keyed by Fraction values."""
-    bound = min(f.gram[i, i] for i in range(f.n))
+    bound = min(f.gram[i][i] for i in range(f.n))
     while True:
         counts = {}
 
@@ -63,14 +65,15 @@ def fraction_fingerprint(f, levels=3):
 
 def fraction_are_equivalent(a, b):
     """The former search, kept as the oracle of the integer one: each inner
-    product is a Fraction Gram(a).v, cached per pair."""
+    product is a Fraction Gram(a).v, cached per pair, and the witness is the
+    Fraction product of the images with the inverse basis."""
     if a == b:
-        return RationalMatrix.identity(a.n)
+        return identity(a.n)
     if fingerprint(a) != fingerprint(b):
         return None
     n = a.n
     basis = _reference_basis(b)
-    b_inv = linalg.inverse(RationalMatrix(list(zip(*basis))))
+    b_inv = fraction_inverse(transpose(basis))
     target = [[b.inner(basis[i], basis[j]) for j in range(n)] for i in range(n)]
     by_norm = {}
     for v, val in vectors_up_to(a, max(target[i][i] for i in range(n))):
@@ -82,7 +85,7 @@ def fraction_are_equivalent(a, b):
     def inner_a(u, v):
         got = cache.get((u, v))
         if got is None:
-            got = sum(x * y for x, y in zip(a.gram.matvec(v), u))
+            got = sum(x * y for x, y in zip(matvec(a.gram, v), u))
             cache[(u, v)] = cache[(v, u)] = got
         return got
 
@@ -90,10 +93,11 @@ def fraction_are_equivalent(a, b):
 
     def extend(level):
         if level == n:
-            ints = RationalMatrix(list(zip(*chosen))).matmul(b_inv).to_int_rows()
-            if ints is None or linalg.det(RationalMatrix(ints)) not in (1, -1):
+            u = matmul(transpose(chosen), b_inv)
+            if any(x.denominator != 1 for row in u for x in row):
                 return None
-            return RationalMatrix(ints)
+            ints = tuple(tuple(int(x) for x in row) for row in u)
+            return ints if cofactor_det(ints) in (1, -1) else None
         for cand in by_norm.get(target[level][level], ()):
             if all(inner_a(chosen[j], cand) == target[j][level] for j in range(level)):
                 chosen.append(cand)
@@ -151,8 +155,7 @@ def test_fingerprint_matches_doubling_oracle(f):
     st.integers(min_value=1, max_value=4),
 )
 def test_fingerprint_matches_doubling_oracle_on_random_forms(rows, k, levels):
-    b = RationalMatrix(rows)
-    f = QuadraticForm(b.transpose().matmul(b).scaled(F(1, k)) + RationalMatrix.identity(len(rows)))
+    f = form(add(scaled(matmul(transpose(rows), rows), F(1, k)), identity(len(rows))))
     assert fingerprint(f, levels) == doubling_fingerprint(f, levels)
 
 
@@ -170,8 +173,7 @@ def test_fingerprint_matches_doubling_oracle_on_random_forms(rows, k, levels):
     st.integers(min_value=1, max_value=4),
 )
 def test_fingerprint_matches_fraction_visits_on_random_forms(rows, k, d, levels):
-    b = RationalMatrix(rows)
-    f = QuadraticForm(b.transpose().matmul(b).scaled(F(1, k)) + RationalMatrix.identity(len(rows)).scaled(F(1, d)))
+    f = form(add(scaled(matmul(transpose(rows), rows), F(1, k)), scaled(identity(len(rows)), F(1, d))))
     got = fingerprint(f, levels)
     assert got == fraction_fingerprint(f, levels)
     assert all(type(value) is F for value, _ in got.level_histogram)
@@ -194,15 +196,13 @@ def test_fingerprint_rejects_nonpositive_levels():
 
 def test_self_equivalence_gives_identity():
     f = tf_form(5)
-    assert are_equivalent(f, f) == RationalMatrix.identity(5)
+    assert are_equivalent(f, f) == identity(5)
 
 
 def _check_witness(a, b, u):
-    assert u.to_int_rows() is not None
-    from tamewall.linalg import det
-
-    assert det(u) in (1, -1)
-    assert u.transpose().matmul(a.gram).matmul(u) == b.gram
+    assert all(type(x) is int for row in u for x in row)
+    assert cofactor_det(u) in (1, -1)
+    assert matmul(matmul(transpose(u), a.gram), u) == b.gram
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
@@ -270,20 +270,20 @@ def test_dimension_mismatch_rejected():
 
 
 def test_non_pd_rejected():
-    bad = QuadraticForm(RationalMatrix([[1, 0], [0, -1]]))
+    bad = QuadraticForm([[1, 0], [0, -1]], 1)
     with pytest.raises(ValueError):
         are_equivalent(bad, QuadraticForm.identity(2))
 
 
 def _unimodular_from_shears(n, shears):
-    u = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
     for (i, j, c) in shears:
         ii, jj = i % n, j % n
         if ii == jj:
             continue
         for k in range(n):
             u[ii][k] += c * u[jj][k]
-    return RationalMatrix(u)
+    return tuple(map(tuple, u))
 
 
 @settings(max_examples=100, deadline=None)
@@ -302,7 +302,7 @@ def _unimodular_from_shears(n, shears):
 def test_equivalence_invariant_under_unimodular_precomposition(name, shears):
     f = {"A2": standard_gram("A", 2), "A3": standard_gram("A", 3), "D4": standard_gram("D", 4)}[name]
     u = _unimodular_from_shears(f.n, shears)
-    conjugated = QuadraticForm(u.transpose().matmul(f.gram).matmul(u))
+    conjugated = form(matmul(matmul(transpose(u), f.gram), u))
     w = are_equivalent(f, conjugated)
     assert w is not None
     _check_witness(f, conjugated, w)
@@ -314,6 +314,13 @@ def test_witness_failing_gram_identity_raises_invariant_error(monkeypatch):
     # image whose U is unimodular but fails U^T Gram(a) U = Gram(b).
     monkeypatch.setattr(isometry, "_first_image", lambda candidates, fits, accept: accept([(1, 0), (1, 1)]))
     a = QuadraticForm.identity(2)
-    b = QuadraticForm(RationalMatrix([[1, 1], [1, 2]]))
+    b = QuadraticForm([[1, 1], [1, 2]], 1)
     with pytest.raises(InvariantError, match="Gram identity"):
         are_equivalent(a, b)
+
+
+def test_integral_map_refuses_a_non_integral_product():
+    # U B^-1 with B^-1 = diag(1/2, 1): integral for U = diag(2, 3), not for U = I
+    inverse = linalg.inverse([[2, 0], [0, 1]])
+    assert isometry._integral_map([(2, 0), (0, 3)], inverse) == ((1, 0), (0, 3))
+    assert isometry._integral_map([(1, 0), (0, 1)], inverse) is None

@@ -18,8 +18,9 @@ from tamewall.forms import (
     tf_form,
     value_row,
 )
-from tamewall.linalg import RationalMatrix
 from tamewall.perfect import is_eutactic, is_extreme, perfection_report
+
+from rowmath import form, matmul, transpose
 
 
 def test_identity_not_perfect():
@@ -62,10 +63,10 @@ def test_perfection_equals_unique_reconstruction(f):
 
 def rational_perfection(f):
     """The former perfection_report and reconstruction, kept as their
-    oracle: a rank over RationalMatrix rows, then a second elimination of
-    the unit-norm system."""
+    oracle: a rank over Fraction rows, then a second elimination of the
+    unit-norm system."""
     vectors = arithmetic_minimum(f).vectors
-    m = RationalMatrix([[F(x) for x in value_row(v)] for v in vectors])
+    m = [[F(x) for x in value_row(v)] for v in vectors]
     sol = linalg.solve(m, [F(1)] * len(vectors))
     recon = form_from_solution(sol, f.n) if sol.is_unique else None
     return linalg.rank(m), recon
@@ -118,7 +119,7 @@ def test_eutaxy_weights_reproduce_dual_exactly(f):
         for i in range(n):
             for j in range(n):
                 total[i][j] += w * v[i] * v[j]
-    assert RationalMatrix(total) == dual_form(f).gram
+    assert tuple(map(tuple, total)) == dual_form(f).gram
 
 
 def test_extreme_verdicts():
@@ -140,7 +141,7 @@ def _random_unimodular(n, seed_rows):
             continue
         for k in range(n):
             u[ii][k] += c * u[jj][k]
-    return RationalMatrix(u)
+    return u
 
 
 @settings(max_examples=100, deadline=None)
@@ -164,6 +165,6 @@ def test_perfection_and_eutaxy_unimodular_invariant(name, shears):
         "TF5": tf_form(5),
     }[name]
     u = _random_unimodular(f.n, shears)
-    conjugated = QuadraticForm(u.transpose().matmul(f.gram).matmul(u))
+    conjugated = form(matmul(matmul(transpose(u), f.gram), u))
     assert perfection_report(conjugated).is_perfect == perfection_report(f).is_perfect
     assert is_eutactic(conjugated)[0] == is_eutactic(f)[0]

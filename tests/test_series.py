@@ -4,7 +4,9 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tamewall import forms
 from tamewall.delaunay import relative_volume
 from tamewall.forms import (
     QuadraticForm,
@@ -25,6 +27,8 @@ from tamewall.series import (
     verify_theorem1,
     verify_theorem2,
 )
+
+from rowmath import add, scaled
 
 
 def test_s6_vertices():
@@ -71,19 +75,19 @@ def test_complementary_dn_6():
 
 def test_tw6_frozen_normal():
     w = tw_normal(6).normal
-    assert all(w[i, i] == 0 for i in range(5))
-    assert all(w[i, j] == 1 for i in range(5) for j in range(5) if i != j)
-    assert all(w[i, 5] == -3 for i in range(5))
-    assert w[5, 5] == 12
+    assert all(w[i][i] == 0 for i in range(5))
+    assert all(w[i][j] == 1 for i in range(5) for j in range(5) if i != j)
+    assert all(w[i][5] == -3 for i in range(5))
+    assert w[5][5] == 12
 
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_tw_closed_pattern(n):
     w = tw_normal(n).normal
-    assert all(w[i, i] == 0 for i in range(n - 1))
-    assert all(w[i, j] == 1 for i in range(n - 1) for j in range(n - 1) if i != j)
-    assert all(w[i, n - 1] == -(n - 3) for i in range(n - 1))
-    assert w[n - 1, n - 1] == (n - 2) * (n - 3)
+    assert all(w[i][i] == 0 for i in range(n - 1))
+    assert all(w[i][j] == 1 for i in range(n - 1) for j in range(n - 1) if i != j)
+    assert all(w[i][n - 1] == -(n - 3) for i in range(n - 1))
+    assert w[n - 1][n - 1] == (n - 2) * (n - 3)
 
 
 @pytest.mark.parametrize("n", range(5, 13))
@@ -99,8 +103,8 @@ def test_tw_pairings(n):
 
 def test_tw_hand_values():
     wall = tw_normal(6)
-    assert QuadraticForm(wall.normal).evaluate((1, -1, 0, 0, 0, 0)) == -2
-    assert QuadraticForm(wall.normal).evaluate((1, 1, 1, 1, 1, 2)) == 8
+    assert QuadraticForm(wall.normal, 1).evaluate((1, -1, 0, 0, 0, 0)) == -2
+    assert QuadraticForm(wall.normal, 1).evaluate((1, 1, 1, 1, 1, 2)) == 8
 
 
 def test_printed_formula_is_reported_as_discrepancy():
@@ -119,7 +123,7 @@ def test_wall_form_pairs_to_zero_with_normal():
 
 def test_classify_side_of_forms():
     wall = tw_normal(6)
-    assert classify_side(wall, voronoi_image((1, -1, 0, 0, 0, 0))) == "dn_side"
+    assert classify_side(wall, QuadraticForm(voronoi_image((1, -1, 0, 0, 0, 0)), 1)) == "dn_side"
 
 
 def test_classify_side_rejects_wrong_length_vector():
@@ -228,6 +232,29 @@ def test_minimal_counts_in_theorem2_reports():
 @pytest.mark.parametrize("n", [6, 7, 8, 9])
 def test_verify_theorem1_passes_from_six_up(n):
     assert verify_theorem1(n).ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=5, max_value=9))
+def test_theorem1_perturbed_forms_match_fraction_oracle(n):
+    # every G + eps N that theorem 1 tries, against the Fraction matrix sum
+    tried = []
+    build = forms.shifted
+
+    def recording(f, c, rows):
+        g = build(f, c, rows)
+        tried.append((c, g))
+        return g
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(forms, "shifted", recording)
+        rep = verify_theorem1(n)
+    assert [c for c, _ in tried] == [F(1, 2**k) for k in range(2, 2 + len(tried))]
+    assert tried[-1][0] == rep.data["epsilon"]
+    wall_gram = wall_interior_form(n).gram
+    normal = tw_normal(n).normal
+    for c, g in tried:
+        assert g.gram == add(wall_gram, scaled(normal, c))
 
 
 @pytest.mark.parametrize("n", [7, 8, 9])

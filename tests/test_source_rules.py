@@ -1,6 +1,9 @@
 """Rules on the package source that no runtime test would notice."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tamewall
@@ -160,6 +163,35 @@ def test_ldl_called_only_where_forms_are_factored():
     assert found == []
 
 
+_IMPORT_PROBE = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "import tamewall\n"
+    "print(*sorted(set(sys.modules) - before))\n"
+)
+
+
+def _foreign_modules(names):
+    """The module names outside the standard library and the package."""
+    return sorted(
+        name for name in names if name.split(".")[0] not in sys.stdlib_module_names | {"tamewall"}
+    )
+
+
+def test_import_loads_only_the_standard_library_and_the_package():
+    # pyproject.toml declares dependencies = []: numpy or sympy may be
+    # installed, but `import tamewall` in a fresh interpreter loads neither,
+    # nor any other third-party module.  Import time is also the setup cost
+    # of every benchmark probe.
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = probe.stdout.split()
+    assert "tamewall.forms" in loaded
+    assert _foreign_modules(loaded) == []
+
+
 def test_source_rules_catch_what_they_forbid():
     bad = ast.parse(
         "import functools\n"
@@ -185,3 +217,5 @@ def test_source_rules_catch_what_they_forbid():
     assert [node.lineno for node in ast.walk(bad) if _raises_bare_error(node)] == [10]
     assert sorted(node.lineno for node in ast.walk(bad) if _uses_lcm(node)) == [13, 14, 14]
     assert sorted(node.lineno for node in ast.walk(bad) if _calls_linalg_ldl(node)) == [15, 16]
+    loaded = ["numpy", "numpy.linalg", "sympy", "fractions", "_decimal", "tamewall", "tamewall.forms"]
+    assert _foreign_modules(loaded) == ["numpy", "numpy.linalg", "sympy"]
