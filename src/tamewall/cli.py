@@ -243,17 +243,16 @@ def _cmd_equiv(args):
 
 
 def _fingerprint_diff(a, b):
-    fa = isometry.fingerprint(a)
-    fb = isometry.fingerprint(b)
     def fp(f):
+        rep = arithmetic_minimum(f)
         return {
-            "dimension": f.dimension,
-            "determinant": _frac_str(f.determinant),
-            "minimum": _frac_str(f.minimum),
-            "pair_count": f.pair_count,
-            "total_count": 2 * f.pair_count,
+            "dimension": f.n,
+            "determinant": _frac_str(f.determinant()),
+            "minimum": _frac_str(rep.minimum),
+            "pair_count": rep.pair_count,
+            "total_count": rep.total_count,
         }
-    return {"equivalent": False, "fingerprint_a": fp(fa), "fingerprint_b": fp(fb)}
+    return {"equivalent": False, "fingerprint_a": fp(a), "fingerprint_b": fp(b)}
 
 
 def _cmd_family(args):

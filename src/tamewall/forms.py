@@ -4,9 +4,9 @@ A symmetric rational matrix is held as integer rows over one positive
 denominator; a form reduces that pair so it is canonical.  The module
 holds the form data type, the closed-form constructors for the wall-adjacent
 perfect form family and its D_n-side neighbor, the interior form of the wall
-cone, standard root-lattice fixtures, the rank-1 (Voronoi) map from integer
-vectors into form space, form recovery from norm conditions, and the shared
-form text format.
+cone, standard root-lattice fixtures, the value rows of integer vectors in
+Sym(n) coordinates, form recovery from norm conditions, and the shared form
+text format.
 
 Sym(n) is handled in coordinates (diagonal entries first, then the i<j
 pairs).  The value row of an integer vector v is an integer row, and the
@@ -147,11 +147,6 @@ def pairing(a, b):
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
     return sum(x * y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def voronoi_image(v):
-    """Rank-1 symmetric matrix v v^T of an integer vector, as integer rows."""
-    return tuple(tuple(vi * vj for vj in v) for vi in v)
 
 
 # -- coordinates on Sym(n): diagonal entries first, then i<j pairs -----------

@@ -1,77 +1,34 @@
 """Integral (unimodular) equivalence of positive definite forms, and
 automorphisms of a cell.
 
-Backtracking over images of a reference basis drawn from the minimal
-vectors, pruned by exact integer inner products; invariant fingerprints
-give fast provable negatives.  The cost lies in the enumerations (every
-vector up to a fingerprint's third value, and up to the largest reference
-norm) and in the backtracking tree they feed, not in n as such.  The same
-backtracking over images of an affine basis among a cell's vertices
-certifies the orbits of unordered vertex triples that the cell census
-walks through.
+Backtracking over images of a reference basis of short vectors, pruned by
+exact integer inner products.  Unimodular invariants refute first: the
+determinant, the number of vectors at each norm up to the largest
+reference norm, and whether those vectors span, all read off the two
+vector lists that the search enumerates anyway.  The cost lies in those
+enumerations and in the backtracking tree they feed, not in n as such.
+The same backtracking over images of an affine basis among a cell's
+vertices certifies the orbits of unordered vertex triples that the cell
+census walks through.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from operator import mul
 
 from . import kernels, linalg
-from .enumeration import _diagonal_minimum, _Enumerator, arithmetic_minimum, vectors_up_to
+from .enumeration import _diagonal_minimum, arithmetic_minimum, vectors_up_to
 from .errors import InvariantError
 from .forms import QuadraticForm, scale
 from .vecset import sub
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    """Unimodular invariants used as an equivalence pre-filter."""
-
-    dimension: int
-    determinant: Fraction
-    minimum: Fraction
-    pair_count: int
-    level_histogram: tuple  # ((value, pair count), ...) for the first k levels
-
-
-def fingerprint(f: QuadraticForm, levels=3) -> Fingerprint:
-    """Invariants of f, with the pair counts of its `levels` smallest
-    nonzero values.
-
-    One enumeration per doubled bound, starting from the smallest diagonal
-    entry (at least the minimum): once `levels` values are seen, the
-    largest of them becomes the bound, so vectors beyond the last level
-    are never visited.
-    """
-    if levels < 1:
-        raise ValueError("levels must be positive")
-    enum = _Enumerator(f)
-    bound = _diagonal_minimum(f)
-    while True:
-        counts = {}  # scaled cost -> pair count
-
-        def visit(x, cost, m):
-            if cost == 0:
-                return None
-            counts[cost] = counts.get(cost, 0) + 1
-            if len(counts) > levels:
-                del counts[max(counts)]
-            return max(counts) if len(counts) == levels else None
-
-        m = enum.run([0] * f.n, bound, visit, half=True)
-        if len(counts) == levels:
-            break
-        bound *= 2
-    histogram = tuple((Fraction(cost, m), count) for cost, count in sorted(counts.items()))
-    minimum, pair_count = histogram[0]
-    return Fingerprint(f.n, f.determinant(), minimum, pair_count, histogram)
-
-
 def _reference_basis(f: QuadraticForm):
-    """n linearly independent vectors of lowest norms, greedily."""
+    """n linearly independent vectors of lowest norms, greedily, with the
+    vectors_up_to list they were drawn from."""
     n = f.n
     bound = _diagonal_minimum(f)
     while True:
@@ -84,7 +41,7 @@ def _reference_basis(f: QuadraticForm):
                 rows = trial
                 chosen.append(v)
                 if len(chosen) == n:
-                    return chosen
+                    return chosen, candidates
         bound *= 2
 
 
@@ -94,10 +51,13 @@ def are_equivalent(a: QuadraticForm, b: QuadraticForm):
 
     Candidates for the image of each reference vector of b are the
     vectors of a with the same norm; partial maps are pruned on exact
-    pairwise inner products.  A full tuple is accepted only if the
-    induced matrix is integral with determinant +-1, both checked in
-    integers (then the Gram identity holds automatically and is checked);
-    a negative answer means the finite compatible tree was exhausted.
+    pairwise inner products.  Before the search, a different determinant,
+    a different number of vectors at some norm up to the largest reference
+    norm, or vectors of a up to that norm that do not span, refutes.  A
+    full tuple is accepted only if the induced matrix is integral with
+    determinant +-1, both checked in integers (then the Gram identity holds
+    automatically and is checked); a negative answer means the finite
+    compatible tree was exhausted.
     """
     if a.n != b.n:
         raise ValueError("dimension mismatch")
@@ -105,17 +65,25 @@ def are_equivalent(a: QuadraticForm, b: QuadraticForm):
         raise ValueError("both forms must be positive definite")
     if a == b:
         return tuple(tuple(int(i == j) for j in range(a.n)) for i in range(a.n))
-    if fingerprint(a) != fingerprint(b):
+    if a.determinant() != b.determinant():
         return None
 
     n = a.n
-    basis = _reference_basis(b)
+    basis, b_vectors = _reference_basis(b)
     b_inv = linalg.inverse(list(zip(*basis)))  # B: the basis as columns
     target = _congruence(basis, b.int_gram)  # b.den * B^T Gram(b) B
 
+    # Equivalent forms have equal counts at every norm, and a's vectors up
+    # to the norm the search needs span, as b's do.  Both lists are sorted
+    # by value, so equal value sequences are equal counts.
     norm_needed = Fraction(max(target[i][i] for i in range(n)), b.den)
+    a_vectors = vectors_up_to(a, norm_needed)
+    if [val for _, val in a_vectors] != [val for _, val in b_vectors if val <= norm_needed]:
+        return None
+    if linalg.rank([v for v, _ in a_vectors]) < n:
+        return None
     by_norm = {}
-    for v, val in vectors_up_to(a, norm_needed):
+    for v, val in a_vectors:
         by_norm.setdefault(val, []).extend([v, tuple(-x for x in v)])
     for val in by_norm:
         by_norm[val].sort()

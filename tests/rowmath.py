@@ -28,6 +28,11 @@ def matvec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
+def outer(u, v):
+    """The rows of u v^T; outer(v, v) is the rank-1 form of v."""
+    return tuple(tuple(x * y for y in v) for x in u)
+
+
 def add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 

@@ -152,7 +152,7 @@ def test_criterion_05_tf_eutaxy(n):
 
 # -- criterion 6: D_n identification --------------------------------------------
 
-@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("n", range(5, 17))
 def test_criterion_06_dn_identification(n):
     t0 = time.time()
     a = dn_neighbor_form(n)
@@ -173,6 +173,16 @@ def test_criterion_06_theorem2_pipeline_n10():
     failing = [s.name for s in rep.steps if not s.ok]
     ok = rep.ok and not failing and "dn_identification" in [s.name for s in rep.steps]
     _line(6, ok, f"n=10: every theorem-2 step ok, D_n identification included "
+                 f"(failing {failing}) ({time.time() - t0:.2f}s)")
+    assert ok
+
+
+def test_criterion_06_theorem2_pipeline_n20():
+    t0 = time.time()
+    rep = series.verify_theorem2(20, include_isometry=True)
+    failing = [s.name for s in rep.steps if not s.ok]
+    ok = rep.ok and not failing and "dn_identification" in [s.name for s in rep.steps]
+    _line(6, ok, f"n=20: every theorem-2 step ok, D_n identification included "
                  f"(failing {failing}) ({time.time() - t0:.2f}s)")
     assert ok
 

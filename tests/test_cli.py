@@ -2,7 +2,9 @@
 
 import json
 import os
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -367,7 +369,6 @@ _GUARDED_CALLS = [
     (delaunay, "perturbation_check"),
     (isometry, "are_equivalent"),
     (isometry, "are_similar"),
-    (isometry, "fingerprint"),
     (series, "verify_theorem1"),
     (series, "verify_theorem2"),
 ]
@@ -567,3 +568,26 @@ def test_emitted_vector_files_reparse(capsys, tmp_path):
     assert code == 0
     text = format_vectors([tuple(v) for v in payload["vectors"]])
     assert parse_vectors(text) == tuple(tuple(v) for v in payload["vectors"])
+
+
+def _readme_command_lines():
+    """The `tamewall ...` lines of the README's "Command line" block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("tamewall ")]
+
+
+def test_readme_command_lines_parse(capsys):
+    lines = _readme_command_lines()
+    assert len(lines) > 10
+    refused = []
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        if ">" in argv:  # the shell's output redirection
+            argv = argv[:argv.index(">")]
+        try:
+            cli._build_parser().parse_args(argv[1:])
+        except SystemExit:
+            refused.append(line)
+    capsys.readouterr()
+    assert refused == []

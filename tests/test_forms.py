@@ -20,12 +20,11 @@ from tamewall.forms import (
     solve_form_from_unit_norms,
     standard_gram,
     tf_form,
-    voronoi_image,
     wall_interior_form,
 )
 from tamewall.series import complementary_vectors, verify_theorem2
 
-from rowmath import add, form, matvec, scaled
+from rowmath import add, form, matvec, outer, scaled
 from test_linalg import fraction_inverse
 
 
@@ -224,8 +223,8 @@ def test_form_keeps_its_factors_and_its_refusal(monkeypatch):
 
 
 def test_voronoi_image_frozen():
-    assert voronoi_image((1, 0)) == ((1, 0), (0, 0))
-    assert voronoi_image((1, -1)) == ((1, -1), (-1, 1))
+    assert outer((1, 0), (1, 0)) == ((1, 0), (0, 0))
+    assert outer((1, -1), (1, -1)) == ((1, -1), (-1, 1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -246,14 +245,14 @@ def test_pairing_of_image_evaluates_form(data):
     n = len(v)
     sym = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
     f = QuadraticForm(sym, 1)
-    assert pairing(voronoi_image(v), f.gram) == f.evaluate(v)
+    assert pairing(outer(v, v), f.gram) == f.evaluate(v)
 
 
 def test_wall_interior_form_is_dual_image_sum():
     n = 5
     total = ((0,) * n,) * n
     for u in big_simplex_dual_vectors(n):
-        total = add(total, voronoi_image(u))
+        total = add(total, outer(u, u))
     assert wall_interior_form(n).gram == total
     assert wall_interior_form(n).is_positive_definite
 

@@ -5,17 +5,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tamewall import isometry, linalg
+from tamewall import cli, isometry, linalg
 from tamewall.enumeration import arithmetic_minimum, vectors_up_to
 from tamewall.errors import InvariantError
 from tamewall.forms import QuadraticForm, dn_neighbor_form, scale, standard_gram, tf_form
-from tamewall.isometry import (
-    Fingerprint,
-    _reference_basis,
-    are_equivalent,
-    are_similar,
-    fingerprint,
-)
+from tamewall.isometry import _reference_basis, are_equivalent, are_similar
 
 from rowmath import add, form, identity, matmul, matvec, scaled, transpose
 from test_enumeration import fraction_run
@@ -24,8 +18,11 @@ from test_linalg import fraction_inverse
 
 
 def doubling_fingerprint(f, levels=3):
-    """The former fingerprint, kept as the oracle of the shrinking one:
-    the whole vectors_up_to list at each doubled bound from the minimum."""
+    """The former fingerprint: (dimension, determinant, minimum, pair count,
+    the pair counts of the first `levels` values), the last from the whole
+    vectors_up_to list at each doubled bound from the minimum.  It is the
+    Fraction search's pre-filter and the oracle of the CLI's refutation
+    payload."""
     rep = arithmetic_minimum(f)
     bound = rep.minimum
     while True:
@@ -37,30 +34,27 @@ def doubling_fingerprint(f, levels=3):
             histogram = histogram[:levels]
             break
         bound *= 2
-    return Fingerprint(f.n, f.determinant(), rep.minimum, rep.pair_count, tuple(histogram))
+    return f.n, f.determinant(), rep.minimum, rep.pair_count, tuple(histogram)
 
 
-def fraction_fingerprint(f, levels=3):
-    """The shrinking fingerprint as it was on Fraction visits, kept as the
-    oracle of the integer one: the histogram is keyed by Fraction values."""
-    bound = min(f.gram[i][i] for i in range(f.n))
-    while True:
-        counts = {}
+def fraction_minimum(f):
+    """(minimum, pair count) from Fraction visits that shrink the bound to
+    each smaller value seen: the oracle of the integer enumeration behind
+    the CLI's refutation payload."""
+    best = [min(f.gram[i][i] for i in range(f.n)), 0]
 
-        def visit(x, value):
-            if value == 0:
-                return None
-            counts[value] = counts.get(value, 0) + 1
-            if len(counts) > levels:
-                del counts[max(counts)]
-            return max(counts) if len(counts) == levels else None
+    def visit(x, value):
+        if value == 0:
+            return None
+        if value < best[0]:
+            best[:] = [value, 1]
+            return value
+        if value == best[0]:
+            best[1] += 1
+        return None
 
-        fraction_run(f, [0] * f.n, bound, visit, half=True, shrink=True)
-        if len(counts) == levels:
-            break
-        bound *= 2
-    histogram = tuple(sorted(counts.items()))
-    return Fingerprint(f.n, f.determinant(), histogram[0][0], histogram[0][1], histogram)
+    fraction_run(f, [0] * f.n, best[0], visit, half=True, shrink=True)
+    return tuple(best)
 
 
 def fraction_are_equivalent(a, b):
@@ -69,10 +63,10 @@ def fraction_are_equivalent(a, b):
     Fraction product of the images with the inverse basis."""
     if a == b:
         return identity(a.n)
-    if fingerprint(a) != fingerprint(b):
+    if doubling_fingerprint(a) != doubling_fingerprint(b):
         return None
     n = a.n
-    basis = _reference_basis(b)
+    basis = _reference_basis(b)[0]
     b_inv = fraction_inverse(transpose(basis))
     target = [[b.inner(basis[i], basis[j]) for j in range(n)] for i in range(n)]
     by_norm = {}
@@ -110,26 +104,40 @@ def fraction_are_equivalent(a, b):
     return extend(0)
 
 
+# The one fingerprint left is the refutation payload of `tamewall equiv`,
+# read off arithmetic_minimum and the determinant: it must keep the values
+# of the former fingerprint.
+
+def payload(f):
+    return cli._fingerprint_diff(f, f)["fingerprint_a"]
+
+
+def former_payload(f):
+    dimension, determinant, minimum, pair_count, _ = doubling_fingerprint(f)
+    return {
+        "dimension": dimension,
+        "determinant": str(determinant),
+        "minimum": str(minimum),
+        "pair_count": pair_count,
+        "total_count": 2 * pair_count,
+    }
+
+
 def test_fingerprint_identity_two():
-    fp = fingerprint(QuadraticForm.identity(2))
-    assert fp.determinant == 1
-    assert fp.minimum == 1
-    assert fp.pair_count == 2
-    assert fp.level_histogram[0] == (1, 2)
+    fp = payload(QuadraticForm.identity(2))
+    assert fp == {"dimension": 2, "determinant": "1", "minimum": "1", "pair_count": 2, "total_count": 4}
 
 
 def test_fingerprint_tf5():
-    fp = fingerprint(tf_form(5))
-    assert fp.minimum == 1
-    assert fp.pair_count == 15
+    fp = payload(tf_form(5))
+    assert (fp["minimum"], fp["pair_count"]) == ("1", 15)
 
 
 def test_fingerprint_scaling():
     f = standard_gram("A", 2)
-    fp = fingerprint(f)
-    fp2 = fingerprint(scale(f, 2))
-    assert fp2.minimum == 2 * fp.minimum
-    assert fp2.pair_count == fp.pair_count
+    fp, fp2 = payload(f), payload(scale(f, 2))
+    assert F(fp2["minimum"]) == 2 * F(fp["minimum"])
+    assert fp2["pair_count"] == fp["pair_count"]
 
 
 @pytest.mark.parametrize(
@@ -139,7 +147,7 @@ def test_fingerprint_scaling():
     + [pytest.param(standard_gram("E6*"), id="E6*"), pytest.param(dn_neighbor_form(7), id="dn7")],
 )
 def test_fingerprint_matches_doubling_oracle(f):
-    assert fingerprint(f) == doubling_fingerprint(f)
+    assert payload(f) == former_payload(f)
 
 
 @settings(max_examples=150, deadline=None)
@@ -152,11 +160,10 @@ def test_fingerprint_matches_doubling_oracle(f):
         )
     ),
     st.integers(min_value=1, max_value=5),
-    st.integers(min_value=1, max_value=4),
 )
-def test_fingerprint_matches_doubling_oracle_on_random_forms(rows, k, levels):
+def test_fingerprint_matches_doubling_oracle_on_random_forms(rows, k):
     f = form(add(scaled(matmul(transpose(rows), rows), F(1, k)), identity(len(rows))))
-    assert fingerprint(f, levels) == doubling_fingerprint(f, levels)
+    assert payload(f) == former_payload(f)
 
 
 @settings(max_examples=150, deadline=None)
@@ -170,13 +177,11 @@ def test_fingerprint_matches_doubling_oracle_on_random_forms(rows, k, levels):
     ),
     st.integers(min_value=1, max_value=5),
     st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=4),
 )
-def test_fingerprint_matches_fraction_visits_on_random_forms(rows, k, d, levels):
+def test_fingerprint_matches_fraction_visits_on_random_forms(rows, k, d):
     f = form(add(scaled(matmul(transpose(rows), rows), F(1, k)), scaled(identity(len(rows)), F(1, d))))
-    got = fingerprint(f, levels)
-    assert got == fraction_fingerprint(f, levels)
-    assert all(type(value) is F for value, _ in got.level_histogram)
+    fp = payload(f)
+    assert (F(fp["minimum"]), fp["pair_count"]) == fraction_minimum(f)
 
 
 @pytest.mark.parametrize(
@@ -186,12 +191,8 @@ def test_fingerprint_matches_fraction_visits_on_random_forms(rows, k, d, levels)
     + [pytest.param(standard_gram("E6*"), id="E6*")],
 )
 def test_fingerprint_matches_fraction_visits(f):
-    assert fingerprint(f) == fraction_fingerprint(f)
-
-
-def test_fingerprint_rejects_nonpositive_levels():
-    with pytest.raises(ValueError):
-        fingerprint(QuadraticForm.identity(2), 0)
+    fp = payload(f)
+    assert (F(fp["minimum"]), fp["pair_count"]) == fraction_minimum(f)
 
 
 def test_self_equivalence_gives_identity():
@@ -224,8 +225,8 @@ def test_tf6_similar_to_e6_dual():
 
 def test_tf5_not_equivalent_to_scaled_d5():
     assert are_equivalent(tf_form(5), scale(standard_gram("D", 5), F(1, 2))) is None
-    fa = fingerprint(tf_form(5))
-    fb = fingerprint(scale(standard_gram("D", 5), F(1, 2)))
+    fa = arithmetic_minimum(tf_form(5))
+    fb = arithmetic_minimum(scale(standard_gram("D", 5), F(1, 2)))
     assert (fa.pair_count, fb.pair_count) == (15, 20)
 
 
@@ -240,12 +241,57 @@ def test_trivial_similarity_scale():
     assert sim[0] == F(1, 5)
 
 
+def direct_sum(*blocks):
+    """The block-diagonal form of square blocks given as rows."""
+    n = sum(map(len, blocks))
+    rows = [[0] * n for _ in range(n)]
+    k = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[k + i][k:k + len(row)] = row
+        k += len(block)
+    return form(rows)
+
+
+# Inequivalent pairs that agree in dimension, determinant, minimum and pair
+# count.  The vector counts at a larger norm tell them apart, except from
+# I5+A2+[8/3] to I5+2I3: there the counts agree up to norm 2, where the
+# vectors of I5+A2+[8/3] span only rank 7.
+AGREEING_NEGATIVES = [
+    pytest.param(
+        direct_sum(identity(5), scaled(identity(3), 2)),
+        direct_sum(identity(5), ((2, -1), (-1, 2)), ((F(8, 3),),)),
+        id="I5+2I3-I5+A2+[8/3]",
+    ),
+    pytest.param(
+        direct_sum(identity(6), scaled(identity(2), 2)),
+        direct_sum(identity(6), ((2, 1), (1, F(5, 2)))),
+        id="I6+2I2-I6+[[2,1],[1,5/2]]",
+    ),
+]
+
+
+@pytest.mark.parametrize("a, b", AGREEING_NEGATIVES)
+def test_prefilter_refutes_without_search(monkeypatch, a, b):
+    def search(*args):
+        raise AssertionError("the pre-filter let the pair through to the search")
+
+    def cheap_invariants(f):
+        rep = arithmetic_minimum(f)
+        return f.n, f.determinant(), rep.minimum, rep.pair_count
+
+    assert cheap_invariants(a) == cheap_invariants(b)
+    monkeypatch.setattr(isometry, "_first_image", search)
+    assert are_equivalent(a, b) is None
+    assert are_equivalent(b, a) is None
+
+
 def test_outcome_is_symmetric():
     pairs = [
         (dn_neighbor_form(5), scale(standard_gram("D", 5), F(1, 2))),
         (tf_form(5), scale(standard_gram("D", 5), F(1, 2))),
         (standard_gram("A", 3), standard_gram("A", 3)),
-    ]
+    ] + [param.values for param in AGREEING_NEGATIVES]
     for a, b in pairs:
         assert (are_equivalent(a, b) is None) == (are_equivalent(b, a) is None)
 

@@ -12,7 +12,6 @@ from tamewall.forms import (
     QuadraticForm,
     big_simplex_dual_vectors,
     pairing,
-    voronoi_image,
     wall_interior_form,
 )
 from tamewall.series import (
@@ -28,7 +27,7 @@ from tamewall.series import (
     verify_theorem2,
 )
 
-from rowmath import add, scaled
+from rowmath import add, outer, scaled
 
 
 def test_s6_vertices():
@@ -123,7 +122,8 @@ def test_wall_form_pairs_to_zero_with_normal():
 
 def test_classify_side_of_forms():
     wall = tw_normal(6)
-    assert classify_side(wall, QuadraticForm(voronoi_image((1, -1, 0, 0, 0, 0)), 1)) == "dn_side"
+    v = (1, -1, 0, 0, 0, 0)
+    assert classify_side(wall, QuadraticForm(outer(v, v), 1)) == "dn_side"
 
 
 def test_classify_side_rejects_wrong_length_vector():

@@ -163,6 +163,21 @@ def test_ldl_called_only_where_forms_are_factored():
     assert found == []
 
 
+# One exact enumerator behind every lattice-point query: other modules call
+# the enumeration queries, never the private search itself.
+def _names_enumerator(node):
+    if isinstance(node, ast.ImportFrom):
+        return any(a.name == "_Enumerator" for a in node.names)
+    return (isinstance(node, ast.Name) and node.id == "_Enumerator") or (
+        isinstance(node, ast.Attribute) and node.attr == "_Enumerator"
+    )
+
+
+def test_enumerator_named_only_in_enumeration():
+    found = [site for site in _nodes_where(_names_enumerator) if site.split(":")[0] != "enumeration.py"]
+    assert found == []
+
+
 _IMPORT_PROBE = (
     "import sys\n"
     "before = set(sys.modules)\n"
@@ -211,11 +226,14 @@ def test_source_rules_catch_what_they_forbid():
         "from .linalg import ldl\n"
         "factors = linalg.ldl(gram)\n"
         "factors = form.ldl()\n"
+        "from .enumeration import _Enumerator, vectors_up_to\n"
+        "m = enumeration._Enumerator(f).run(c, r2, visit)\n"
     )
     assert sum(map(_is_functools_cache, ast.walk(bad))) == 2
     assert _mutable_globals(bad) == [3, 4, 5]
     assert [node.lineno for node in ast.walk(bad) if _raises_bare_error(node)] == [10]
     assert sorted(node.lineno for node in ast.walk(bad) if _uses_lcm(node)) == [13, 14, 14]
     assert sorted(node.lineno for node in ast.walk(bad) if _calls_linalg_ldl(node)) == [15, 16]
+    assert sorted(node.lineno for node in ast.walk(bad) if _names_enumerator(node)) == [18, 19]
     loaded = ["numpy", "numpy.linalg", "sympy", "fractions", "_decimal", "tamewall", "tamewall.forms"]
     assert _foreign_modules(loaded) == ["numpy", "numpy.linalg", "sympy"]
