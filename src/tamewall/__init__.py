@@ -17,7 +17,6 @@ from .delaunay import (
 )
 from .dual01 import (
     DualInfiniteError,
-    delaunay_cone_report,
     double_dual01,
 )
 from .enumeration import (
@@ -89,7 +88,6 @@ __all__ = [
     "closest_vectors",
     "complementary_vectors",
     "delaunay_cell_containing",
-    "delaunay_cone_report",
     "dn_neighbor_form",
     "double_dual01",
     "dual_form",

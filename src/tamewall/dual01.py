@@ -1,4 +1,4 @@
-"""(0,1)-dual systems of integer vector sets and the cone their images span.
+"""(0,1)-dual systems of integer vector sets.
 
 The dual of S is every integer vector whose product with each element of
 S lies in {0, 1}.  It is finite exactly when S spans rationally, and it
@@ -14,27 +14,17 @@ of it on the boundary, and the shared exact enumerator finds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .enumeration import first_interior_point
 from .errors import InvariantError
-from .forms import QuadraticForm, sym_dimension, value_row
-from .vecset import canonical_set, dot, is_zero
+from .forms import QuadraticForm
+from .vecset import canonical_set, dot
 
 
 class DualInfiniteError(ValueError):
     """The set does not span rationally, so its (0,1)-dual is infinite."""
-
-
-@dataclass(frozen=True)
-class DualSystemReport:
-    source: tuple
-    dual: tuple
-    double_dual: tuple | None
-    image_rank: int
-    codimension: int
 
 
 def dual01(vectors):
@@ -59,26 +49,3 @@ def dual01(vectors):
 
 def double_dual01(vectors):
     return dual01(dual01(vectors))
-
-
-def image_rank(vectors):
-    """Rank of the rank-1 images of the nonzero vectors inside Sym(n)."""
-    nz = [v for v in vectors if not is_zero(v)]
-    if not nz:
-        return 0
-    return linalg.rank([value_row(v) for v in nz])
-
-
-def delaunay_cone_report(vectors) -> DualSystemReport:
-    """Dual, rank of its images, the codimension of the spanned cone, and
-    the double dual (None when the dual does not span)."""
-    source = canonical_set(vectors)
-    dual = dual01(source)
-    rk = image_rank(dual)
-    n = len(source[0])
-    codim = sym_dimension(n) - rk
-    try:
-        dd = dual01(dual)
-    except DualInfiniteError:
-        dd = None
-    return DualSystemReport(source, dual, dd, rk, codim)

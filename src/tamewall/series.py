@@ -1,10 +1,10 @@
 """The object factory and end-to-end verification pipelines.
 
-Builds the big-simplex series and its repartitioning complexes, derives
-the wall normal in form space from the exact nullspace of the dual-system
-images, classifies sides, parses the bracket shorthand for vector
-families, and bundles the full theorem verifications plus the 27-vertex
-cell census.
+Builds the big-simplex series and its repartitioning complexes, ranks
+the value rows of S_{n-1}-invariant vector sets by isotypic blocks,
+certifies the closed-form wall normal in form space with them, classifies
+sides, parses the bracket shorthand for vector families, and bundles the
+full theorem verifications plus the 27-vertex cell census.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from . import delaunay, dual01, forms, isometry, linalg
 from .enumeration import arithmetic_minimum, closest_vectors
 from .errors import InvariantError
 from .forms import QuadraticForm, big_simplex_dual_vectors, pairing, value_row
-from .perfect import perfection_report
-from .vecset import canonical_set, canonical_sign_set
+from .vecset import canonical_set, canonical_sign, canonical_sign_set
 
 
 # -- vertex factories ---------------------------------------------------------
@@ -82,6 +81,58 @@ def complementary_vectors(n: int, side: str):
     raise ValueError(f"unknown side {side!r}; expected 'Dn' or 'TF'")
 
 
+# -- S_{n-1} blocks -----------------------------------------------------------
+#
+# Permuting the first n-1 coordinates splits Sym(n) into the trivial
+# representation of S_{n-1} four times (the common diagonal entry, the
+# common off-diagonal entry among the first n-1 coordinates, the common
+# entry of the last column, the corner), the standard one three times, and
+# the (n-3,2) one once (inside the off-diagonal block).  The value rows of
+# an invariant vector set span an invariant subspace, so its annihilator
+# splits block by block, each block a system with one row per orbit.
+
+def _orbit_representatives(vectors, n):
+    """The (sorted x, y) of the +-classes (x, y) of an S_{n-1}-invariant set
+    of integer n-vectors; InvariantError when the set is not invariant
+    under the generators (1 2) and (1 2 ... n-1)."""
+    classes = {canonical_sign(v) for v in vectors}
+    for v in classes:
+        for w in ((v[1], v[0], *v[2:]), (*v[1:n - 1], v[0], v[n - 1])):
+            if canonical_sign(w) not in classes:
+                raise InvariantError(f"vector set is not S_{n - 1}-invariant at {v}")
+    return {(tuple(sorted(v[:n - 1])), v[n - 1]) for v in classes}
+
+
+def sym_codimension(vectors, n: int) -> int:
+    """Codimension in Sym(n) of the span of the value rows of an
+    S_{n-1}-invariant set of integer n-vectors (n >= 4).
+
+    For a representative (x, y) with s = sum(x) and q = sum(x_i^2): the
+    trivial row (q, s^2 - q, 2ys, y^2) is its value on the invariant forms;
+    each two adjacent distinct values a < b of x give the standard row
+    (a^2 - b^2, 2a(s-a) - 2b(s-b), 2y(a-b)); and x_i x_j has no (n-3,2)
+    component iff one value fills at least n-2 of the n-1 entries of x.
+    """
+    if n < 4:
+        raise ValueError("the S_{n-1} blocks need n >= 4")
+    trivial, standard = [(0,) * 4], [(0,) * 3]  # a zero row keeps each system nonempty
+    annihilated = True
+    for x, y in _orbit_representatives(vectors, n):
+        s, q = sum(x), sum(a * a for a in x)
+        trivial.append((q, s * s - q, 2 * y * s, y * y))
+        values = sorted(set(x))
+        standard += [
+            (a * a - b * b, 2 * a * (s - a) - 2 * b * (s - b), 2 * y * (a - b))
+            for a, b in zip(values, values[1:])
+        ]
+        annihilated = annihilated and max(Counter(x).values()) >= n - 2
+    return (
+        4 - linalg.rank(trivial)
+        + (n - 2) * (3 - linalg.rank(standard))
+        + annihilated * (n - 1) * (n - 4) // 2
+    )
+
+
 # -- wall normal --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -124,16 +175,22 @@ def _value_at(coords, v):
 
 
 def tw_normal(n: int) -> WallDescriptor:
-    """Derive the wall normal from the exact nullspace of the dual images."""
+    """The closed-form wall normal: 0 on the first n-1 diagonal entries,
+    (n-2)(n-3) in the corner, 1 between two of the first n-1 coordinates
+    and -(n-3) between one of them and the last.  It is certified as the
+    primitive annihilator of the dual images: they span codimension 1 (by
+    the S_{n-1} blocks), the normal vanishes on each of them, and its
+    entries are coprime; the orientation anchor fixes its sign."""
     if n < 5:
         raise ValueError("needs n >= 5")
     duals = big_simplex_dual_vectors(n)
-    kernel = linalg.nullspace([value_row(u) for u in duals])
-    if len(kernel) != 1:
-        raise InvariantError(
-            f"dual images span codimension {len(kernel)}, expected exactly 1"
-        )
-    coords = linalg.primitive_row(kernel[0])
+    codim = sym_codimension(duals, n)
+    if codim != 1:
+        raise InvariantError(f"dual images span codimension {codim}, expected exactly 1")
+    coords = [0] * (n - 1) + [(n - 2) * (n - 3)]
+    coords += [1 if j < n - 1 else 3 - n for i in range(n) for j in range(i + 1, n)]
+    if any(_value_at(coords, u) for u in duals):
+        raise InvariantError("the closed-form normal does not vanish on the dual images")
     anchor = tuple([n // 2 - 1] * (n - 1) + [n // 2])  # big-simplex-side vector
     val = _value_at(coords, anchor)
     if val == 0:
@@ -365,8 +422,7 @@ def verify_theorem1(n: int) -> TheoremReport:
     s_n = s_n_vertices(n)
     r_n = r_n_vertices(n)
 
-    cone = dual01.delaunay_cone_report(s_n)
-    dual = cone.dual
+    dual = dual01.dual01(s_n)
     families = canonical_set(big_simplex_dual_vectors(n) + (tuple([0] * n),))
     nonzero = [u for u in dual if any(u)]
     ok = dual == families and len(nonzero) == _dual_count(n)
@@ -376,10 +432,14 @@ def verify_theorem1(n: int) -> TheoremReport:
         f"|dual\\0| = {len(nonzero)}, expected {_dual_count(n)}",
     ))
 
-    steps.append(CheckStep("double_dual", cone.double_dual == r_n, "double dual adds exactly e_n"))
+    try:
+        double_dual = dual01.dual01(dual)
+    except dual01.DualInfiniteError:
+        double_dual = None
+    steps.append(CheckStep("double_dual", double_dual == r_n, "double dual adds exactly e_n"))
 
-    rk = cone.image_rank
     big_n = forms.sym_dimension(n)
+    rk = big_n - sym_codimension(dual, n)
     steps.append(CheckStep(
         "codimension_one", rk == big_n - 1, f"rank {rk} of N = {big_n}"
     ))
@@ -427,12 +487,14 @@ def _perfect_form_steps(steps, name, f, expected_vectors, expected_total):
         rep.vectors == expected_vectors and rep.total_count == expected_total,
         f"2s = {rep.total_count}, expected {expected_total}",
     ))
-    perf = perfection_report(f)
-    recon_ok = perf.reconstruction == f
+    big_n = forms.sym_dimension(f.n)
+    rank = big_n - sym_codimension(rep.vectors, f.n)
+    # at rank N the unit-norm system has the one solution f / min(f)
+    recon_ok = rank == big_n and rep.minimum == 1
     steps.append(CheckStep(
         f"{name}_perfect",
-        perf.is_perfect and recon_ok,
-        f"rank {perf.rank} of {perf.sym_dim}; reconstruction unique: {recon_ok}",
+        recon_ok,
+        f"rank {rank} of {big_n}; reconstruction unique: {recon_ok}",
     ))
     return rep.total_count
 

@@ -54,10 +54,6 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def is_zero(v):
-    return all(x == 0 for x in v)
-
-
 def format_vectors(vectors, n=None):
     vectors = [tuple(v) for v in vectors]
     if n is None:

@@ -8,7 +8,7 @@ rows of ints or Fractions with these helpers.
 from fractions import Fraction
 
 from tamewall import linalg
-from tamewall.forms import QuadraticForm
+from tamewall.forms import QuadraticForm, value_row
 
 
 def identity(n):
@@ -50,3 +50,12 @@ def form(rows):
     """The QuadraticForm of a symmetric matrix given as rows of ints or
     Fractions."""
     return QuadraticForm(*linalg.cleared(rows))
+
+
+def image_rank(vectors):
+    """Oracle: rank of the value rows of the nonzero vectors inside Sym(n),
+    by one elimination of all of them."""
+    nonzero = [v for v in vectors if any(v)]
+    if not nonzero:
+        return 0
+    return linalg.rank([value_row(v) for v in nonzero])

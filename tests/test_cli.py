@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tamewall import cli, delaunay, dual01, forms, isometry, linalg, perfect, series
+from tamewall import cli, delaunay, dual01, forms, isometry, perfect, series
 from tamewall.enumeration import closest_vectors
 from tamewall.errors import InvariantError
 from tamewall.forms import QuadraticForm, format_form, parse_form, tf_form
@@ -550,9 +550,8 @@ def test_dual_invariant_failure_exits_3_not_refuted(capsys, monkeypatch, tmp_pat
 
 def test_wall_invariant_failure_exits_3_not_input_error(capsys, monkeypatch):
     # the dual images of S_n span a hyperplane of Sym(n) by construction; a
-    # two-dimensional nullspace is a bug, not a bad input (exit 2)
-    nullspace = linalg.nullspace
-    monkeypatch.setattr(linalg, "nullspace", lambda rows: nullspace(rows) * 2)
+    # codimension of 2 is a bug, not a bad input (exit 2)
+    monkeypatch.setattr(series, "sym_codimension", lambda vectors, n: 2)
     code, out, err = run_main(capsys, "wall", "6")
     assert code == 3
     assert out == ""

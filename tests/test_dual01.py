@@ -2,22 +2,17 @@
 
 import itertools
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tamewall.dual01 import (
-    DualInfiniteError,
-    delaunay_cone_report,
-    double_dual01,
-    dual01,
-    image_rank,
-)
+from tamewall.dual01 import DualInfiniteError, double_dual01, dual01
 from tamewall.forms import big_simplex_dual_vectors, sym_dimension
-from tamewall.series import r_n_vertices, s_n_vertices
+from tamewall.series import r_n_vertices, s_n_vertices, sym_codimension
 from tamewall.vecset import canonical_set, dot
 
-from rowmath import matvec
+from rowmath import image_rank, matvec
 from test_linalg import fraction_inverse, fraction_rank
 
 
@@ -51,6 +46,16 @@ def fraction_dual01(vectors):
             if all(dot(cand, v) in (0, 1) for v in vectors):
                 out.append(cand)
     return canonical_set(out)
+
+
+def delaunay_cone_report(vectors):
+    """Oracle: the dual, the rank of its value rows by one elimination, and
+    the codimension of the cone they span in Sym(n)."""
+    dual = dual01(vectors)
+    rank = image_rank(dual)
+    return SimpleNamespace(
+        dual=dual, image_rank=rank, codimension=sym_dimension(len(dual[0])) - rank
+    )
 
 
 @pytest.mark.parametrize("n", range(5, 11))
@@ -126,6 +131,7 @@ def test_boundary_case_n5_dual_has_extra_vector():
     assert extra == {(1, 1, 1, 1, 2)}
     assert len([u for u in dual if any(u)]) == 15
     assert image_rank(dual) == sym_dimension(5)  # codimension 0
+    assert sym_codimension(dual, 5) == 0
     assert double_dual01(s5) == s5  # e_5 is excluded by the extra vector
 
 
@@ -209,6 +215,7 @@ def test_cone_codimension_one(n):
     rep = delaunay_cone_report(s_n_vertices(n))
     assert rep.codimension == 1
     assert rep.image_rank == sym_dimension(n) - 1
+    assert sym_codimension(rep.dual, n) == 1
 
 
 def test_cone_report_two_unit_vectors():

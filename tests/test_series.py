@@ -1,17 +1,26 @@
 """Vertex factories, wall normal, side classification, parser, pipelines."""
 
+import itertools
+import sys
 from fractions import Fraction as F
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from tamewall import forms
+from tamewall import dual01, enumeration, forms, linalg, perfect
 from tamewall.delaunay import relative_volume
+from tamewall.enumeration import arithmetic_minimum
+from tamewall.errors import InvariantError
 from tamewall.forms import (
     QuadraticForm,
     big_simplex_dual_vectors,
+    coords_to_sym,
+    dn_neighbor_form,
     pairing,
+    sym_dimension,
+    tf_form,
+    value_row,
     wall_interior_form,
 )
 from tamewall.series import (
@@ -22,12 +31,14 @@ from tamewall.series import (
     parse_family,
     r_n_vertices,
     s_n_vertices,
+    sym_codimension,
     tw_normal,
     verify_theorem1,
     verify_theorem2,
 )
+from tamewall.vecset import canonical_sign
 
-from rowmath import add, outer, scaled
+from rowmath import add, image_rank, outer, scaled
 
 
 def test_s6_vertices():
@@ -266,3 +277,116 @@ def test_verify_theorem2_passes_through_nine(n):
 def test_s4_warns_degenerate():
     with pytest.warns(UserWarning):
         s_n_vertices(4)
+
+
+# -- S_{n-1} blocks against one elimination of all value rows -----------------
+
+@st.composite
+def invariant_sets(draw):
+    """A dimension n = 5..7 and a union of S_{n-1} orbits of small integer
+    vectors of mixed signs, sometimes with the zero vector."""
+    n = draw(st.integers(min_value=5, max_value=7))
+    # a few values per set, so that repeated entries (small orbits) are common
+    values = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=4))
+    entries = st.sampled_from(values)
+    seeds = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=4))
+    vectors = {(*p, v[-1]) for v in seeds for p in itertools.permutations(v[:-1])}
+    if draw(st.booleans()):
+        vectors.add((0,) * n)
+    return n, sorted(vectors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(invariant_sets())
+def test_block_codimension_matches_one_elimination(case):
+    n, vectors = case
+    assert sym_dimension(n) - sym_codimension(vectors, n) == image_rank(vectors)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_block_codimension_of_every_small_orbit(n):
+    # one orbit at a time, so no other orbit can make up for a missing row
+    for x in itertools.combinations_with_replacement((-1, 0, 1, 2), n - 1):
+        for y in (-1, 0, 2):
+            orbit = {(*p, y) for p in itertools.permutations(x)}
+            assert sym_dimension(n) - sym_codimension(orbit, n) == image_rank(orbit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(invariant_sets(), st.data())
+def test_block_codimension_refuses_a_set_that_is_not_invariant(case, data):
+    n, vectors = case
+    moved = [v for v in vectors if len(set(v[:-1])) > 1]
+    assume(moved)
+    v = canonical_sign(data.draw(st.sampled_from(moved)))
+    rest = [u for u in vectors if canonical_sign(u) != v]
+    with pytest.raises(InvariantError, match="not S_"):
+        sym_codimension(rest, n)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_closed_form_normal_is_the_oriented_primitive_nullspace(n):
+    kernel = linalg.nullspace([value_row(u) for u in big_simplex_dual_vectors(n)])
+    assert len(kernel) == 1
+    coords = linalg.primitive_row(kernel[0])
+    anchor = tuple([n // 2 - 1] * (n - 1) + [n // 2])
+    if sum(a * b for a, b in zip(coords, value_row(anchor))) < 0:
+        coords = [-x for x in coords]
+    wall = tw_normal(n)
+    assert wall.coords == tuple(coords)
+    assert wall.normal == coords_to_sym(coords, n)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_perfect_steps_match_perfection_report(n):
+    details = {s.name: s.detail for s in verify_theorem2(n, include_isometry=False).steps}
+    for name, f in (("tf", tf_form(n)), ("dn", dn_neighbor_form(n))):
+        perf = perfect.perfection_report(f)
+        recon_ok = perf.reconstruction == f
+        assert details[f"{name}_perfect"] == (
+            f"rank {perf.rank} of {perf.sym_dim}; reconstruction unique: {recon_ok}"
+        )
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_block_codimension_of_an_imperfect_form(n):
+    # the minimal vectors of the identity, +-e_i, span only the diagonal
+    f = QuadraticForm.identity(n)
+    codim = sym_codimension(arithmetic_minimum(f).vectors, n)
+    assert codim == sym_dimension(n) - perfect.perfection_report(f).rank == comb(n, 2)
+
+
+def test_block_codimension_needs_n_at_least_4():
+    with pytest.raises(ValueError, match="n >= 4"):
+        sym_codimension([(1, 0, 0)], 3)
+
+
+def _counted(monkeypatch, module, name):
+    """The list of calls of module.name, through every binding of it in the
+    package (a `from .enumeration import ...` copies the binding)."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "tamewall" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_theorem2_enumerates_each_minimum_once_and_no_sym_n_system(monkeypatch):
+    minima = _counted(monkeypatch, enumeration, "arithmetic_minimum")
+    reports = _counted(monkeypatch, perfect, "perfection_report")
+    nullspaces = _counted(monkeypatch, linalg, "nullspace")
+    assert verify_theorem2(8, include_isometry=False).ok
+    assert (len(minima), len(reports), len(nullspaces)) == (2, 0, 0)
+
+
+def test_theorem1_computes_two_duals_and_no_nullspace(monkeypatch):
+    duals = _counted(monkeypatch, dual01, "dual01")
+    nullspaces = _counted(monkeypatch, linalg, "nullspace")
+    assert verify_theorem1(8).ok
+    assert (len(duals), len(nullspaces)) == (2, 0)
