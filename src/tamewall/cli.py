@@ -339,10 +339,13 @@ def _cmd_perturb(args):
     }
     if rep.failure_reason:
         payload["failure_reason"] = rep.failure_reason
-    if rep.level_vectors:
-        payload["level_vectors"] = {
-            str(list(v)): list(p) for v, p in sorted(rep.level_vectors.items())
-        }
+    else:
+        # the level vectors of the excluded vertices that phi was built from
+        excluded = sorted(set(cell) - set(subset))
+        if excluded:
+            payload["level_vectors"] = {
+                str(list(v)): list(delaunay.find_level_vector(v, cell)) for v in excluded
+            }
     if not rep.verdict:
         raise Refuted(payload)
     return payload

@@ -110,7 +110,6 @@ class PerturbationReport:
     boundary: tuple
     interior: tuple
     failure_reason: str | None = None
-    level_vectors: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -221,8 +220,8 @@ def delaunay_cell_containing(f: QuadraticForm, point):
         v = tuple(b + d for b, d in zip(base, corner))
         constraints[v] = f.evaluate(v)
     while True:
-        rows = [([*map(Fraction, v), Fraction(1)], fv) for v, fv in constraints.items()]
-        res = lp.lp_solve(objective=[*t, Fraction(1)], less_equal=rows)
+        rows = [([*v, 1], fv) for v, fv in constraints.items()]
+        res = lp.lp_solve(objective=[*t, 1], less_equal=rows)
         if res.status != "optimal":
             raise InvariantError(f"cell LP unexpectedly {res.status}")
         g = res.witness[:n]
@@ -268,22 +267,22 @@ def _minimal_face(vertices, t):
     s_col = k
 
     def row(coeffs):
-        out = [Fraction(0)] * width
+        out = [0] * width
         for col, c in coeffs:
-            out[col] = Fraction(c)
+            out[col] = c
         return out
 
     eqs = [
-        (row([*((u, v[i]) for u, v in enumerate(vertices)), (s_col, -t[i])]), Fraction(0))
+        (row([*((u, v[i]) for u, v in enumerate(vertices)), (s_col, -t[i])]), 0)
         for i in range(n)
     ]
-    eqs.append((row([*((u, 1) for u in range(k)), (s_col, -1)]), Fraction(0)))
+    eqs.append((row([*((u, 1) for u in range(k)), (s_col, -1)]), 0))
     leqs = []
     for u in range(k):
         y = s_col + 1 + u
-        leqs.append((row([(u, -1)]), Fraction(0)))  # mu_u >= 0
-        leqs.append((row([(y, 1)]), Fraction(1)))  # y_u <= 1
-        leqs.append((row([(y, 1), (u, -1)]), Fraction(0)))  # y_u <= mu_u
+        leqs.append((row([(u, -1)]), 0))  # mu_u >= 0
+        leqs.append((row([(y, 1)]), 1))  # y_u <= 1
+        leqs.append((row([(y, 1), (u, -1)]), 0))  # y_u <= mu_u
     res = lp.lp_solve(
         objective=row((s_col + 1 + u, 1) for u in range(k)), equalities=eqs, less_equal=leqs
     )
@@ -387,11 +386,11 @@ def _level_via_lp_box(diffs, n):
     """
     rows = []
     for d in diffs:
-        rows.append(([Fraction(x) for x in d], Fraction(2)))  # d.p <= 2
-        rows.append(([Fraction(-x) for x in d], Fraction(-1)))  # d.p >= 1
+        rows.append((d, 2))  # d.p <= 2
+        rows.append(([-x for x in d], -1))  # d.p >= 1
     for i in range(n):
-        obj = [Fraction(0)] * n
-        obj[i] = Fraction(1)
+        obj = [0] * n
+        obj[i] = 1
         res_max = lp.lp_solve(objective=obj, less_equal=rows)
         if res_max.status == "infeasible":
             return None
@@ -442,7 +441,9 @@ def perturbation_check(
     ((x - v).p_v - 1)((x - v).p_v - 2).  Each term is nonnegative on the
     lattice and vanishes on every cell vertex except v, so the zero set
     of phi on the lattice should shrink to exactly the subset; that is
-    verified by exact enumeration, and the verdict reports it.
+    verified by exact enumeration, and the verdict reports it.  p_v is
+    `find_level_vector(v, cell)`; the report keeps the lattice points, not
+    the level vectors.
     """
     alpha = _frac(alpha)
     if alpha <= 0:
@@ -486,4 +487,6 @@ def perturbation_check(
         return PerturbationReport(False, (), (), failure_reason="empty sublevel set")
     report = lattice_points_in_ellipsoid(phi.quadratic, center, r2)
     verdict = not report.interior and report.boundary == sub_pts
-    return PerturbationReport(verdict, report.boundary, report.interior, level_vectors=levels)
+    # a verdict that holds keeps the caller's vertex tuples, not equal copies
+    boundary = sub_pts if verdict else report.boundary
+    return PerturbationReport(verdict, boundary, report.interior)

@@ -485,14 +485,29 @@ def test_perturbation_unit_square_triangle():
     assert rep.interior == ()
 
 
-def test_perturbation_report_keys_level_vectors_by_the_callers_vertices():
+def test_perturbation_report_keeps_only_the_verdict_and_lattice_points():
     f, phi = _square_phi()
     rep = perturbation_check(f, phi, UNIT_SQUARE, [(0, 0)], F(1, 4))
     assert rep.verdict
-    assert sorted(rep.level_vectors) == [(0, 1), (1, 0), (1, 1)]
-    assert all(any(v is u for u in UNIT_SQUARE) for v in rep.level_vectors)
-    # the report keeps no perturbed quadratic
-    assert "phi" not in {field.name for field in dataclasses.fields(rep)}
+    # neither the perturbed quadratic nor the level vectors, which are
+    # find_level_vector's for the excluded vertices
+    fields = [field.name for field in dataclasses.fields(rep)]
+    assert fields == ["verdict", "boundary", "interior", "failure_reason"]
+
+
+def test_perturbation_boundary_is_the_callers_vertices_when_the_verdict_holds():
+    f, phi = _square_phi()
+    rep = perturbation_check(f, phi, UNIT_SQUARE, [(1, 1), (0, 0), (1, 0)], F(1, 4))
+    assert rep.verdict
+    assert rep.boundary == ((0, 0), (1, 0), (1, 1))
+    assert all(any(v is u for u in UNIT_SQUARE) for v in rep.boundary)
+    # three corners given as the cell, with the circle through all four:
+    # the verdict fails, and the report keeps the enumerated boundary
+    triangle = [(0, 0), (1, 0), (0, 1)]
+    rep = perturbation_check(f, phi, triangle, triangle, F(1, 4))
+    assert not rep.verdict
+    assert rep.boundary == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert not any(v is u for v in rep.boundary for u in triangle)
 
 
 def test_perturbation_full_cell_is_identity():
@@ -565,8 +580,9 @@ def test_perturbed_gram_matches_fraction_oracle(indices, alpha):
     with pytest.MonkeyPatch.context() as m:
         seen = _perturbed_forms(m)
         rep = perturbation_check(_E6, _E6_PHI, _E6_CELL, subset, alpha)
-    if rep.level_vectors is None:
+    if rep.failure_reason is not None:
         assert seen == []
         return
     assert len(seen) == 1
-    assert seen[0].gram == fraction_perturbed_gram(_E6, _E6_CELL, subset, alpha, rep.level_vectors)
+    levels = {u: find_level_vector(u, _E6_CELL) for u in _E6_CELL if u not in subset}
+    assert seen[0].gram == fraction_perturbed_gram(_E6, _E6_CELL, subset, alpha, levels)

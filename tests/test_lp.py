@@ -1,13 +1,16 @@
 """Exact simplex LP: frozen cases, witness-exactness properties, and
-differential tests of `lp_solve` and `positive_solution` against an oracle
-that keeps the former API (strict rows, minimization, feasibility) over
-the equality tableau, and prices its reduced costs afresh from the basis
-before every pivot.  A second oracle keeps the dense pivot, which rebuilt
-every touched row over all of its columns, and must make the same pivots
-through the same tableaux."""
+differential tests of `lp_solve` and `positive_solution` against Fraction
+oracles.  `_FractionSimplex` is the sparse Fraction tableau that the
+integer tableau replaced: fed the same rows, it must make the same pivots
+through tableaux of equal values, and so must the dense pivot built on it,
+which rebuilt every touched row over all of its columns.  A third oracle
+keeps the former API (strict rows, minimization, feasibility) over the
+equality tableau, and prices its reduced costs afresh from the basis
+before every pivot."""
 
 import inspect
 from fractions import Fraction as F
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from tamewall import delaunay, linalg, lp, perfect
 from tamewall.errors import InvariantError
-from tamewall.forms import standard_gram, tf_form
+from tamewall.forms import QuadraticForm, standard_gram, tf_form
 from tamewall.lp import lp_solve, positive_solution
 
 
@@ -91,6 +94,41 @@ def test_no_variables():
     assert lp_solve(objective=[], equalities=[((), 0)]) == lp.LPResult("optimal", (), 0)
     assert lp_solve(objective=[], equalities=[((), 1)]).status == "infeasible"
     assert lp_solve(objective=[], less_equal=[((), -1)]).status == "infeasible"
+
+
+@pytest.mark.parametrize("equalities", [(), [((), 0)]], ids=["inequalities", "equalities"])
+def test_empty_objective_on_both_paths(equalities):
+    for res in (
+        lp_solve(objective=[], equalities=equalities),
+        lp_solve(objective=[], equalities=equalities, less_equal=[((), 0), ((), F(1, 2))]),
+    ):
+        assert res == lp.LPResult("optimal", (), 0)
+        assert type(res.optimum) is F
+    res = lp_solve(objective=[], equalities=equalities, less_equal=[((), 1), ((), F(-1, 3))])
+    assert res.status == "infeasible"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        dict(less_equal=[((1, 0.5), 1)]),
+        dict(less_equal=[((1, 1), 0.5)]),
+        dict(equalities=[((1, 0.5), 1)]),
+        dict(equalities=[((1, 1), 0.5)]),
+    ],
+    ids=["leq-coefficient", "leq-rhs", "eq-coefficient", "eq-rhs"],
+)
+def test_float_raises_type_error(rows):
+    # a float is never rounded into a rational
+    with pytest.raises(TypeError, match="exact rational"):
+        lp_solve(objective=[1, 0], **rows)
+
+
+def test_witness_and_optimum_are_fractions():
+    for eqs in ((), [((1, 1), 3)]):
+        res = lp_solve(objective=[1, 0], equalities=eqs, less_equal=[((1, 0), 2), ((0, -1), 0)])
+        assert res.status == "optimal"
+        assert all(type(x) is F for x in (*res.witness, res.optimum))
 
 
 constraint_rows = st.lists(
@@ -188,6 +226,174 @@ def test_positive_solution_is_one_traceable_lp(monkeypatch):
     assert len(calls) == 1
 
 
+# -- oracle: the Fraction tableau ---------------------------------------------
+
+
+def _coerce_row(coeffs, nvars):
+    row = [linalg._frac(c) for c in coeffs]
+    if len(row) > nvars:
+        raise ValueError("more coefficients than variables")
+    return row + [F(0)] * (nvars - len(row))
+
+
+def _coerce_constraints(constraints, nvars):
+    return [(_coerce_row(coeffs, nvars), linalg._frac(rhs)) for coeffs, rhs in constraints]
+
+
+def _dot(row, vec):
+    return sum((a * v for a, v in zip(row, vec) if a), F(0))
+
+
+def _eliminate(eqs, nvars):
+    """(x0, Z) with x0 + Z t exactly the solutions of eqs; None if there are none."""
+    if nvars == 0:
+        return ((), ()) if all(rhs == 0 for _, rhs in eqs) else None
+    sol = linalg.solve([row for row, _ in eqs], [rhs for _, rhs in eqs])
+    if sol.kind == "inconsistent":
+        return None
+    return sol.particular, sol.nullspace
+
+
+def _substitute(rows, origin, basis):
+    """Rows a . x <= b restated over t, where x = origin + sum t_i basis_i."""
+    return [([_dot(row, z) for z in basis], rhs - _dot(row, origin)) for row, rhs in rows]
+
+
+class _FractionSimplex:
+    """The tableau simplex that the integer lp._Simplex replaced, over
+    Fractions (maximization, Bland's rule), with the same rows, phases,
+    tie-breaks and drive-out step.
+
+    Every row is an inequality coeffs . x <= rhs with its own slack column.
+    Original free variables are split into positive and negative parts
+    (one block of positive parts, then the negatives); rows are normalized
+    to b >= 0, and a row whose rhs was negative starts on an artificial
+    column because its slack coefficient became -1.  Each phase's
+    reduced-cost row is kept beside the tableau and pivots with it; the
+    last one is the row being maximized.
+    """
+
+    def __init__(self, nfree, leqs):
+        self.nfree = nfree
+        ncols = 2 * nfree
+        m = len(leqs)
+        self.ncols_struct = ncols + m  # split vars + slack block
+        self.nart = sum(1 for _, rhs in leqs if rhs < 0)
+        self.total_cols = self.ncols_struct + self.nart
+        self.T = []
+        self.basis = []
+        self.costs = []
+        art = self.ncols_struct
+        for i, (coeffs, rhs) in enumerate(leqs):
+            row = [*coeffs, *(-c for c in coeffs)] + [F(0)] * (m + self.nart) + [rhs]
+            row[ncols + i] = F(1)
+            if rhs < 0:
+                row = [-x for x in row]
+                row[art] = F(1)
+                self.basis.append(art)
+                art += 1
+            else:
+                self.basis.append(ncols + i)
+            self.T.append(row)
+
+    def _pivot(self, r, c):
+        """Pivot on (r, c), in place.  Only the pivot row's nonzero columns
+        change in the other rows, since a - f*0 = a."""
+        prow = self.T[r]
+        inv = 1 / prow[c]
+        nonzero = [j for j, x in enumerate(prow) if x]
+        for j in nonzero:
+            prow[j] *= inv
+        for row in (*self.T, *self.costs):
+            f = row[c]
+            if f and row is not prow:
+                for j in nonzero:
+                    row[j] -= f * prow[j]
+        self.basis[r] = c
+
+    def _iterate(self, allowed):
+        """Maximize the last cost row over the current feasible dictionary (Bland)."""
+        while True:
+            z = self.costs[-1]
+            enter = next((j for j in range(self.total_cols) if allowed[j] and z[j] > 0), None)
+            if enter is None:
+                return "optimal"
+            leave = None
+            best = None
+            for i in range(len(self.T)):
+                a = self.T[i][enter]
+                if a > 0:
+                    ratio = self.T[i][-1] / a
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[leave]
+                    ):
+                        best = ratio
+                        leave = i
+            if leave is None:
+                return "unbounded"
+            self._pivot(leave, enter)
+
+    def solve(self, objective):
+        """Two-phase run maximizing objective . x: 'optimal', 'infeasible'
+        or 'unbounded'."""
+        # the starting basis has zero cost in phase 2, so this row is priced
+        self.costs = [
+            [*objective, *(-c for c in objective)]
+            + [F(0)] * (self.total_cols - 2 * self.nfree + 1)
+        ]
+        allowed = [True] * self.total_cols
+        if self.nart:
+            # maximize -sum(artificials), priced against the starting basis;
+            # its rhs is then the sum of the basic artificials
+            phase1 = [F(0)] * self.ncols_struct + [F(-1)] * self.nart + [F(0)]
+            for row, b in zip(self.T, self.basis):
+                if b >= self.ncols_struct:
+                    phase1 = [a + x for a, x in zip(phase1, row)]
+            self.costs.append(phase1)
+            self._iterate(allowed)
+            if self.costs.pop()[-1] != 0:
+                return "infeasible"
+            # Drive any zero-level artificial out of the basis if possible.
+            for i in range(len(self.T)):
+                if self.basis[i] >= self.ncols_struct:
+                    col = next(
+                        (j for j in range(self.ncols_struct) if self.T[i][j] != 0), None
+                    )
+                    if col is not None:
+                        self._pivot(i, col)
+            # Forbid artificials from re-entering.
+            for c in range(self.ncols_struct, self.total_cols):
+                allowed[c] = False
+        return self._iterate(allowed)
+
+    def witness(self):
+        vals = [F(0)] * self.total_cols
+        for i, b in enumerate(self.basis):
+            vals[b] = self.T[i][-1]
+        n = self.nfree
+        return tuple(vals[j] - vals[n + j] for j in range(n))
+
+
+class _DensePivotSimplex(_FractionSimplex):
+    """_FractionSimplex with the pivot it replaced: the pivot row and every
+    row with a nonzero in the pivot column are rebuilt over all columns."""
+
+    def _pivot(self, r, c):
+        row = self.T[r]
+        inv = 1 / row[c]
+        self.T[r] = [x * inv for x in row]
+        prow = self.T[r]
+        for i in range(len(self.T)):
+            if i != r and self.T[i][c] != 0:
+                f = self.T[i][c]
+                self.T[i] = [a - f * b for a, b in zip(self.T[i], prow)]
+        for k, z in enumerate(self.costs):
+            if z[c] != 0:
+                f = z[c]
+                self.costs[k] = [a - f * b for a, b in zip(z, prow)]
+        self.basis[r] = c
+
+
 # -- oracle: the former API, over the equality tableau -----------------------
 
 
@@ -201,11 +407,14 @@ def _objective_split(objective, nfree, ncols_struct):
     return [*obj, *(-c for c in obj)] + [F(0)] * (ncols_struct - 2 * nfree)
 
 
-class _RepricingSimplex:
-    """The tableau simplex that lp._Simplex replaced: the same Bland's rule
-    and drive-out step, but the reduced costs are priced afresh from the
-    basis before every pivot, and phase 1 reads the basic artificials back
-    from the tableau.  A subclass builds the tableau T and its basis."""
+class _RepricingSimplex(_DensePivotSimplex):
+    """The tableau simplex that the pivoted cost rows replaced: the same
+    Bland's rule, dense pivot and drive-out step, but the reduced costs are
+    priced afresh from the basis before every pivot, and phase 1 reads the
+    basic artificials back from the tableau.  A subclass builds the tableau
+    T and its basis; no cost row is kept beside it."""
+
+    costs = ()
 
     def _price(self, cost):
         """Reduced-cost row for the current basis (cost over all columns)."""
@@ -217,18 +426,6 @@ class _RepricingSimplex:
                 for j in range(self.total_cols):
                     z[j] -= cb * row[j]
         return z
-
-    def _pivot(self, r, c):
-        row = self.T[r]
-        piv = row[c]
-        inv = 1 / piv
-        self.T[r] = [x * inv for x in row]
-        prow = self.T[r]
-        for i in range(len(self.T)):
-            if i != r and self.T[i][c] != 0:
-                f = self.T[i][c]
-                self.T[i] = [a - f * b for a, b in zip(self.T[i], prow)]
-        self.basis[r] = c
 
     def _iterate(self, cost, allowed):
         while True:
@@ -273,13 +470,6 @@ class _RepricingSimplex:
         cost = list(objective_split) + [F(0)] * (self.total_cols - len(objective_split))
         return self._iterate(cost, allowed)
 
-    def witness(self):
-        vals = [F(0)] * self.total_cols
-        for i, b in enumerate(self.basis):
-            vals[b] = self.T[i][-1]
-        n = self.nfree
-        return tuple(vals[j] - vals[n + j] for j in range(n))
-
 
 class _TableauWithEqualities(_RepricingSimplex):
     """The simplex with equality rows in the tableau.
@@ -288,7 +478,7 @@ class _TableauWithEqualities(_RepricingSimplex):
     pivots out; the pivoting, pricing and phase logic are those of
     _RepricingSimplex.  This is the equality handling that lp_solve
     replaced by exact elimination.  Without equality rows it builds
-    lp._Simplex's tableau.  A redundant equality can leave an artificial
+    _FractionSimplex's tableau.  A redundant equality can leave an artificial
     basic at level zero with no structural column to pivot on.
     """
 
@@ -354,33 +544,34 @@ def oracle_lp_solve(
     certified by a slack bounded by 1 that must reach a positive optimum.
 
     By default the equalities are pivoted through the tableau.  With
-    eliminate=True they are first solved by lp._eliminate and the rest is
+    eliminate=True they are first solved by _eliminate and the rest is
     restated over the nullspace, which reproduces the former lp_solve
-    exactly, witnesses included."""
+    exactly, witnesses included.  The Fraction front end that lp_solve
+    replaced by integer rows coerces the arguments."""
     if num_vars is None:
         num_vars = _oracle_nvars(objective, equalities, less_equal, strict_less)
     nvars = num_vars
-    eqs = lp._coerce_constraints(equalities, nvars)
-    leqs = lp._coerce_constraints(less_equal, nvars)
-    stricts = lp._coerce_constraints(strict_less, nvars)
-    obj = None if objective is None else lp._coerce_row(objective, nvars)
+    eqs = _coerce_constraints(equalities, nvars)
+    leqs = _coerce_constraints(less_equal, nvars)
+    stricts = _coerce_constraints(strict_less, nvars)
+    obj = None if objective is None else _coerce_row(objective, nvars)
     if eliminate and eqs:
-        solutions = lp._eliminate(eqs, nvars)
+        solutions = _eliminate(eqs, nvars)
         if solutions is None:
             return lp.LPResult("infeasible")
         origin, basis = solutions
         res = oracle_lp_solve(
-            None if obj is None else [lp._dot(obj, z) for z in basis],
+            None if obj is None else [_dot(obj, z) for z in basis],
             (),
-            lp._substitute(leqs, origin, basis),
-            lp._substitute(stricts, origin, basis),
+            _substitute(leqs, origin, basis),
+            _substitute(stricts, origin, basis),
             maximize,
             len(basis),
         )
         if res.witness is None:
             return res
         x = tuple(o + sum(t * z[j] for t, z in zip(res.witness, basis)) for j, o in enumerate(origin))
-        return lp.LPResult(res.status, x, None if obj is None else lp._dot(obj, x))
+        return lp.LPResult(res.status, x, None if obj is None else _dot(obj, x))
     if stricts:
         aug_leqs = [(row + [F(1)], rhs) for row, rhs in stricts]
         aug_leqs += [(row + [F(0)], rhs) for row, rhs in leqs]
@@ -407,12 +598,12 @@ def oracle_lp_solve(
 small = st.integers(min_value=-3, max_value=3)
 
 
-def _equalities(draw, n, anchor, min_size=0):
+def _equalities(draw, n, anchor, min_size=0, numbers=small):
     """Rows through an integer anchor that may be rank-deficient,
     inconsistent or pin every variable (empty nullspace)."""
     eqs = [
         (coeffs, sum(c * a for c, a in zip(coeffs, anchor)))
-        for coeffs in draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=min_size, max_size=n + 1))
+        for coeffs in draw(st.lists(st.lists(numbers, min_size=n, max_size=n), min_size=min_size, max_size=n + 1))
     ]
     if eqs and draw(st.booleans()):
         # a dependent row: the sum of two rows (or a row doubled)
@@ -425,20 +616,20 @@ def _equalities(draw, n, anchor, min_size=0):
 
 
 @st.composite
-def random_lps(draw):
+def random_lps(draw, numbers=small):
     """LPs in the former API's three kinds with an objective or none:
     'max', 'min' and 'feasibility', with equalities and <= rows whose
     right-hand sides are shifted around an integer anchor so that feasible
-    instances are common."""
+    instances are common.  The coefficients are drawn from numbers."""
     n = draw(st.integers(min_value=1, max_value=4))
     anchor = draw(st.lists(small, min_size=n, max_size=n))
-    eqs = _equalities(draw, n, anchor)
+    eqs = _equalities(draw, n, anchor, numbers=numbers)
     leqs = [
         (coeffs, sum(c * a for c, a in zip(coeffs, anchor)) + draw(st.integers(min_value=-1, max_value=3)))
-        for coeffs in draw(st.lists(st.lists(small, min_size=n, max_size=n), max_size=5))
+        for coeffs in draw(st.lists(st.lists(numbers, min_size=n, max_size=n), max_size=5))
     ]
     kind = draw(st.sampled_from(["max", "min", "feasibility"]))
-    objective = list(draw(st.lists(small, min_size=n, max_size=n))) if kind != "feasibility" else None
+    objective = list(draw(st.lists(numbers, min_size=n, max_size=n))) if kind != "feasibility" else None
     return dict(objective=objective, equalities=eqs, less_equal=leqs, maximize=kind != "min", num_vars=n)
 
 
@@ -489,8 +680,8 @@ def test_elimination_matches_equality_tableau(lp_args):
             assert r.witness is None
 
 
-class _PivotedTableauWithEqualities(lp._Simplex):
-    """lp._Simplex's pivoted cost rows over the equality tableau."""
+class _PivotedTableauWithEqualities(_FractionSimplex):
+    """_FractionSimplex's pivoted cost rows over the equality tableau."""
 
     __init__ = _TableauWithEqualities.__init__
 
@@ -536,8 +727,8 @@ def test_pivoted_cost_rows_match_repricing_oracle(lp_args):
         for kwargs, res in calls:
             assert res == oracle_lp_solve(**kwargs, eliminate=True)
             nvars = len(kwargs["objective"])
-            obj = lp._coerce_row(kwargs["objective"], nvars)
-            rows = [lp._coerce_constraints(kwargs[k], nvars) for k in ("equalities", "less_equal")]
+            obj = _coerce_row(kwargs["objective"], nvars)
+            rows = [_coerce_constraints(kwargs[k], nvars) for k in ("equalities", "less_equal")]
             pivoted = _PivotedTableauWithEqualities(nvars, *rows)
             repriced = _TableauWithEqualities(nvars, *rows)
             status = pivoted.solve(obj)
@@ -578,58 +769,66 @@ def test_positive_solution_row_order_sets_the_weights():
     assert positive_solution(eqs) == old.witness == (1, 4, 2, 2, 1)
 
 
-# -- oracle: the dense pivot -------------------------------------------------
+# -- the integer tableau against the Fraction tableau ------------------------
 
 
-class _DensePivotSimplex(lp._Simplex):
-    """lp._Simplex with the pivot it replaced: the pivot row and every row
-    with a nonzero in the pivot column are rebuilt over all columns."""
+def _on_integer_rows(simplex):
+    """The Fraction simplex class fed lp._Simplex's integer rows, as the
+    Fractions they stand for."""
 
-    def _pivot(self, r, c):
-        row = self.T[r]
-        inv = 1 / row[c]
-        self.T[r] = [x * inv for x in row]
-        prow = self.T[r]
-        for i in range(len(self.T)):
-            if i != r and self.T[i][c] != 0:
-                f = self.T[i][c]
-                self.T[i] = [a - f * b for a, b in zip(self.T[i], prow)]
-        for k, z in enumerate(self.costs):
-            if z[c] != 0:
-                f = z[c]
-                self.costs[k] = [a - f * b for a, b in zip(z, prow)]
-        self.basis[r] = c
+    class OnIntegerRows(simplex):
+        def __init__(self, nfree, leqs):
+            super().__init__(nfree, [([F(a, row[-1]) for a in row[:-2]], F(row[-2], row[-1])) for row in leqs])
+
+        def solve(self, objective):
+            return super().solve([F(c, objective[-1]) for c in objective[:-1]])
+
+    return OnIntegerRows
 
 
 def _pivot_trace(simplex, call):
-    """call() with every LP run on a recording subclass of simplex: its
-    result, and per pivot the (row, col) with the basis, tableau and cost
-    rows right after it."""
+    """call() with every LP run on a recording subclass of simplex, which
+    is lp._Simplex or a Fraction oracle fed the same integer rows: its
+    result, and per pivot the (row, col) and basis with the tableau rows,
+    then the cost rows, right after it as (entries, den); a Fraction row
+    has den 1."""
     trace = []
+    integer = simplex is lp._Simplex
 
-    class Recording(simplex):
+    class Recording(simplex if integer else _on_integer_rows(simplex)):
         def _pivot(self, r, c):
             # these calls take at most a few hundred pivots; a faulty pivot
             # can cycle, and every recorded tableau is kept
             assert len(trace) < 2000, "the simplex does not terminate"
             super()._pivot(r, c)
-            trace.append(
-                ((r, c), list(self.basis), [list(row) for row in self.T], [list(z) for z in self.costs])
-            )
+            rows = self.T + self.costs
+            rows = [(tuple(row[:-1]), row[-1]) for row in rows] if integer else [(tuple(row), 1) for row in rows]
+            trace.append(((r, c), tuple(self.basis), rows))
 
     with mock.patch.object(lp, "_Simplex", Recording):
         return call(), trace
 
 
-def _assert_dense_pivots(call):
-    """The sparse pivot makes the dense oracle's pivots, through equal
-    tableaux and cost rows, to the same result; returns the pivot count."""
+def _equal_values(rows, ref_rows):
+    """Rows of entries over their denominators stand for the same values."""
+    return len(rows) == len(ref_rows) and all(
+        len(row) == len(ref)
+        and all(x * y.denominator * ref_den == y.numerator * den for x, y in zip(row, ref))
+        for (row, den), (ref, ref_den) in zip(rows, ref_rows)
+    )
+
+
+def _assert_oracle_pivots(call, oracles=(_FractionSimplex, _DensePivotSimplex)):
+    """The integer tableau makes each Fraction oracle's pivots, with the
+    same basis and tableau and cost rows of equal values after each, to
+    the same result; returns the pivot count."""
     res, trace = _pivot_trace(lp._Simplex, call)
-    ref, ref_trace = _pivot_trace(_DensePivotSimplex, call)
-    assert [t[0] for t in trace] == [t[0] for t in ref_trace]
-    for step, ref_step in zip(trace, ref_trace):
-        assert step == ref_step
-    assert res == ref
+    for oracle in oracles:
+        ref, ref_trace = _pivot_trace(oracle, call)
+        assert [step[:2] for step in trace] == [step[:2] for step in ref_trace]
+        for (_, _, rows), (_, _, ref_rows) in zip(trace, ref_trace):
+            assert _equal_values(rows, ref_rows)
+        assert res == ref
     return len(trace)
 
 
@@ -641,12 +840,40 @@ def test_sparse_pivot_matches_dense_pivot(lp_args):
     def call():
         return _one_shape(lp_args), positive_solution(eqs) if eqs else None
 
-    _assert_dense_pivots(call)
+    _assert_oracle_pivots(call)
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_lps(rationals))
+def test_integer_pivot_matches_fraction_pivot_on_rational_rows(lp_args):
+    eqs = lp_args["equalities"]
+
+    def call():
+        return _one_shape(lp_args), positive_solution(eqs) if eqs else None
+
+    _assert_oracle_pivots(call)
+    assert _one_shape(lp_args) == oracle_lp_solve(**lp_args, eliminate=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_lps(rationals))
+def test_every_tableau_entry_is_an_int_after_every_pivot(lp_args):
+    # each row also stays reduced: its entries and denominator are coprime
+    eqs = lp_args["equalities"]
+    _, trace = _pivot_trace(
+        lp._Simplex, lambda: (_one_shape(lp_args), positive_solution(eqs) if eqs else None)
+    )
+    for _, _, rows in trace:
+        assert all(type(x) is int for row, den in rows for x in row)
+        assert all(type(den) is int and den > 0 and gcd(den, *row) == 1 for row, den in rows)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_sparse_pivot_matches_dense_pivot_on_tf_eutaxy(n):
-    assert _assert_dense_pivots(lambda: perfect.is_eutactic(tf_form(n))) > 0
+    assert _assert_oracle_pivots(lambda: perfect.is_eutactic(tf_form(n))) > 0
 
 
 # the two E6 points that the cells benchmark locates: the census base
@@ -658,19 +885,40 @@ E6_POINT = tuple(F(1, p) for p in (23, 29, 31, 37, 41, 43))
 def test_sparse_pivot_matches_dense_pivot_on_e6_location(signs):
     point = tuple(s * x for s, x in zip(signs, E6_POINT))
     call = lambda: delaunay.delaunay_cell_containing(standard_gram("E6"), point)
-    assert _assert_dense_pivots(call) > 0
+    assert _assert_oracle_pivots(call) > 0
 
 
-def test_pivot_touches_only_the_pivot_rows_nonzero_columns():
-    # columns where the pivot row is zero keep their very objects
-    sim = lp._Simplex(2, [([F(1), F(0)], F(4)), ([F(1), F(1)], F(6))])
-    sim.costs = [[F(1), F(0), F(-1), F(0), F(0), F(0), F(0)]]
-    before = [list(row) for row in sim.T] + [list(sim.costs[0])]
+@pytest.mark.parametrize("n", [5, 6])
+def test_integer_pivot_matches_fraction_pivot_on_cube_cell(n):
+    # [1/3]^n lies on an edge of a Freudenthal simplex of the unit cube,
+    # whose 2^n vertices make the genericity LP large and degenerate
+    call = lambda: delaunay.delaunay_cell_containing(QuadraticForm.identity(n), [F(1, 3)] * n)
+    assert _assert_oracle_pivots(call, oracles=(_FractionSimplex,)) > 0
+
+
+def test_pivot_keeps_rows_with_a_zero_in_the_pivot_column():
+    # rows [*coeffs, rhs, den]: x <= 2 as 2x <= 4, x + y <= 6, and
+    # y <= 3/2 as (2y)/2 <= 3/2
+    sim = lp._Simplex(2, [[2, 0, 4, 1], [1, 1, 6, 1], [0, 2, 3, 2]])
+    sim.costs = [[1, 0, -1, 0, 0, 0, 0, 0, 1]]
+    untouched = sim.T[2]
     sim._pivot(0, 0)
-    after = sim.T + sim.costs
-    assert sim.T[0] == [1, 0, -1, 0, 1, 0, 4]
-    assert sim.T[1] == [0, 1, 0, -1, -1, 1, 2]
-    assert sim.costs[0] == [0, 0, 0, 0, -1, 0, -4]
-    for row, old in zip(after, before):
-        for j in (1, 3, 5):
-            assert row[j] is old[j]
+    # the third row has a zero in column 0: the very same list, unchanged
+    assert sim.T[2] is untouched and untouched == [0, 2, 0, -2, 0, 0, 2, 3, 2]
+    # the pivot entry 2 becomes the pivot row's denominator; the others
+    # become row*2 - f*prow over den*2
+    assert sim.T[0] == [2, 0, -2, 0, 1, 0, 0, 4, 2]
+    assert sim.T[1] == [0, 2, 0, -2, -1, 2, 0, 8, 2]
+    assert sim.costs[0] == [0, 0, 0, 0, -1, 0, 0, -4, 2]
+    assert sim.basis == [0, 5, 6]
+
+
+def test_pivot_divides_out_the_row_gcd():
+    # x + 2y <= 3 held as (2x + 4y)/2 <= 6/2: pivoting on its entry 2
+    # divides out the gcd 2 of the row and its denominator
+    sim = lp._Simplex(2, [[2, 4, 6, 2], [4, 2, 1, 1]])
+    sim.costs = [[3, 0, -3, 0, 0, 0, 0, 1]]
+    sim._pivot(0, 0)
+    assert sim.T[0] == [1, 2, -1, -2, 1, 0, 3, 1]
+    assert sim.T[1] == [0, -6, 0, 6, -4, 1, -11, 1]
+    assert sim.costs[0] == [0, -6, 0, 6, -3, 0, -9, 1]
