@@ -10,6 +10,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
+from operator import mul
 
 from . import kernels, linalg, lp
 from .enumeration import closest_vectors, first_interior_point, lattice_points_in_ellipsoid
@@ -456,9 +457,15 @@ def perturbation_check(
         raise ValueError("subset must consist of cell vertices")
     if phi_const.quadratic != f:
         raise ValueError("phi_const must have the given form as quadratic part")
-    bad = [u for u in cell_pts if phi_const.evaluate(u) != 0]
-    if bad:
-        raise ValueError(f"phi_const does not vanish on cell vertex {bad[0]}")
+    if any(len(u) != f.n for u in cell_pts):
+        raise ValueError("vector dimension mismatch")
+    # den e phi_const(u) = e u.A.u + den (b.u + c) for A = f's integer rows
+    # over den, and b, c cleared to integers over e
+    (lin, (c,)), e = linalg.cleared([phi_const.linear, (phi_const.constant,)])
+    for u in cell_pts:
+        quad = sum(x * sum(map(mul, row, u)) for x, row in zip(u, f.int_gram) if x)
+        if e * quad + f.den * (sum(map(mul, lin, u)) + c):
+            raise ValueError(f"phi_const does not vanish on cell vertex {u}")
 
     outside = [u for u in cell_pts if u not in set(sub_pts)]
     levels = {}

@@ -1,13 +1,16 @@
 """Exact enumeration of lattice vectors by norm.
 
 Depth-first bounded coordinate enumeration (Fincke-Pohst) driven by the
-exact rational LDL^T factorization of the Gram matrix, which the form
-computes once and keeps (QuadraticForm.ldl).  Each call scales the
-factorization, the centre and the bound to integers once; after that
-every node works in integers only: its shifted centre is an integer sum
-over the coordinates already fixed, its interval comes from one integer
-square root, and partial costs are integer multiples of one common
-denominator.  No floating point is involved anywhere, including pruning.
+exact LDL^T factorization of the Gram matrix, which the form computes
+once, fraction-free, and keeps as integer pivots and columns
+(QuadraticForm.ldl).  Each call clears the centre once and scales it,
+those integers and the bound to one common integer scale, with no
+rational L or D built; after that every node works in integers only: its
+shifted centre is an integer sum over the coordinates already fixed, its
+interval comes from one integer square root, and partial costs are
+integer multiples of one common denominator.  No floating point is
+involved anywhere, including pruning.  References: Fincke & Pohst, Math.
+Comp. 44 (1985); Bareiss, Math. Comp. 22 (1968).
 
 A visited point reaches its caller as that integer scaled cost together
 with the common scale m of the call, so callers compare against their
@@ -26,9 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 from operator import mul
 
+from . import linalg
 from .forms import QuadraticForm
 from .linalg import _frac
 from .vecset import canonical_sign
@@ -69,12 +73,13 @@ def _diagonal_minimum(f: QuadraticForm) -> Fraction:
 
 class _Enumerator:
     """Shared DFS over x_n..x_1 with exact partial-cost pruning, on the
-    form's own LDL factors (raises NotPositiveDefiniteError for a form
-    that is not positive definite)."""
+    form's own integer LDL data (raises NotPositiveDefiniteError for a
+    form that is not positive definite)."""
 
     def __init__(self, form: QuadraticForm):
         self.n = form.n
-        self.L, self.D = form.ldl()
+        self.den = form.den
+        self.factors = form.ldl()
 
     def _scaled(self, center):
         """Integer data for f(x - center), scaled once per call.
@@ -87,19 +92,28 @@ class _Enumerator:
         D_i / Q_i^2, so the weights w_i = M D_i / Q_i^2 and every scaled
         cost M * f(x - c) are integers; a bound b then enters as floor(M b),
         which admits exactly the same costs.
+
+        The centre is cleared once, c = C / d.  With the Bareiss data
+        (p_i, prev_i, col_i) of the form, L[j][i] = col_i[j] / p_i and
+        D_i = p_i / (prev_i den), so K_i and every L[j][i] are integers over
+        d p_i, and Q_i is d p_i over the gcd of that and their numerators:
+        Q_i, K_i and M are the lcms of the reduced denominators.
         """
-        n, L = self.n, self.L
-        c = [_frac(t) for t in center]
-        q, k, cols = [], [], []
-        for i in range(n):
-            k_i = -c[i] - sum(L[j][i] * c[j] for j in range(i + 1, n))
-            q_i = lcm(k_i.denominator, *(L[j][i].denominator for j in range(i + 1, n)))
+        (c,), d = linalg.cleared([[_frac(t) for t in center]])
+        q, k, cols, dens, nums = [], [], [], [], []
+        for i, (p, prev, col) in enumerate(self.factors):
+            num = -p * c[i] - sum(map(mul, col, c[i + 1:]))
+            g = gcd(d * gcd(p, *col), num)
+            q_i = d * p // g
             q.append(q_i)
-            k.append(floor(q_i * k_i))
-            cols.append([floor(q_i * L[j][i]) for j in range(i + 1, n)])
-        rel = [d / (q_i * q_i) for d, q_i in zip(self.D, q)]
-        m = lcm(*(r.denominator for r in rel))
-        return q, k, cols, [floor(m * r) for r in rel], m
+            k.append(num // g)
+            cols.append([d * x // g for x in col])
+            rel = prev * self.den * q_i * q_i  # D_i / Q_i^2 = p / rel
+            h = gcd(p, rel)
+            dens.append(rel // h)
+            nums.append(p // h)
+        m = lcm(*dens)
+        return q, k, cols, [m // r * t for r, t in zip(dens, nums)], m
 
     def run(self, center, bound, visit, half=False):
         """Visit every x with f(x - center) <= bound.

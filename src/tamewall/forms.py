@@ -41,7 +41,7 @@ class QuadraticForm:
     vector v is v.G.v, an integer sum divided once.  The pair is reduced
     so that den and the entries have no common factor, which makes
     (int_gram, den) canonical.  G is factored as L D L^T at most once, on
-    first use (`ldl`)."""
+    first use, in integers (`ldl`)."""
 
     __slots__ = ("n", "den", "int_gram", "_ldl")
 
@@ -60,7 +60,7 @@ class QuadraticForm:
         self.n = n
         self.int_gram = rows
         self.den = den
-        self._ldl = None  # (L, D) once factored, False if G is not positive definite
+        self._ldl = None  # the LDL data once factored, False if G is not positive definite
 
     @classmethod
     def identity(cls, n):
@@ -95,16 +95,15 @@ class QuadraticForm:
         return Fraction(dot(y, w), s * d)
 
     def ldl(self):
-        """The exact (L, D) of linalg.ldl for G as tuples, computed once per
-        form; raises NotPositiveDefiniteError when G is not positive
+        """The integer LDL^T data of linalg.ldl for int_gram, computed once
+        per form (G = int_gram / den has the same L and each D[k] over
+        den); raises NotPositiveDefiniteError when G is not positive
         definite."""
         if self._ldl is None:
             try:
-                L, D = linalg.ldl(self.int_gram, self.den)
+                self._ldl = linalg.ldl(self.int_gram)
             except linalg.NotPositiveDefiniteError:
                 self._ldl = False
-            else:
-                self._ldl = tuple(L), tuple(D)
         if self._ldl is False:
             raise linalg.NotPositiveDefiniteError("matrix is not positive definite")
         return self._ldl

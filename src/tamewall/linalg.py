@@ -7,9 +7,10 @@ and inverses clear each row's denominators once and eliminate over the
 integers to an echelon form, then back-substitute over the integers only
 the vectors they return: solutions come out as Fractions, an inverse as
 integer rows over one denominator.  The LDL^T factorization takes
-integer rows over a denominator and runs fraction-free (Bareiss); its
-pivots decide positive definiteness.  No floating point enters any code
-path.
+integer rows and runs fraction-free (Bareiss): it returns the integer
+pivots and columns of the elimination, of which L and D are ratios, and
+its pivots decide positive definiteness.  No floating point enters any
+code path.
 """
 
 from __future__ import annotations
@@ -231,38 +232,35 @@ def inverse(matrix):
     return tuple(map(tuple, nums)), d
 
 
-def ldl(rows, den):
-    """Exact LDL^T of the symmetric positive definite matrix rows / den,
-    for integer rows and a positive integer den.
+def ldl(rows):
+    """Fraction-free LDL^T data of the symmetric positive definite matrix
+    given by integer rows.
 
-    Returns (L, D) with L unit lower triangular (list of row tuples) and
-    D the pivot list.  Raises ValueError when the matrix is not symmetric
-    and NotPositiveDefiniteError when a pivot fails to be positive.
+    Returns one (p, prev, col) per index k: p the k-th pivot, prev the
+    pivot before it (1 for k = 0) and col the integer entries below the
+    pivot in column k of the elimination, so that D[k] = p / prev and
+    L[i][k] = col[i - k - 1] / p for i > k; the matrix rows / den has the
+    same L and D[k] = p / (prev den).  Raises ValueError when
+    the matrix is not symmetric and NotPositiveDefiniteError when a pivot
+    fails to be positive.
 
     The integer rows are eliminated fraction-free (Bareiss) on their lower
     triangle: pivot k is the (k+1)-th leading principal minor of the rows,
-    so D[k] is the ratio of two consecutive minors over den, and column k
-    of L is column k of the elimination over its pivot.
+    and every division is exact.
     """
     n = len(rows)
     if any(len(row) != n or any(row[j] != rows[j][i] for j in range(i)) for i, row in enumerate(rows)):
         raise ValueError("LDL requires a symmetric matrix")
     work = [list(row[: i + 1]) for i, row in enumerate(rows)]
-    L = [[Fraction(0)] * n for _ in range(n)]
-    D = []
+    factors = []
     prev = 1
     for k in range(n):
         p = work[k][k]
         if p <= 0:
             raise NotPositiveDefiniteError("matrix is not positive definite")
-        D.append(Fraction(p, prev * den))
-        L[k][k] = Fraction(1)
-        col = [0] * k + [work[i][k] for i in range(k, n)]
-        for i in range(k + 1, n):
-            L[i][k] = Fraction(col[i], p)
-            a = col[i]
-            work[i][k + 1:] = [
-                (p * x - a * y) // prev for x, y in zip(work[i][k + 1:], col[k + 1:i + 1])
-            ]
+        col = tuple(work[i][k] for i in range(k + 1, n))
+        for i, a in enumerate(col, start=k + 1):
+            work[i][k + 1:] = [(p * x - a * y) // prev for x, y in zip(work[i][k + 1:], col)]
+        factors.append((p, prev, col))
         prev = p
-    return [tuple(row) for row in L], D
+    return tuple(factors)

@@ -15,6 +15,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb
 from operator import itemgetter, mul, neg
 
@@ -412,9 +413,70 @@ def _dual_count(n):
     return 2 * (n - 1) + comb(n - 1, 2)
 
 
+# Theorem 1's perturbation size is a power of 2 from 1/4 down to this one.
+_EPSILON_FLOOR = Fraction(1, 2**21)
+
+
+def _epsilon_star(n):
+    """The closed form of the end of theorem 1's perturbation interval:
+    S_n is a Delaunay cell of G + eps N exactly for 0 < eps < eps*."""
+    return Fraction(2 * (n - 3), (n - 1) * (n - 2) * (n * n - 7 * n + 13))
+
+
+def _simplex_gap(value, x):
+    """h_Q(x) = Q[x] - A_Q(x) for the quadratic function Q given by its
+    values, A_Q being the affine function equal to Q on the vertices 0,
+    e_1..e_{n-1}, w = (1, .., 1, -(n-3)) of S_n:
+    A_Q(x) = sum_{i<n} Q[e_i] x_i + a x_n with
+    a = (sum_{i<n} Q[e_i] - Q[w]) / (n - 3).  For a form Q, h_Q(x) is
+    Q[x - c] - r^2 over the sphere (c, r^2) through S_n, so x is inside,
+    on or outside it as h_Q(x) is negative, zero or positive."""
+    n = len(x)
+    units = [value(tuple(int(i == j) for j in range(n))) for i in range(n - 1)]
+    a = Fraction(sum(units) - value(tuple([1] * (n - 1) + [3 - n])), n - 3)
+    return value(x) - sum(map(mul, units, x)) - a * x[-1]
+
+
+def _perturbed_simplex(n, wall_form, wall, s_n):
+    """(ok, detail, eps) of the step showing S_n a Delaunay simplex of volume
+    n - 3 of G + eps N, for the wall form G and the wall normal N.
+
+    h is linear in the form, so the eps for which S_n is a cell of
+    G + eps N form one interval (0, eps*).  The closed form of eps* is
+    certified at this n by z = (1, 1, 0, .., 0, -1): h_N(z) < 0 and
+    h_G(z) + eps* h_N(z) = 0, so z lies inside or on the sphere of
+    G + eps N for every eps >= eps*.  One cell check at eps, the largest
+    2^-k <= 1/4 below eps*, then shows that eps admissible: it is the
+    first admissible size in the sequence 1/4, 1/8, ...  eps is None
+    unless the cell check holds.
+    """
+    eps_star = _epsilon_star(n)
+    z = tuple([1, 1] + [0] * (n - 3) + [-1])
+    h_g = _simplex_gap(wall_form.evaluate, z)
+    h_n = _simplex_gap(partial(_value_at, wall.coords), z)
+    uncertified = f"epsilon* {eps_star} not certified:"
+    if h_n >= 0:
+        return False, f"{uncertified} h_N(z) = {h_n} is not negative at z = {z}", None
+    if h_g + eps_star * h_n:
+        return False, f"{uncertified} z = {z} is not on the sphere of G + epsilon* N", None
+    eps = Fraction(1, 4)
+    while eps >= eps_star and eps >= _EPSILON_FLOOR:
+        eps /= 2
+    if eps < _EPSILON_FLOOR:
+        return False, "no admissible perturbation size found", None
+    g = forms.shifted(wall_form, eps, wall.normal)
+    if not g.is_positive_definite:
+        return False, f"G + epsilon N is not positive definite at epsilon {eps}", None
+    if not delaunay.is_delaunay_cell(g, s_n).verdict:
+        return False, f"S_n is not a Delaunay cell of G + epsilon N at epsilon {eps}", None
+    vol = delaunay.relative_volume(s_n)
+    return vol == n - 3, f"epsilon {eps}, simplex volume {vol}", eps
+
+
 def verify_theorem1(n: int) -> TheoremReport:
     """Dual system, double dual, codimension, wall form, repartitioning
-    cell, and the perturbed form with the big simplex as a Delaunay cell."""
+    cell, and the perturbed form with the big simplex as a Delaunay cell
+    (see `_perturbed_simplex` for how the perturbation size is chosen)."""
     if n < 5:
         raise ValueError("needs n >= 5")
     steps = []
@@ -451,25 +513,11 @@ def verify_theorem1(n: int) -> TheoremReport:
     steps.append(CheckStep(
         "repartition_cell", cert.verdict, f"complex has {len(r_n)} boundary points"
     ))
-    data["wall_cell"] = cert
 
-    wall = tw_normal(n)
-    eps = Fraction(1, 4)
-    perturbed_ok = False
-    detail = "no admissible perturbation size found"
-    for _ in range(20):
-        g = forms.shifted(wall_form, eps, wall.normal)
-        if g.is_positive_definite:
-            cert2 = delaunay.is_delaunay_cell(g, s_n)
-            if cert2.verdict and len(cert2.vertices) == n + 1:
-                vol = delaunay.relative_volume(s_n)
-                perturbed_ok = vol == n - 3
-                detail = f"epsilon {eps}, simplex volume {vol}"
-                data["perturbed_cert"] = cert2
-                data["epsilon"] = eps
-                break
-        eps /= 2
-    steps.append(CheckStep("big_simplex_on_positive_side", perturbed_ok, detail))
+    ok, detail, eps = _perturbed_simplex(n, wall_form, tw_normal(n), s_n)
+    steps.append(CheckStep("big_simplex_on_positive_side", ok, detail))
+    if eps is not None:
+        data["epsilon"] = eps
 
     return TheoremReport(n, all(s.ok for s in steps), tuple(steps), data)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -525,6 +526,29 @@ def test_perturbation_validates_inputs():
         perturbation_check(f, phi, UNIT_SQUARE, [(9, 9)], F(1, 4))
     with pytest.raises(ValueError):
         perturbation_check(f, phi, UNIT_SQUARE, [(0, 0)], F(-1, 4))
+
+
+@pytest.mark.parametrize(
+    "shift, vertex",
+    [(F(0), (1, 1)), (F(1, 7), (0, 0))],
+)
+def test_perturbation_names_the_first_vertex_where_phi_does_not_vanish(shift, vertex):
+    # phi through the circle of the first three points under a form with a
+    # denominator: it misses (1, 1), and with its constant shifted every vertex
+    f = QuadraticForm([[2, 1], [1, 2]], 3)
+    cell = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
+    quad = circumscribed_quadric(f, cell[:3])
+    phi = InhomogeneousQuadratic.from_circumsphere(f, quad.center, quad.r2 + shift)
+    message = f"phi_const does not vanish on cell vertex {vertex}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        perturbation_check(f, phi, cell, cell[:3], F(1, 10))
+
+
+def test_perturbation_of_mismatched_dimensions_is_refused():
+    f, phi = _square_phi()
+    cell = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    with pytest.raises(ValueError, match="^vector dimension mismatch$"):
+        perturbation_check(f, phi, cell, cell[:1], F(1, 4))
 
 
 def test_perturbed_wall_form_has_big_simplex_cell():

@@ -1,10 +1,11 @@
 """Lattice enumeration against an independent brute-force box oracle and
-against the rational depth-first search it replaced, and the queries on
-the integer visit contract against their former Fraction versions."""
+against the rational depth-first search it replaced, its per-query scaling
+on the integer LDL data against the Fraction one, and the queries on the
+integer visit contract against their former Fraction versions."""
 
 import itertools
 from fractions import Fraction as F
-from math import isqrt
+from math import floor, isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -383,6 +384,62 @@ def test_integer_core_matches_fraction_dfs_on_series_forms(form, center, bound):
     for shrink in (False, True):
         expected, got = _run_both(form, c, bound, shrink, 0, None, half)
         assert got == expected
+
+
+# -- the per-query scaling as it was on Fraction L and D, kept as its oracle ---
+
+def fraction_scaled(form, center):
+    """The former _Enumerator._scaled: (q, k, cols, weights, m) read off the
+    Fraction L and D of the Gram matrix."""
+    n = form.n
+    L, D = fraction_ldl(form.gram)
+    c = [F(t) for t in center]
+    q, k, cols = [], [], []
+    for i in range(n):
+        k_i = -c[i] - sum(L[j][i] * c[j] for j in range(i + 1, n))
+        q_i = lcm(k_i.denominator, *(L[j][i].denominator for j in range(i + 1, n)))
+        q.append(q_i)
+        k.append(floor(q_i * k_i))
+        cols.append([floor(q_i * L[j][i]) for j in range(i + 1, n)])
+    rel = [d / (q_i * q_i) for d, q_i in zip(D, q)]
+    m = lcm(*(r.denominator for r in rel))
+    return q, k, cols, [floor(m * r) for r in rel], m
+
+
+@st.composite
+def scaled_queries(draw):
+    """A positive definite integer Gram B^T B + diag(s) over a denominator,
+    and a rational centre (zero about one time in five)."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    b = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+    shift = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    diagonal = [[shift[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    gram = add(matmul(transpose(b), b), diagonal)
+    den = draw(st.integers(min_value=1, max_value=12))
+    zero = draw(st.integers(min_value=0, max_value=4)) == 0
+    center = [0] * n if zero else draw(st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=12), min_size=n, max_size=n
+    ))
+    return QuadraticForm(gram, den), center
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_queries())
+def test_scaling_matches_fraction_ldl(query):
+    form, center = query
+    assert _Enumerator(form)._scaled(center) == fraction_scaled(form, center)
+
+
+@pytest.mark.parametrize(
+    "form, center",
+    [
+        (tf_form(7), [0] * 7),
+        (standard_gram("E6*"), [F(1, 3)] * 6),
+        _wall_ellipsoid()[:2],
+    ],
+)
+def test_scaling_matches_fraction_ldl_on_series_forms(form, center):
+    assert _Enumerator(form)._scaled(center) == fraction_scaled(form, center)
 
 
 # -- the queries as they were on Fraction visits, kept as their oracles --------

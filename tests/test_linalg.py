@@ -178,6 +178,19 @@ def fraction_ldl(matrix):
     return [tuple(row) for row in L], D
 
 
+def ldl_matrices(factors, den=1):
+    """(L, D) as Fractions from linalg.ldl's integer data, for the matrix
+    of the factored integer rows over den."""
+    n = len(factors)
+    L = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    D = []
+    for k, (p, prev, col) in enumerate(factors):
+        D.append(F(p, prev * den))
+        for i, x in enumerate(col, start=k + 1):
+            L[i][k] = F(x, p)
+    return [tuple(row) for row in L], D
+
+
 rationals = st.builds(F, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4))
 
 
@@ -441,13 +454,13 @@ def test_pd_rejects_indefinite():
 
 def test_ldl_raises_typed_error_on_indefinite():
     with pytest.raises(linalg.NotPositiveDefiniteError):
-        linalg.ldl([[1, 2], [2, 1]], 1)
+        linalg.ldl([[1, 2], [2, 1]])
 
 
 def test_pd_decides_by_error_type_not_message(monkeypatch):
     # A ValueError that merely mentions positive definiteness is not a
     # "no" answer; it must propagate.
-    def broken_ldl(rows, den):
+    def broken_ldl(rows):
         raise ValueError("internal failure while testing positive definite input")
 
     monkeypatch.setattr(linalg, "ldl", broken_ldl)
@@ -464,7 +477,7 @@ def test_pd_requires_symmetric():
     with pytest.raises(ValueError):
         QuadraticForm([[1, 2], [0, 1]], 1)
     with pytest.raises(ValueError):
-        linalg.ldl([[1, 2], [0, 1]], 1)
+        linalg.ldl([[1, 2], [0, 1]])
 
 
 def _leading_minors_positive(matrix):
@@ -503,7 +516,7 @@ def test_ldl_reconstructs(rows):
     n = len(rows)
     # Build a PD matrix as B^T B + I.
     gram = add(matmul(transpose(rows), rows), identity(n))
-    L, D = linalg.ldl(gram, 1)
+    L, D = ldl_matrices(linalg.ldl(gram))
     recon = [
         [sum(L[i][k] * D[k] * L[j][k] for k in range(n)) for j in range(n)]
         for i in range(n)
@@ -529,11 +542,14 @@ def test_ldl_and_pd_verdict_match_fraction_oracle(m):
     rows, den = linalg.cleared(m)
     if expected is None:
         with pytest.raises(linalg.NotPositiveDefiniteError):
-            linalg.ldl(rows, den)
+            linalg.ldl(rows)
         with pytest.raises(linalg.NotPositiveDefiniteError):
             form(m).ldl()
     else:
-        L, D = expected
-        assert linalg.ldl(rows, den) == expected
-        assert form(m).ldl() == (tuple(L), tuple(D))
+        factors = linalg.ldl(rows)
+        assert ldl_matrices(factors, den) == expected
+        assert ldl_matrices(form(m).ldl(), form(m).den) == expected
+        # the pivots are the leading principal minors of the integer rows
+        minors = [cofactor_det([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
+        assert [(p, prev) for p, prev, _ in factors] == list(zip(minors, [1] + minors))
     assert form(m).is_positive_definite == (expected is not None)

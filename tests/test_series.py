@@ -1,15 +1,17 @@
 """Vertex factories, wall normal, side classification, parser, pipelines."""
 
+import dataclasses
 import itertools
 import sys
 from fractions import Fraction as F
+from functools import partial
 from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tamewall import dual01, enumeration, forms, linalg, perfect
-from tamewall.delaunay import relative_volume
+from tamewall import delaunay, dual01, enumeration, forms, linalg, perfect, series
+from tamewall.delaunay import circumscribed_quadric, relative_volume
 from tamewall.enumeration import arithmetic_minimum
 from tamewall.errors import InvariantError
 from tamewall.forms import (
@@ -24,6 +26,7 @@ from tamewall.forms import (
     wall_interior_form,
 )
 from tamewall.series import (
+    CheckStep,
     FamilyCountError,
     FamilyParseError,
     classify_side,
@@ -248,7 +251,8 @@ def test_verify_theorem1_passes_from_six_up(n):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=5, max_value=9))
 def test_theorem1_perturbed_forms_match_fraction_oracle(n):
-    # every G + eps N that theorem 1 tries, against the Fraction matrix sum
+    # theorem 1 builds one G + eps N, at its epsilon, equal to the Fraction
+    # matrix sum
     tried = []
     build = forms.shifted
 
@@ -260,12 +264,117 @@ def test_theorem1_perturbed_forms_match_fraction_oracle(n):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(forms, "shifted", recording)
         rep = verify_theorem1(n)
-    assert [c for c, _ in tried] == [F(1, 2**k) for k in range(2, 2 + len(tried))]
-    assert tried[-1][0] == rep.data["epsilon"]
-    wall_gram = wall_interior_form(n).gram
+    assert [c for c, _ in tried] == [rep.data["epsilon"]]
+    c, g = tried[0]
+    assert g.gram == add(wall_interior_form(n).gram, scaled(tw_normal(n).normal, c))
+
+
+def halving_epsilon_step(n):
+    """The former search for theorem 1's perturbation size, kept as its
+    oracle: (ok, detail, eps) from a full cell check at each of 1/4, 1/8,
+    ..., 2^-21 until one holds."""
+    wall_form = wall_interior_form(n)
     normal = tw_normal(n).normal
-    for c, g in tried:
-        assert g.gram == add(wall_gram, scaled(normal, c))
+    s_n = s_n_vertices(n)
+    eps = F(1, 4)
+    for _ in range(20):
+        g = forms.shifted(wall_form, eps, normal)
+        if g.is_positive_definite:
+            cert = delaunay.is_delaunay_cell(g, s_n)
+            if cert.verdict and len(cert.vertices) == n + 1:
+                vol = relative_volume(s_n)
+                return vol == n - 3, f"epsilon {eps}, simplex volume {vol}", eps
+        eps /= 2
+    return False, "no admissible perturbation size found", None
+
+
+THEOREM1_STEPS = [
+    "dual_families",
+    "double_dual",
+    "codimension_one",
+    "wall_form_pd",
+    "repartition_cell",
+    "big_simplex_on_positive_side",
+]
+
+
+@pytest.mark.parametrize("n", range(5, 21))
+def test_theorem1_epsilon_matches_halving_oracle(n):
+    rep = verify_theorem1(n)
+    ok, detail, eps = halving_epsilon_step(n)
+    assert [s.name for s in rep.steps] == THEOREM1_STEPS
+    assert rep.steps[-1] == CheckStep("big_simplex_on_positive_side", ok, detail)
+    assert rep.data.get("epsilon") == eps
+    assert ok and rep.ok == (n >= 6)
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_theorem1_makes_one_perturbed_cell_check(monkeypatch, n):
+    checks = _counted(monkeypatch, delaunay, "is_delaunay_cell")
+    verify_theorem1(n)
+    wall_form = wall_interior_form(n)
+    assert [f == wall_form for f, _ in checks] == [True, False]
+
+
+@pytest.mark.parametrize("factor", [F(2), F(1, 2)])
+def test_theorem1_refuses_a_wrong_closed_form(monkeypatch, factor):
+    closed_form = series._epsilon_star
+    monkeypatch.setattr(series, "_epsilon_star", lambda n: factor * closed_form(n))
+    checks = _counted(monkeypatch, delaunay, "is_delaunay_cell")
+    rep = verify_theorem1(7)
+    step = rep.steps[-1]
+    assert not rep.ok and not step.ok
+    assert step.detail == (
+        f"epsilon* {factor * F(8, 390)} not certified: z = (1, 1, 0, 0, 0, 0, -1) "
+        "is not on the sphere of G + epsilon* N"
+    )
+    assert "epsilon" not in rep.data
+    assert len(checks) == 1  # the repartitioning cell only
+
+
+def test_theorem1_step_fails_when_the_cell_check_fails(monkeypatch):
+    real = delaunay.is_delaunay_cell
+    wall_form = wall_interior_form(6)
+
+    def refusing(f, points):
+        cert = real(f, points)
+        return cert if f == wall_form else dataclasses.replace(cert, verdict=False)
+
+    monkeypatch.setattr(delaunay, "is_delaunay_cell", refusing)
+    step = verify_theorem1(6).steps[-1]
+    assert not step.ok
+    assert step.detail == "S_n is not a Delaunay cell of G + epsilon N at epsilon 1/32"
+
+
+def _normal_value(n):
+    return partial(series._value_at, tw_normal(n).coords)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_normal_lifts_e_n_above_the_big_simplex(n):
+    # h_N(e_n) > 0: in the lifted picture e_n lies above the hyperplane
+    # through S_n, so S_n is the cell of R_n's circuit that the normal
+    # selects: the triangulation of the part with the sign of
+    # sum_i lambda_i N[p_i] for the affine dependence lambda
+    e_n = tuple([0] * (n - 1) + [1])
+    value = _normal_value(n)
+    assert series._simplex_gap(value, e_n) > 0
+    pts = r_n_vertices(n)
+    rad = delaunay.radon_triangulations(pts)
+    side = sum(lam * value(p) for lam, p in zip(rad.dependence, pts))
+    cells = rad.cells_plus if side > 0 else rad.cells_minus
+    assert set(s_n_vertices(n)) in [set(cell) for cell in cells]
+    assert (e_n in rad.plus_part) == (side > 0)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_simplex_gap_matches_the_circumsphere(n):
+    # h_Q(x) = Q[x - c] - r^2 for the sphere (c, r^2) through S_n
+    wall_form = wall_interior_form(n)
+    quad = circumscribed_quadric(wall_form, s_n_vertices(n))
+    for x in [tuple([1, 1] + [0] * (n - 3) + [-1]), tuple([0] * (n - 1) + [1]), tuple(range(n))]:
+        shifted_x = [a - b for a, b in zip(x, quad.center)]
+        assert series._simplex_gap(wall_form.evaluate, x) == wall_form.evaluate(shifted_x) - quad.r2
 
 
 @pytest.mark.parametrize("n", [7, 8, 9])
