@@ -7,6 +7,7 @@ chosen sub-polytope of a cell.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -200,9 +201,17 @@ def delaunay_cell_containing(f: QuadraticForm, point):
     Cutting planes: maximize l(t) over affine l with l(v) <= f(v) for all
     lattice v, generating violated constraints through the closest-vector
     oracle.  The LP is seeded with the corners of the unit box around the
-    point, which makes it bounded from the first iteration.  A query point
-    on a lower-dimensional face raises NonGenericPointError carrying the
-    face's vertex set.
+    point, which makes it bounded from the first iteration.  Each
+    constraint enters as the integer row den (v.g + h) <= v.(den G).v.
+
+    The optimal dual of that LP writes t as a convex combination of
+    vertices of the cell.  When it is positive on n+1 affinely independent
+    vertices, t is interior to a full simplex of the cell, hence generic,
+    and that is the certificate; only a degenerate optimum, with a smaller
+    support, falls back to a second LP asking for positive weights on all
+    the cell's vertices.  A query point on a lower-dimensional face raises
+    NonGenericPointError carrying the face's vertex set; a dual that fails
+    its exact check raises InvariantError.
 
     Cost: the seed alone is 2^n constraints, every LP of the cutting-plane
     loop carries all of them, and each round adds a closest-vector search;
@@ -215,19 +224,22 @@ def delaunay_cell_containing(f: QuadraticForm, point):
     ginv, d = linalg.inverse(f.int_gram)  # G^-1 = den ginv / d
     half = Fraction(f.den, 2 * d)
 
+    def row(v):
+        norm = sum(x * sum(map(mul, r, v)) for x, r in zip(v, f.int_gram) if x)
+        return [*(f.den * x for x in v), f.den], norm
+
     base = [floor(c) for c in t]
-    constraints = {}  # lattice point v -> f(v), in insertion order
+    constraints = {}  # lattice point v -> its row, in insertion order
     for corner in itertools.product((0, 1), repeat=n):
-        v = tuple(b + d for b, d in zip(base, corner))
-        constraints[v] = f.evaluate(v)
+        v = tuple(b + c for b, c in zip(base, corner))
+        constraints[v] = row(v)
     while True:
-        rows = [([*v, 1], fv) for v, fv in constraints.items()]
-        res = lp.lp_solve(objective=[*t, 1], less_equal=rows)
+        res = lp.lp_solve(objective=[*t, 1], less_equal=list(constraints.values()))
         if res.status != "optimal":
             raise InvariantError(f"cell LP unexpectedly {res.status}")
         g = res.witness[:n]
         h = res.witness[n]
-        m = [half * dot(row, g) for row in ginv]
+        m = [half * dot(r, g) for r in ginv]
         d2, pts = closest_vectors(f, m)
         mu = d2 - (f.evaluate(m) + h)
         if mu < 0:
@@ -235,20 +247,50 @@ def delaunay_cell_containing(f: QuadraticForm, point):
             if not new:
                 raise InvariantError("separation oracle failed to add a violated constraint")
             for p in new:
-                constraints[p] = f.evaluate(p)
+                constraints[p] = row(p)
             continue
         if mu != 0:
             raise InvariantError("optimal support function must touch the lattice lift")
         vertices = canonical_set(pts)
         break
 
-    # t is generic iff the cell spans and t is a convex combination of all
-    # its vertices with every weight positive
+    if _dual_certifies(res.duals, constraints, vertices, t):
+        return vertices
+    # a degenerate optimum: t is generic iff the cell spans and t is a
+    # convex combination of all its vertices with every weight positive
     eqs = [([v[i] for v in vertices], t[i]) for i in range(n)]
     eqs.append(([1] * len(vertices), 1))
     if linalg.affine_rank(vertices) != n or lp.positive_solution(eqs) is None:
         raise NonGenericPointError(_minimal_face(vertices, t))
     return vertices
+
+
+def _dual_certifies(duals, constraints, vertices, t):
+    """Whether the cut LP's optimal dual shows t generic, checked exactly;
+    constraints maps each point to its row, in the LP's row order.
+
+    Dual feasibility reads sum y_i row_i = (t, 1) with y >= 0, and the row
+    of a point v is den (v, 1), so the weights den y_i write t as a convex
+    combination of the points.  Complementary slackness puts the positive
+    ones on cell vertices.  n+1 of them are then a full simplex of the cell
+    with t in its interior; a smaller support says nothing.
+    """
+    n = len(t)
+    points, rows = list(constraints), list(constraints.values())
+    if duals is None or len(duals) != len(rows) or any(y < 0 for y in duals):
+        raise InvariantError("cell LP returned no nonnegative dual")
+    support = [i for i, y in enumerate(duals) if y]
+    total = [sum(duals[i] * rows[i][0][k] for i in support) for k in range(n + 1)]
+    if total != [*t, 1]:
+        raise InvariantError("cell LP dual does not write the point as a convex combination")
+    if len(support) != n + 1:
+        return False
+    cell = set(vertices)
+    if any(points[i] not in cell for i in support):
+        raise InvariantError("cell LP dual is positive off the cell")
+    if not kernels.det_int([[*points[i], 1] for i in support]):
+        raise InvariantError("cell LP dual support is not a simplex")
+    return True
 
 
 def _minimal_face(vertices, t):
@@ -417,7 +459,7 @@ def find_level_vector(v, cell):
     cell_pts = canonical_set(cell)
     if v not in cell_pts:
         raise ValueError("vertex must belong to the cell")
-    diffs = sorted({sub(u, v) for u in cell_pts if u != v})
+    diffs = [list(map(operator.sub, u, v)) for u in cell_pts if u != v]
     if not diffs:
         raise ValueError("cell has no other vertex")
     n = len(v)
@@ -444,7 +486,8 @@ def perturbation_check(
     of phi on the lattice should shrink to exactly the subset; that is
     verified by exact enumeration, and the verdict reports it.  p_v is
     `find_level_vector(v, cell)`; the report keeps the lattice points, not
-    the level vectors.
+    the level vectors.  The terms' linear and constant parts are integers,
+    summed over the excluded vertices before the one scaling by alpha.
     """
     alpha = _frac(alpha)
     if alpha <= 0:
@@ -476,17 +519,22 @@ def perturbation_check(
             return PerturbationReport(False, (), (), failure_reason=reason)
         levels[u] = p
 
-    linear = list(phi_const.linear)
-    const = phi_const.constant
+    # the terms' linear and constant parts summed in integers, then scaled
+    # by alpha once
+    n = f.n
+    lin_sum = [0] * n
+    const_sum = 0
     for u in outside:
         p = levels[u]
         pv = dot(p, u)
-        linear = [b + alpha * (-2 * pv - 3) * x for b, x in zip(linear, p)]
-        const += alpha * (pv * pv + 3 * pv + 2)
+        k = -2 * pv - 3
+        lin_sum = [b + k * x for b, x in zip(lin_sum, p)]
+        const_sum += pv * pv + 3 * pv + 2
+    linear = tuple(b + alpha * s for b, s in zip(phi_const.linear, lin_sum))
+    const = phi_const.constant + alpha * const_sum
     # one integer Gram: f plus alpha times the sum of the level vectors' p p^T
-    n = f.n
     images = [[sum(levels[u][i] * levels[u][j] for u in outside) for j in range(n)] for i in range(n)]
-    phi = InhomogeneousQuadratic(shifted(f, alpha, images), tuple(linear), const)
+    phi = InhomogeneousQuadratic(shifted(f, alpha, images), linear, const)
     if not phi.quadratic.is_positive_definite:
         return PerturbationReport(False, (), (), failure_reason="quadratic part not PD")
     center, r2 = phi.completed_square()

@@ -28,20 +28,16 @@ from .vecset import sub
 
 def _reference_basis(f: QuadraticForm):
     """n linearly independent vectors of lowest norms, greedily, with the
-    vectors_up_to list they were drawn from."""
+    vectors_up_to list they were drawn from: the candidates at the pivot
+    columns of one echelon form of the list taken as columns, which are
+    those that are independent of the candidates before them."""
     n = f.n
     bound = _diagonal_minimum(f)
     while True:
         candidates = vectors_up_to(f, bound)
-        chosen = []
-        rows = []
-        for v, _ in candidates:
-            trial = rows + [v]
-            if linalg.rank(trial) == len(trial):
-                rows = trial
-                chosen.append(v)
-                if len(chosen) == n:
-                    return chosen, candidates
+        pivots = linalg._echelon(list(zip(*(v for v, _ in candidates))))[0]
+        if len(pivots) == n:
+            return [candidates[j][0] for j in pivots], candidates
         bound *= 2
 
 

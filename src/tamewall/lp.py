@@ -11,15 +11,16 @@ cleared over one q, so the simplex sees only the inequality rows over t.
 Each tableau row, the reduced-cost rows included, keeps its actual values
 as integers over its own denominator (Edmonds, Bareiss), so a pivot
 rewrites only the rows with a nonzero in the pivot column, and Bland's
-rule makes the pivots a `Fraction` tableau would.  Only the witness and
-the optimum are formed as Fractions.  The one problem shape is a
-maximization; `positive_solution` asks for a solution with every
-coordinate positive by maximizing a slack bounded by 1.
+rule makes the pivots a `Fraction` tableau would.  Only the witness, the
+optimum and, without equalities, the optimal duals of the rows are formed
+as Fractions.  The one problem shape is a maximization;
+`positive_solution` asks for a solution with every coordinate positive by
+maximizing a slack bounded by 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -30,14 +31,22 @@ from .linalg import _frac
 
 @dataclass(frozen=True)
 class LPResult:
-    status: str  # 'optimal' | 'infeasible' | 'unbounded'
+    """status is 'optimal', 'infeasible' or 'unbounded'.  An optimum of a
+    problem without equalities also carries duals: one Fraction y_i >= 0
+    per <= row, in row order, with sum y_i a_i equal to the objective and
+    sum y_i b_i to the optimum.  They are left out of equality."""
+
+    status: str
     witness: tuple | None = None
     optimum: Fraction | None = None
+    duals: tuple | None = field(default=None, compare=False)
 
 
 def _cleared(values):
     """[*integers, den]: exact rationals times den, the lcm of their
     denominators, which leaves the integers coprime to den."""
+    if all(type(x) is int for x in values):
+        return [*values, 1]
     (row,), den = linalg.cleared([[x if isinstance(x, int) else _frac(x) for x in values]])
     return [*row, den]
 
@@ -194,6 +203,16 @@ class _Simplex:
         n = self.nfree
         return tuple(vals[j] - vals[n + j] for j in range(n))
 
+    def duals(self):
+        """The optimal dual of each row, read off the final cost row: its
+        entry at a row's slack column is 0 - y.(that column), and the
+        column is +-e_i as the row was stored, so y_i = -z[slack_i] in
+        either case."""
+        *z, den = self.costs[-1]
+        slack = 2 * self.nfree
+        zero = Fraction(0)
+        return tuple(Fraction(-x, den) if x else zero for x in z[slack:slack + len(self.T)])
+
 
 def lp_solve(objective, equalities=(), less_equal=()):
     """Maximize objective . x over free rational x, exactly.
@@ -211,7 +230,7 @@ def lp_solve(objective, equalities=(), less_equal=()):
     obj = _cleared(objective)
     leqs = [_cleared_row(coeffs, rhs, nvars) for coeffs, rhs in less_equal]
     if not equalities:
-        return _run(nvars, obj, leqs)
+        return _run(nvars, obj, leqs, duals=True)
 
     # an equality keeps its solutions without its denominator
     solutions = _eliminate([_cleared_row(c, rhs, nvars)[:-1] for c, rhs in equalities], nvars)
@@ -281,10 +300,10 @@ def _restated(row, origin, basis, q):
     return _reduced([*coeffs, b * q - sum(x * origin[j] for j, x in nz), den * q])
 
 
-def _run(nvars, objective, leqs):
+def _run(nvars, objective, leqs, duals=False):
     sim = _Simplex(nvars, leqs)
     status = sim.solve(objective)
     if status != "optimal":
         return LPResult(status)
     witness = sim.witness()
-    return LPResult("optimal", witness, _dot(objective, witness))
+    return LPResult("optimal", witness, _dot(objective, witness), sim.duals() if duals else None)

@@ -148,13 +148,31 @@ class WallDescriptor:
     printed_formula_report compares the derived normal against the closed
     formula printed alongside the construction, which fails to annihilate
     the dual system (documented discrepancy); its "printed" matrix is
-    rows of Fractions.
+    rows of Fractions.  It is computed when read, not by tw_normal.
     """
 
     n: int
     normal: tuple
     coords: tuple
-    printed_formula_report: dict = field(compare=False)
+
+    @property
+    def printed_formula_report(self) -> dict:
+        n = self.n
+        duals = big_simplex_dual_vectors(n)
+        scaled = _printed_wall_formula(n)
+        den = 2 * (n - 4)
+        as_quadratic = [sum(u[i] * sum(map(mul, scaled[i], u)) for i in range(n)) for u in duals]
+        upper_once = [
+            sum(scaled[i][j] * u[i] * u[j] for i in range(n) for j in range(i, n))
+            for u in duals
+        ]
+        return dict(
+            printed=tuple(tuple(Fraction(x, den) for x in row) for row in scaled),
+            annihilates_as_quadratic=not any(as_quadratic),
+            annihilates_upper_once=not any(upper_once),
+            max_abs_quadratic=Fraction(max(map(abs, as_quadratic)), den),
+            max_abs_upper_once=Fraction(max(map(abs, upper_once)), den),
+        )
 
 
 def _printed_wall_formula(n: int):
@@ -198,23 +216,7 @@ def tw_normal(n: int) -> WallDescriptor:
         raise InvariantError("normal orientation anchor lies on the wall")
     if val < 0:
         coords = [-x for x in coords]
-    normal = forms.coords_to_sym(coords, n)
-
-    scaled = _printed_wall_formula(n)
-    den = 2 * (n - 4)
-    as_quadratic = [sum(u[i] * sum(map(mul, scaled[i], u)) for i in range(n)) for u in duals]
-    upper_once = [
-        sum(scaled[i][j] * u[i] * u[j] for i in range(n) for j in range(i, n))
-        for u in duals
-    ]
-    report = dict(
-        printed=tuple(tuple(Fraction(x, den) for x in row) for row in scaled),
-        annihilates_as_quadratic=not any(as_quadratic),
-        annihilates_upper_once=not any(upper_once),
-        max_abs_quadratic=Fraction(max(map(abs, as_quadratic)), den),
-        max_abs_upper_once=Fraction(max(map(abs, upper_once)), den),
-    )
-    return WallDescriptor(n, normal, tuple(coords), report)
+    return WallDescriptor(n, forms.coords_to_sym(coords, n), tuple(coords))
 
 
 def classify_side(wall: WallDescriptor, x) -> str:

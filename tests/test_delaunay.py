@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import re
 from fractions import Fraction as F
 
@@ -23,7 +24,14 @@ from tamewall.delaunay import (
 )
 from tamewall.enumeration import closest_vectors, lattice_points_in_ellipsoid
 from tamewall.errors import InvariantError
-from tamewall.forms import QuadraticForm, shifted, standard_gram, tf_form, wall_interior_form
+from tamewall.forms import (
+    QuadraticForm,
+    dn_neighbor_form,
+    shifted,
+    standard_gram,
+    tf_form,
+    wall_interior_form,
+)
 from tamewall.series import _CENSUS_CENTER, r_n_vertices, s_n_vertices, tw_normal
 from tamewall.linalg import rank
 from tamewall.vecset import canonical_set, sub
@@ -217,11 +225,15 @@ def test_cell_containing_unit_square():
 
 
 @pytest.mark.parametrize("n", [5, 6])
-def test_cell_containing_cube_centre_side(n):
+def test_cell_containing_cube_centre_side(n, monkeypatch):
     # [1/3]^n lies inside the unit cube, a Delaunay cell of Z^n with 2^n
-    # vertices; the second LP of the location runs over all of them
+    # vertices.  The cut LP's optimal dual is degenerate there (its
+    # support is smaller than a simplex), so the location falls back to
+    # the positive-weights LP over all 2^n vertices, once.
+    calls = _count_positive_solutions(monkeypatch)
     cell = delaunay_cell_containing(QuadraticForm.identity(n), [F(1, 3)] * n)
     assert cell == tuple(itertools.product((0, 1), repeat=n))
+    assert calls == [2**n]
 
 
 def test_cell_containing_r5_barycenter():
@@ -264,6 +276,137 @@ def test_cell_roundtrip_a2(x, y):
     except NonGenericPointError:
         return
     assert is_delaunay_cell(f, cell).verdict
+
+
+def _count_positive_solutions(monkeypatch):
+    """The number of unknowns of each lp.positive_solution call, in a list
+    filled as they happen."""
+    calls = []
+    real = lp.positive_solution
+
+    def counting(eqs):
+        calls.append(len(eqs[0][0]))
+        return real(eqs)
+
+    monkeypatch.setattr(lp, "positive_solution", counting)
+    return calls
+
+
+def positive_weights_cell_containing(f, point):
+    """The former location, kept as the oracle of the integer rows and the
+    dual certificate: the cut loop on Fraction rows [v, 1] <= f(v), then
+    positive weights on all of the cell's vertices from
+    lp.positive_solution, or the minimal face."""
+    n = f.n
+    t = tuple(F(c) for c in point)
+    ginv, d = linalg.inverse(f.int_gram)
+    half = F(f.den, 2 * d)
+    constraints = {}
+    for corner in itertools.product((0, 1), repeat=n):
+        v = tuple(math.floor(c) + e for c, e in zip(t, corner))
+        constraints[v] = fraction_evaluate(f, v)
+    while True:
+        rows = [([*v, 1], fv) for v, fv in constraints.items()]
+        res = lp.lp_solve(objective=[*t, 1], less_equal=rows)
+        g, h = res.witness[:n], res.witness[n]
+        m = [half * sum(a * b for a, b in zip(row, g)) for row in ginv]
+        d2, pts = closest_vectors(f, m)
+        if d2 == fraction_evaluate(f, m) + h:
+            break
+        for p in pts:
+            constraints.setdefault(p, fraction_evaluate(f, p))
+    vertices = canonical_set(pts)
+    eqs = [([v[i] for v in vertices], t[i]) for i in range(n)]
+    eqs.append(([1] * len(vertices), 1))
+    if linalg.affine_rank(vertices) != n or lp.positive_solution(eqs) is None:
+        raise NonGenericPointError(delaunay._minimal_face(vertices, t))
+    return vertices
+
+
+def _located(locate, f, point):
+    try:
+        return "cell", locate(f, point)
+    except NonGenericPointError as err:
+        return "face", err.face_vertices
+
+
+_E6_POINT = tuple(F(1, p) for p in (23, 29, 31, 37, 41, 43))
+_LOCATION_FORMS = {
+    "I2": QuadraticForm.identity(2),
+    "I3": QuadraticForm.identity(3),
+    "I4": QuadraticForm.identity(4),
+    "A2": standard_gram("A", 2),
+    "E6": standard_gram("E6"),
+    "tf_form(6)": tf_form(6),
+    "dn_neighbor_form(6)": dn_neighbor_form(6),
+    "wall_interior_form(6)": wall_interior_form(6),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(_LOCATION_FORMS)),
+    st.data(),
+)
+def test_dual_certificate_matches_positive_weights_oracle(name, data):
+    # small denominators put many points on faces of the tiling, large
+    # primes make them generic
+    f = _LOCATION_FORMS[name]
+    den = data.draw(st.sampled_from([1, 2, 3, 4, 23, 29, 31]))
+    point = tuple(F(x, den) for x in data.draw(st.lists(st.integers(-2 * den, 2 * den), min_size=f.n, max_size=f.n)))
+    assert _located(delaunay_cell_containing, f, point) == _located(positive_weights_cell_containing, f, point)
+
+
+def test_workload_locations_make_no_positive_solution_call(monkeypatch):
+    # the two sign patterns of the census point on the four 6-dim forms:
+    # each cut LP's dual is positive on a simplex of the cell
+    calls = _count_positive_solutions(monkeypatch)
+    queries = [
+        (_LOCATION_FORMS[name], tuple(s * x for s, x in zip(signs, _E6_POINT)))
+        for signs in [(1, 1, 1, 1, 1, 1), (-1, 1, -1, 1, -1, 1)]
+        for name in ("E6", "tf_form(6)", "dn_neighbor_form(6)", "wall_interior_form(6)")
+    ]
+    cells = [delaunay_cell_containing(f, point) for f, point in queries]
+    assert calls == []
+    # the oracle reaches the same cells with one positive-weights LP each
+    assert cells == [positive_weights_cell_containing(f, point) for f, point in queries]
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda y: (2 * y[0], *y[1:]),
+        lambda y: tuple(-w for w in y),
+        lambda y: y[:-1],
+        lambda y: None,
+    ],
+    ids=["scaled", "negative", "short", "missing"],
+)
+def test_tampered_cut_lp_dual_raises_invariant_error(monkeypatch, tamper):
+    real = lp.lp_solve
+
+    def tampered(**kwargs):
+        res = real(**kwargs)
+        return dataclasses.replace(res, duals=tamper(res.duals))
+
+    monkeypatch.setattr(lp, "lp_solve", tampered)
+    with pytest.raises(InvariantError, match="cell LP"):
+        delaunay_cell_containing(standard_gram("E6"), _E6_POINT)
+
+
+def test_dual_moved_off_the_cell_raises_invariant_error(monkeypatch):
+    # the weights of a simplex of the cell moved onto equal points outside
+    # it: the sum still holds, the support check does not
+    real = delaunay._dual_certifies
+
+    def shifted_points(duals, constraints, vertices, t):
+        far = {tuple(x + 5 for x in v): row for v, row in constraints.items()}
+        return real(duals, far, vertices, t)
+
+    monkeypatch.setattr(delaunay, "_dual_certifies", shifted_points)
+    with pytest.raises(InvariantError, match="off the cell"):
+        delaunay_cell_containing(QuadraticForm.identity(2), (F(2, 5), F(1, 3)))
 
 
 def per_vertex_minimal_face(vertices, t):
@@ -575,17 +718,34 @@ def fraction_perturbed_gram(f, cell, subset, alpha, levels):
     return gram
 
 
+def fraction_perturbed_terms(phi_const, cell, subset, alpha, levels):
+    """The linear and constant terms of phi, one Fraction multiply-add of
+    alpha ((x - u).p - 1)((x - u).p - 2)'s terms per excluded vertex u."""
+    linear = list(phi_const.linear)
+    const = phi_const.constant
+    for u in canonical_set(cell):
+        if u not in set(canonical_set(subset)):
+            p = levels[u]
+            pv = sum(F(a) * b for a, b in zip(p, u))
+            linear = [b + alpha * (-2 * pv - 3) * x for b, x in zip(linear, p)]
+            const += alpha * (pv * pv + 3 * pv + 2)
+    return tuple(linear), const
+
+
 def _perturbed_forms(monkeypatch):
-    """The quadratic parts perturbation_check hands to the enumerator."""
-    seen = []
+    """The quadratic parts perturbation_check hands to the enumerator, and
+    the perturbed quadratics whose square it completes."""
+    seen, phis = [], []
     enumerate_points = delaunay.lattice_points_in_ellipsoid
+    complete = InhomogeneousQuadratic.completed_square
 
     def recording(form, center, r2):
         seen.append(form)
         return enumerate_points(form, center, r2)
 
     monkeypatch.setattr(delaunay, "lattice_points_in_ellipsoid", recording)
-    return seen
+    monkeypatch.setattr(InhomogeneousQuadratic, "completed_square", lambda phi: phis.append(phi) or complete(phi))
+    return seen, phis
 
 
 _E6 = standard_gram("E6")
@@ -602,11 +762,15 @@ _E6_PHI = InhomogeneousQuadratic.from_circumsphere(_E6, _E6_QUAD.center, _E6_QUA
 def test_perturbed_gram_matches_fraction_oracle(indices, alpha):
     subset = [_E6_CELL[i] for i in sorted(indices)]
     with pytest.MonkeyPatch.context() as m:
-        seen = _perturbed_forms(m)
+        seen, phis = _perturbed_forms(m)
         rep = perturbation_check(_E6, _E6_PHI, _E6_CELL, subset, alpha)
     if rep.failure_reason is not None:
         assert seen == []
         return
-    assert len(seen) == 1
+    assert len(seen) == len(phis) == 1
     levels = {u: find_level_vector(u, _E6_CELL) for u in _E6_CELL if u not in subset}
     assert seen[0].gram == fraction_perturbed_gram(_E6, _E6_CELL, subset, alpha, levels)
+    # the terms summed in integers and scaled by alpha once
+    linear, const = fraction_perturbed_terms(_E6_PHI, _E6_CELL, subset, alpha, levels)
+    assert phis[0].linear == linear and phis[0].constant == const
+    assert all(type(x) is F for x in (*phis[0].linear, phis[0].constant))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tamewall import cli, isometry, linalg
-from tamewall.enumeration import arithmetic_minimum, vectors_up_to
+from tamewall.enumeration import _diagonal_minimum, arithmetic_minimum, vectors_up_to
 from tamewall.errors import InvariantError
 from tamewall.forms import QuadraticForm, dn_neighbor_form, scale, standard_gram, tf_form
 from tamewall.isometry import _reference_basis, are_equivalent, are_similar
@@ -57,6 +57,24 @@ def fraction_minimum(f):
     return tuple(best)
 
 
+def greedy_reference_basis(f):
+    """The former _reference_basis, kept as its oracle: each candidate in
+    vectors_up_to order is kept when one rank call shows it independent of
+    those kept before it; the bound doubles until n are kept."""
+    n = f.n
+    bound = _diagonal_minimum(f)
+    while True:
+        candidates = vectors_up_to(f, bound)
+        chosen = []
+        for v, _ in candidates:
+            trial = chosen + [v]
+            if linalg.rank(trial) == len(trial):
+                chosen = trial
+                if len(chosen) == n:
+                    return chosen, candidates
+        bound *= 2
+
+
 def fraction_are_equivalent(a, b):
     """The former search, kept as the oracle of the integer one: each inner
     product is a Fraction Gram(a).v, cached per pair, and the witness is the
@@ -66,7 +84,7 @@ def fraction_are_equivalent(a, b):
     if doubling_fingerprint(a) != doubling_fingerprint(b):
         return None
     n = a.n
-    basis = _reference_basis(b)[0]
+    basis = greedy_reference_basis(b)[0]
     b_inv = fraction_inverse(transpose(basis))
     target = [[b.inner(basis[i], basis[j]) for j in range(n)] for i in range(n)]
     by_norm = {}
@@ -193,6 +211,35 @@ def test_fingerprint_matches_fraction_visits_on_random_forms(rows, k, d):
 def test_fingerprint_matches_fraction_visits(f):
     fp = payload(f)
     assert (F(fp["minimum"]), fp["pair_count"]) == fraction_minimum(f)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [pytest.param(scale(standard_gram("D", n), F(1, 2)), id=f"D{n}/2") for n in range(5, 10)]
+    + [pytest.param(tf_form(n), id=f"tf{n}") for n in range(5, 10)]
+    + [pytest.param(dn_neighbor_form(n), id=f"dn{n}") for n in range(5, 10)]
+    + [pytest.param(standard_gram("E6*"), id="E6*"), pytest.param(QuadraticForm.identity(4), id="I4")],
+)
+def test_reference_basis_matches_greedy_rank_oracle(f):
+    assert _reference_basis(f) == greedy_reference_basis(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    st.integers(min_value=1, max_value=5),
+)
+def test_reference_basis_matches_greedy_rank_oracle_on_random_forms(rows, k):
+    # forms with many short vectors in a few directions make the greedy
+    # loop skip dependent candidates, and double the bound
+    f = form(add(scaled(matmul(transpose(rows), rows), F(1, k)), scaled(identity(len(rows)), F(1, 7))))
+    assert _reference_basis(f) == greedy_reference_basis(f)
 
 
 def test_self_equivalence_gives_identity():

@@ -373,6 +373,11 @@ class _FractionSimplex:
         n = self.nfree
         return tuple(vals[j] - vals[n + j] for j in range(n))
 
+    def duals(self):
+        # the reduced cost at row i's slack column is -y_i
+        slack = 2 * self.nfree
+        return tuple(-x for x in self.costs[-1][slack:slack + len(self.T)])
+
 
 class _DensePivotSimplex(_FractionSimplex):
     """_FractionSimplex with the pivot it replaced: the pivot row and every
@@ -922,3 +927,66 @@ def test_pivot_divides_out_the_row_gcd():
     assert sim.T[0] == [1, 2, -1, -2, 1, 0, 3, 1]
     assert sim.T[1] == [0, -6, 0, 6, -4, 1, -11, 1]
     assert sim.costs[0] == [0, -6, 0, 6, -3, 0, -9, 1]
+
+
+# -- optimal duals -------------------------------------------------------------
+
+
+def _check_duals(objective, leqs, res):
+    """y >= 0, zero on every row slack at the witness, sum y_i a_i = c and
+    y.b = optimum, over the exact rows as given."""
+    y = res.duals
+    assert len(y) == len(leqs) and all(type(w) is F and w >= 0 for w in y)
+    n = len(objective)
+    rows = [(_coerce_row(c, n), linalg._frac(b)) for c, b in leqs]
+    for w, (a, b) in zip(y, rows):
+        assert w == 0 or _dot(a, res.witness) == b
+    assert [sum(w * a[j] for w, (a, _) in zip(y, rows)) for j in range(n)] == list(objective)
+    assert sum(w * b for w, (_, b) in zip(y, rows)) == res.optimum
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_lps())
+def test_duals_certify_the_optimum(lp_args):
+    """An optimum of the inequality path carries duals that certify it,
+    and the Fraction tableau fed the same rows reads the same duals off its
+    last cost row; the equality path, and any other status, carries none."""
+    n = lp_args["num_vars"]
+    objective = lp_args["objective"] or [0] * n
+    leqs = lp_args["less_equal"]
+    res = lp_solve(objective=objective, less_equal=leqs)
+    if res.status != "optimal":
+        assert res.duals is None
+    else:
+        _check_duals(objective, leqs, res)
+        with mock.patch.object(lp, "_Simplex", _on_integer_rows(_FractionSimplex)):
+            assert lp_solve(objective=objective, less_equal=leqs).duals == res.duals
+    if lp_args["equalities"]:
+        assert lp_solve(objective=objective, equalities=lp_args["equalities"], less_equal=leqs).duals is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_lps(rationals))
+def test_duals_certify_the_optimum_on_rational_rows(lp_args):
+    # rows over a denominator hold their values, so their duals are those
+    # of the rational rows
+    n = lp_args["num_vars"]
+    objective = lp_args["objective"] or [0] * n
+    res = lp_solve(objective=objective, less_equal=lp_args["less_equal"])
+    if res.status == "optimal":
+        _check_duals(objective, lp_args["less_equal"], res)
+
+
+def test_duals_of_a_negated_row_keep_their_sign():
+    # min x + y over x >= 1, x + y >= 3: both rows have a negative rhs and
+    # start on artificials; only the second is tight with a positive dual
+    res = lp_solve(objective=[-1, -1], less_equal=[((1, 0), 2), ((-1, 0), -1), ((-1, -1), -3)])
+    assert res.optimum == -3 and res.duals == (0, 0, 1)
+
+
+def test_duals_scale_inversely_with_their_row():
+    rows = [((1, 0), 2), ((0, 1), 3), ((1, 1), 4)]
+    res = lp_solve(objective=[1, 2], less_equal=rows)
+    doubled = lp_solve(objective=[1, 2], less_equal=[rows[0], rows[1], ((2, 2), 8)])
+    assert res == doubled
+    assert res.duals == (0, 1, 1) and doubled.duals == (0, 1, F(1, 2))
