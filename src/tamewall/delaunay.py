@@ -203,6 +203,9 @@ def delaunay_cell_containing(f: QuadraticForm, point):
     oracle.  The LP is seeded with the corners of the unit box around the
     point, which makes it bounded from the first iteration.  Each
     constraint enters as the integer row den (v.g + h) <= v.(den G).v.
+    Each round after the first appends its cuts to the last round's
+    rows and hands lp_solve the last optimum as start, so it resumes
+    from that optimal tableau by a dual simplex.
 
     The optimal dual of that LP writes t as a convex combination of
     vertices of the cell.  When it is positive on n+1 affinely independent
@@ -213,9 +216,10 @@ def delaunay_cell_containing(f: QuadraticForm, point):
     NonGenericPointError carrying the face's vertex set; a dual that fails
     its exact check raises InvariantError.
 
-    Cost: the seed alone is 2^n constraints, every LP of the cutting-plane
-    loop carries all of them, and each round adds a closest-vector search;
-    no dimension is refused here.
+    Cost: the seed alone is 2^n constraints, and the first LP solves over
+    all of them from the slack basis; a later round pivots only to restore
+    feasibility after its cuts, but its tableau still holds every row, and
+    each round adds a closest-vector search; no dimension is refused here.
     """
     n = f.n
     t = tuple(_frac(c) for c in point)
@@ -233,8 +237,9 @@ def delaunay_cell_containing(f: QuadraticForm, point):
     for corner in itertools.product((0, 1), repeat=n):
         v = tuple(b + c for b, c in zip(base, corner))
         constraints[v] = row(v)
+    res = None
     while True:
-        res = lp.lp_solve(objective=[*t, 1], less_equal=list(constraints.values()))
+        res = lp.lp_solve(objective=[*t, 1], less_equal=list(constraints.values()), start=res)
         if res.status != "optimal":
             raise InvariantError(f"cell LP unexpectedly {res.status}")
         g = res.witness[:n]
@@ -456,7 +461,9 @@ def find_level_vector(v, cell):
     cell).
     """
     v = tuple(v)
-    cell_pts = canonical_set(cell)
+    # the search is the same for any order of the rows and with repeated
+    # rows, since it prunes on each row alone: no canonical form is needed
+    cell_pts = [tuple(u) for u in cell]
     if v not in cell_pts:
         raise ValueError("vertex must belong to the cell")
     diffs = [list(map(operator.sub, u, v)) for u in cell_pts if u != v]

@@ -16,10 +16,17 @@ optimum and, without equalities, the optimal duals of the rows are formed
 as Fractions.  The one problem shape is a maximization;
 `positive_solution` asks for a solution with every coordinate positive by
 maximizing a slack bounded by 1.
+
+An optimum without equalities keeps its final tableau, and `lp_solve`
+can resume from it when rows are appended (`start`): each new row gets
+its own slack column and is written over the optimal basis, which stays
+dual feasible, and a dual simplex (Lemke) restores primal feasibility in
+a few pivots instead of solving again from the slack basis.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -34,12 +41,14 @@ class LPResult:
     """status is 'optimal', 'infeasible' or 'unbounded'.  An optimum of a
     problem without equalities also carries duals: one Fraction y_i >= 0
     per <= row, in row order, with sum y_i a_i equal to the objective and
-    sum y_i b_i to the optimum.  They are left out of equality."""
+    sum y_i b_i to the optimum.  They are left out of equality.  Such an
+    optimum also keeps its final tableau, from which `lp_solve` resumes."""
 
     status: str
     witness: tuple | None = None
     optimum: Fraction | None = None
     duals: tuple | None = field(default=None, compare=False)
+    tableau: _Simplex | None = field(default=None, compare=False, repr=False)
 
 
 def _cleared(values):
@@ -95,10 +104,12 @@ class _Simplex:
     to b >= 0, and a row whose rhs was negative starts on an artificial
     column because its slack coefficient became -1.  Each phase's
     reduced-cost row is kept beside the tableau and pivots with it; the
-    last one is the row being maximized.
+    last one is the row being maximized.  rows and objective keep the
+    problem as given, for `resumed`.
     """
 
     def __init__(self, nfree, leqs):
+        self.rows = leqs
         self.nfree = nfree
         ncols = 2 * nfree
         m = len(leqs)
@@ -167,6 +178,7 @@ class _Simplex:
     def solve(self, objective):
         """Two-phase run maximizing objective . x, given as the integer row
         [c_1..c_nfree, den]: 'optimal', 'infeasible' or 'unbounded'."""
+        self.objective = objective
         *coeffs, den = objective
         # the starting basis has zero cost in phase 2, so this row is priced
         self.costs = [[*coeffs, *(-c for c in coeffs)] + [0] * (self.total_cols - 2 * self.nfree + 1) + [den]]
@@ -196,6 +208,56 @@ class _Simplex:
                 allowed[c] = False
         return self._iterate(allowed)
 
+    def resumed(self, rows):
+        """A copy of this optimal tableau with rows appended, each on a new
+        slack column of its own and written over the basis by eliminating
+        the basic columns (a row's basic entry is its denominator); self is
+        not changed.  The artificial columns are dropped: every row has its
+        own slack column, so phase 1 leaves none of them basic."""
+        nstruct, k = self.ncols_struct, len(rows)
+        if any(b >= nstruct for b in self.basis):
+            raise InvariantError("an artificial column is still basic")
+        sim = copy.copy(self)
+        sim.rows = [*self.rows, *rows]
+        sim.ncols_struct = sim.total_cols = nstruct + k
+        sim.nart = 0
+        pad = [0] * k
+        sim.T = [[*row[:nstruct], *pad, *row[-2:]] for row in self.T]
+        sim.costs = [[*row[:nstruct], *pad, *row[-2:]] for row in self.costs]
+        sim.basis = list(self.basis)
+        for i, (*a, rhs, den) in enumerate(rows, start=len(self.T)):
+            row = [*a, *(-c for c in a), *[0] * (sim.total_cols - 2 * self.nfree), rhs, den]
+            row[2 * self.nfree + i] = den
+            for prow, b in zip(sim.T, sim.basis):
+                if row[b]:
+                    row = _eliminated(row, b, prow, [(j, x) for j, x in enumerate(prow[:-1]) if x])
+            sim.T.append(row)
+            sim.basis.append(2 * self.nfree + i)
+        return sim
+
+    def reoptimize(self):
+        """Restore feasibility of a dual feasible tableau by the dual
+        simplex, then confirm optimality: 'optimal' or 'infeasible'.  The
+        leaving row is the infeasible row whose basic column is least; the
+        entering column has the least ratio z_j / a_j over a_j < 0 in that
+        row, compared by cross-multiplying, the least index on ties.  Both
+        choices follow Bland's rule on the dual, so the loop terminates."""
+        while True:
+            infeasible = [i for i, row in enumerate(self.T) if row[-2] < 0]
+            if not infeasible:
+                return self._iterate([True] * self.total_cols)
+            r = min(infeasible, key=self.basis.__getitem__)
+            row, z = self.T[r], self.costs[-1]
+            enter = None
+            for j in range(self.total_cols):
+                a = row[j]
+                # z_j / a < best_z / best_a, both a negative
+                if a < 0 and (enter is None or z[j] * best_a < best_z * a):
+                    enter, best_z, best_a = j, z[j], a
+            if enter is None:
+                return "infeasible"
+            self._pivot(r, enter)
+
     def witness(self):
         vals = [Fraction(0)] * self.total_cols
         for row, b in zip(self.T, self.basis):
@@ -214,7 +276,7 @@ class _Simplex:
         return tuple(Fraction(-x, den) if x else zero for x in z[slack:slack + len(self.T)])
 
 
-def lp_solve(objective, equalities=(), less_equal=()):
+def lp_solve(objective, equalities=(), less_equal=(), *, start=None):
     """Maximize objective . x over free rational x, exactly.
 
     x has len(objective) coordinates.  Constraints are (coefficients, rhs)
@@ -225,12 +287,24 @@ def lp_solve(objective, equalities=(), less_equal=()):
     The equalities are solved exactly first: on their solution set
     x = (x0 + Z t) / q the other rows and the objective become integer
     rows over t, and the simplex runs on t alone.
+
+    start, an optimal result of this objective without equalities whose
+    rows are a prefix of less_equal, resumes from its final tableau with
+    the rows after that prefix appended (a dual simplex); start is not
+    changed.  Any other start raises ValueError.
     """
     nvars = len(objective)
     obj = _cleared(objective)
     leqs = [_cleared_row(coeffs, rhs, nvars) for coeffs, rhs in less_equal]
+    if start is not None:
+        old = start.tableau
+        if equalities or old is None or old.objective != obj or leqs[:len(old.rows)] != old.rows:
+            raise ValueError("start is not an optimum of this objective over a prefix of these rows")
+        sim = old.resumed(leqs[len(old.rows):])
+        return _result(sim, sim.reoptimize(), obj, resumable=True)
     if not equalities:
-        return _run(nvars, obj, leqs, duals=True)
+        sim = _Simplex(nvars, leqs)
+        return _result(sim, sim.solve(obj), obj, resumable=True)
 
     # an equality keeps its solutions without its denominator
     solutions = _eliminate([_cleared_row(c, rhs, nvars)[:-1] for c, rhs in equalities], nvars)
@@ -239,7 +313,8 @@ def lp_solve(objective, equalities=(), less_equal=()):
     origin, basis, q = solutions
     nz = [(j, a) for j, a in enumerate(obj[:-1]) if a]
     reduced_obj = _reduced([*(sum(a * z[j] for j, a in nz) for z in basis), obj[-1] * q])
-    res = _run(len(basis), reduced_obj, [_restated(row, origin, basis, q) for row in leqs])
+    sim = _Simplex(len(basis), [_restated(row, origin, basis, q) for row in leqs])
+    res = _result(sim, sim.solve(reduced_obj), reduced_obj)
     if res.status != "optimal":
         return res
     *t, tden = _cleared(res.witness)
@@ -300,10 +375,13 @@ def _restated(row, origin, basis, q):
     return _reduced([*coeffs, b * q - sum(x * origin[j] for j, x in nz), den * q])
 
 
-def _run(nvars, objective, leqs, duals=False):
-    sim = _Simplex(nvars, leqs)
-    status = sim.solve(objective)
+def _result(sim, status, objective, resumable=False):
+    """The LPResult of a solved tableau; a resumable optimum carries its
+    duals and the tableau itself."""
     if status != "optimal":
         return LPResult(status)
     witness = sim.witness()
-    return LPResult("optimal", witness, _dot(objective, witness), sim.duals() if duals else None)
+    optimum = _dot(objective, witness)
+    if not resumable:
+        return LPResult("optimal", witness, optimum)
+    return LPResult("optimal", witness, optimum, sim.duals(), sim)

@@ -599,6 +599,29 @@ def test_level_vector_requires_membership():
         find_level_vector((5, 5), UNIT_SQUARE)
 
 
+def test_level_vector_requires_another_vertex():
+    # a repeated vertex is not another one
+    with pytest.raises(ValueError, match="no other vertex"):
+        find_level_vector((0, 0), [(0, 0), [0, 0]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_level_vector_ignores_row_order_and_repeats(data):
+    """A shuffled cell with repeated vertices, given as lists, has the
+    level vectors of its canonical form, None included."""
+    if data.draw(st.booleans()):
+        cell = list(_E6_CELL)
+    else:
+        n = data.draw(st.integers(1, 3))
+        point = st.tuples(*[st.integers(-2, 2)] * n)
+        cell = data.draw(st.lists(point, min_size=2, max_size=6, unique=True))
+    v = data.draw(st.sampled_from(cell))
+    repeats = data.draw(st.lists(st.sampled_from(cell), max_size=4))
+    messy = [list(u) for u in data.draw(st.permutations(cell + repeats))]
+    assert find_level_vector(v, messy) == find_level_vector(v, canonical_set(cell))
+
+
 def _square_phi():
     f = QuadraticForm.identity(2)
     quad = circumscribed_quadric(f, UNIT_SQUARE)

@@ -6,8 +6,11 @@ through tableaux of equal values, and so must the dense pivot built on it,
 which rebuilt every touched row over all of its columns.  A third oracle
 keeps the former API (strict rows, minimization, feasibility) over the
 equality tableau, and prices its reduced costs afresh from the basis
-before every pivot."""
+before every pivot.  A solve resumed from an optimum (`start`) is checked
+against a solve from scratch, and its dual simplex pivots against the
+same rule replayed on the Fraction tableau."""
 
+import copy
 import inspect
 from fractions import Fraction as F
 from math import gcd
@@ -23,7 +26,9 @@ from tamewall.lp import lp_solve, positive_solution
 
 
 def test_one_problem_shape():
-    assert list(inspect.signature(lp_solve).parameters) == ["objective", "equalities", "less_equal"]
+    params = inspect.signature(lp_solve).parameters
+    assert list(params) == ["objective", "equalities", "less_equal", "start"]
+    assert params["start"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 def test_maximize_with_upper_bound():
@@ -365,6 +370,41 @@ class _FractionSimplex:
             for c in range(self.ncols_struct, self.total_cols):
                 allowed[c] = False
         return self._iterate(allowed)
+
+    def resumed(self, rows):
+        """A copy with rows appended on new slack columns and written over
+        the basis, the artificial columns dropped, as lp._Simplex does."""
+        nstruct, k = self.ncols_struct, len(rows)
+        sim = copy.copy(self)
+        sim.ncols_struct = sim.total_cols = nstruct + k
+        sim.nart = 0
+        sim.T = [row[:nstruct] + [F(0)] * k + row[-1:] for row in self.T]
+        sim.costs = [row[:nstruct] + [F(0)] * k + row[-1:] for row in self.costs]
+        sim.basis = list(self.basis)
+        for i, (coeffs, rhs) in enumerate(rows, start=len(self.T)):
+            row = [*coeffs, *(-c for c in coeffs)] + [F(0)] * (sim.total_cols - 2 * self.nfree) + [rhs]
+            row[2 * self.nfree + i] = F(1)
+            for prow, b in zip(sim.T, sim.basis):
+                f = row[b]
+                if f:
+                    row = [a - f * p for a, p in zip(row, prow)]
+            sim.T.append(row)
+            sim.basis.append(2 * self.nfree + i)
+        return sim
+
+    def reoptimize(self):
+        """The dual simplex: leave on the infeasible row of least basic
+        column, enter on the least z_j / a_j over a_j < 0, then least j."""
+        while True:
+            infeasible = [i for i, row in enumerate(self.T) if row[-1] < 0]
+            if not infeasible:
+                return self._iterate([True] * self.total_cols)
+            r = min(infeasible, key=self.basis.__getitem__)
+            z = self.costs[-1]
+            ratios = [(z[j] / a, j) for j, a in enumerate(self.T[r][:-1]) if a < 0]
+            if not ratios:
+                return "infeasible"
+            self._pivot(r, min(ratios)[1])
 
     def witness(self):
         vals = [F(0)] * self.total_cols
@@ -777,16 +817,28 @@ def test_positive_solution_row_order_sets_the_weights():
 # -- the integer tableau against the Fraction tableau ------------------------
 
 
+def _fraction_rows(leqs):
+    return [([F(a, row[-1]) for a in row[:-2]], F(row[-2], row[-1])) for row in leqs]
+
+
 def _on_integer_rows(simplex):
     """The Fraction simplex class fed lp._Simplex's integer rows, as the
-    Fractions they stand for."""
+    Fractions they stand for; it keeps the integer rows and objective that
+    lp_solve compares with a start's."""
 
     class OnIntegerRows(simplex):
         def __init__(self, nfree, leqs):
-            super().__init__(nfree, [([F(a, row[-1]) for a in row[:-2]], F(row[-2], row[-1])) for row in leqs])
+            super().__init__(nfree, _fraction_rows(leqs))
+            self.rows = leqs
 
         def solve(self, objective):
+            self.objective = objective
             return super().solve([F(c, objective[-1]) for c in objective[:-1]])
+
+        def resumed(self, rows):
+            sim = super().resumed(_fraction_rows(rows))
+            sim.rows = [*self.rows, *rows]
+            return sim
 
     return OnIntegerRows
 
@@ -796,9 +848,16 @@ def _pivot_trace(simplex, call):
     is lp._Simplex or a Fraction oracle fed the same integer rows: its
     result, and per pivot the (row, col) and basis with the tableau rows,
     then the cost rows, right after it as (entries, den); a Fraction row
-    has den 1."""
+    has den 1.  Each lp_solve result is recorded too, with its duals, as
+    ("lp", result, duals), so a round that needs no pivot is checked."""
     trace = []
     integer = simplex is lp._Simplex
+    real = lp.lp_solve
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        trace.append(("lp", res, res.duals))
+        return res
 
     class Recording(simplex if integer else _on_integer_rows(simplex)):
         def _pivot(self, r, c):
@@ -810,7 +869,7 @@ def _pivot_trace(simplex, call):
             rows = [(tuple(row[:-1]), row[-1]) for row in rows] if integer else [(tuple(row), 1) for row in rows]
             trace.append(((r, c), tuple(self.basis), rows))
 
-    with mock.patch.object(lp, "_Simplex", Recording):
+    with mock.patch.object(lp, "_Simplex", Recording), mock.patch.object(lp, "lp_solve", recording):
         return call(), trace
 
 
@@ -831,10 +890,10 @@ def _assert_oracle_pivots(call, oracles=(_FractionSimplex, _DensePivotSimplex)):
     for oracle in oracles:
         ref, ref_trace = _pivot_trace(oracle, call)
         assert [step[:2] for step in trace] == [step[:2] for step in ref_trace]
-        for (_, _, rows), (_, _, ref_rows) in zip(trace, ref_trace):
-            assert _equal_values(rows, ref_rows)
+        for (kind, _, rows), (_, _, ref_rows) in zip(trace, ref_trace):
+            assert rows == ref_rows if kind == "lp" else _equal_values(rows, ref_rows)
         assert res == ref
-    return len(trace)
+    return sum(step[0] != "lp" for step in trace)
 
 
 @settings(max_examples=400, deadline=None)
@@ -871,7 +930,9 @@ def test_every_tableau_entry_is_an_int_after_every_pivot(lp_args):
     _, trace = _pivot_trace(
         lp._Simplex, lambda: (_one_shape(lp_args), positive_solution(eqs) if eqs else None)
     )
-    for _, _, rows in trace:
+    for kind, _, rows in trace:
+        if kind == "lp":
+            continue
         assert all(type(x) is int for row, den in rows for x in row)
         assert all(type(den) is int and den > 0 and gcd(den, *row) == 1 for row, den in rows)
 
@@ -990,3 +1051,120 @@ def test_duals_scale_inversely_with_their_row():
     doubled = lp_solve(objective=[1, 2], less_equal=[rows[0], rows[1], ((2, 2), 8)])
     assert res == doubled
     assert res.duals == (0, 1, 1) and doubled.duals == (0, 1, F(1, 2))
+
+
+# -- resuming from an optimum --------------------------------------------------
+
+
+@st.composite
+def resumed_lps(draw):
+    """(objective, prefix, appended rows in two batches): the prefix holds
+    the box |x_i| <= 3 and rows through an integer anchor in it, so it has
+    an optimum; an appended row may have a negative rhs, hold already, or
+    cut off every point left."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    anchor = draw(st.lists(small, min_size=n, max_size=n))
+
+    def rows(lowest):
+        return [
+            (coeffs, sum(c * a for c, a in zip(coeffs, anchor)) + draw(st.integers(min_value=lowest, max_value=3)))
+            for coeffs in draw(st.lists(st.lists(small, min_size=n, max_size=n), max_size=4))
+        ]
+
+    box = [(tuple(s * int(j == i) for j in range(n)), 3) for i in range(n) for s in (1, -1)]
+    prefix = draw(st.permutations(box + rows(0)))
+    objective = draw(st.lists(small, min_size=n, max_size=n))
+    return objective, list(prefix), rows(-3), rows(-3)
+
+
+def _resumed_chain(objective, prefix, *batches):
+    """The results of solving the prefix and then resuming once per batch,
+    each from the last optimum, until one is not optimal.  It calls the
+    module's lp_solve, which _pivot_trace records."""
+    results = [lp.lp_solve(objective, less_equal=prefix)]
+    rows = list(prefix)
+    for batch in batches:
+        if results[-1].status != "optimal":
+            break
+        rows += batch
+        results.append(lp.lp_solve(objective, less_equal=rows, start=results[-1]))
+    return results
+
+
+@settings(max_examples=400, deadline=None)
+@given(resumed_lps())
+def test_resumed_solve_matches_a_solve_from_scratch(case):
+    objective, prefix, *batches = case
+    start, *results = _resumed_chain(objective, prefix, *batches)
+    assert start.status == "optimal"
+    rows = list(prefix)
+    for batch, res in zip(batches, results):
+        kept = copy.deepcopy((start.tableau.T, start.tableau.costs, start.tableau.basis))
+        rows += batch
+        ref = lp_solve(objective, less_equal=rows)
+        assert (res.status, res.optimum) == (ref.status, ref.optimum)
+        # one start used twice gives equal results and is not changed
+        again = lp_solve(objective, less_equal=rows, start=start)
+        assert again == res and again.duals == res.duals
+        assert (start.tableau.T, start.tableau.costs, start.tableau.basis) == kept
+        if res.status != "optimal":
+            assert res.duals is None and res.tableau is None
+            break
+        assert all(sum(c * w for c, w in zip(a, res.witness)) <= b for a, b in rows)
+        _check_duals(objective, rows, res)
+        start = res
+
+
+@settings(max_examples=100, deadline=None)
+@given(resumed_lps())
+def test_resumed_pivots_match_the_fraction_oracle(case):
+    # the dual simplex replayed over Fractions: the same pivots through
+    # tableaux of equal values, and every round's result and duals
+    _assert_oracle_pivots(lambda: _resumed_chain(*case))
+
+
+def test_resumed_solve_needs_no_pivot_when_the_rows_hold():
+    rows = [((1, 0), 2), ((0, 1), 3)]
+    start = lp_solve([1, 1], less_equal=rows)
+    _, trace = _pivot_trace(lp._Simplex, lambda: lp.lp_solve([1, 1], less_equal=[*rows, ((1, 1), 6)], start=start))
+    res = trace[-1][1]
+    assert [step[0] for step in trace] == ["lp"]
+    assert res == start and res.duals == (1, 1, 0)
+
+
+def test_resumed_solve_reports_infeasible_rows():
+    start = lp_solve([1], less_equal=[((1,), 2), ((-1,), 0)])
+    res = lp_solve([1], less_equal=[((1,), 2), ((-1,), 0), ((1,), -1)], start=start)
+    assert res == lp.LPResult("infeasible") and res.tableau is None
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(objective=[1, 2], less_equal=[((1, 0), 2), ((0, 1), 3), ((1, 1), 4)]),
+        dict(objective=[1, 1], less_equal=[((1, 0), 2), ((0, 1), 4), ((1, 1), 4)]),
+        dict(objective=[1, 1], less_equal=[((0, 1), 3), ((1, 0), 2)]),
+        dict(objective=[1, 1], less_equal=[((1, 0), 2)]),
+        dict(objective=[1, 1], equalities=[((1, -1), 0)], less_equal=[((1, 0), 2), ((0, 1), 3)]),
+    ],
+    ids=["objective", "changed-row", "reordered-rows", "fewer-rows", "equalities"],
+)
+def test_mismatched_start_raises_value_error(kwargs):
+    start = lp_solve([1, 1], less_equal=[((1, 0), 2), ((0, 1), 3)])
+    with pytest.raises(ValueError, match="start"):
+        lp_solve(**kwargs, start=start)
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        lp.LPResult("optimal", (1,), 1),
+        lp_solve([1], less_equal=[((1,), 1), ((-1,), -2)]),
+        lp_solve([1], less_equal=[((-1,), 0)]),
+        lp_solve([1], equalities=[((1,), 1)], less_equal=[((1,), 1)]),
+    ],
+    ids=["no-tableau", "infeasible", "unbounded", "equality-path"],
+)
+def test_start_without_an_inequality_optimum_raises_value_error(start):
+    with pytest.raises(ValueError, match="start"):
+        lp_solve([1], less_equal=[((1,), 1), ((-1,), -2), ((1,), 3)], start=start)

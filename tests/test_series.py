@@ -499,3 +499,18 @@ def test_theorem1_computes_two_duals_and_no_nullspace(monkeypatch):
     nullspaces = _counted(monkeypatch, linalg, "nullspace")
     assert verify_theorem1(8).ok
     assert (len(duals), len(nullspaces)) == (2, 0)
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_theorem1_ranks_the_dual_images_once_when_they_are_the_families(monkeypatch, n):
+    # from n = 6 the dual is the families with zero, and the wall normal's
+    # certificate reuses the codimension_one step's rank; S_5's dual holds
+    # one more orbit, so tw_normal ranks the families itself
+    expected = tw_normal(n)
+    ranks = _counted(monkeypatch, series, "sym_codimension")
+    walls = []
+    certified = series._certified_normal
+    monkeypatch.setattr(series, "_certified_normal", lambda *args: walls.append(certified(*args)) or walls[-1])
+    verify_theorem1(n)
+    assert len(ranks) == (2 if n == 5 else 1)
+    assert walls == [expected]
