@@ -203,16 +203,17 @@ def delaunay_cell_containing(f: QuadraticForm, point):
     oracle.  The LP is seeded with the corners of the unit box around the
     point, which makes it bounded from the first iteration.  Each
     constraint enters as the integer row den (v.g + h) <= v.(den G).v.
-    Each round after the first appends its cuts to the last round's
-    rows and hands lp_solve the last optimum as start, so it resumes
-    from that optimal tableau by a dual simplex.
+    Each round after the first hands lp_solve only its new cuts, with
+    the last optimum as start, so it resumes from that optimal tableau
+    by a dual simplex.
 
     The optimal dual of that LP writes t as a convex combination of
     vertices of the cell.  When it is positive on n+1 affinely independent
     vertices, t is interior to a full simplex of the cell, hence generic,
-    and that is the certificate; only a degenerate optimum, with a smaller
-    support, falls back to a second LP asking for positive weights on all
-    the cell's vertices.  A query point on a lower-dimensional face raises
+    and that is the certificate.  Only a degenerate optimum, with a
+    smaller support, takes a second LP: the max-support LP of
+    `_minimal_face`, and t is generic iff its face is the whole cell and
+    the cell spans.  A query point on a lower-dimensional face raises
     NonGenericPointError carrying the face's vertex set; a dual that fails
     its exact check raises InvariantError.
 
@@ -229,17 +230,16 @@ def delaunay_cell_containing(f: QuadraticForm, point):
     half = Fraction(f.den, 2 * d)
 
     def row(v):
-        norm = sum(x * sum(map(mul, r, v)) for x, r in zip(v, f.int_gram) if x)
-        return [*(f.den * x for x in v), f.den], norm
+        return [*(f.den * x for x in v), f.den], f.int_value(v)
 
     base = [floor(c) for c in t]
-    constraints = {}  # lattice point v -> its row, in insertion order
+    constraints = {}  # lattice point v -> its row, in the LP's row order
     for corner in itertools.product((0, 1), repeat=n):
         v = tuple(b + c for b, c in zip(base, corner))
         constraints[v] = row(v)
-    res = None
+    res, rows = None, list(constraints.values())
     while True:
-        res = lp.lp_solve(objective=[*t, 1], less_equal=list(constraints.values()), start=res)
+        res = lp.lp_solve(objective=[*t, 1], less_equal=rows, start=res)
         if res.status != "optimal":
             raise InvariantError(f"cell LP unexpectedly {res.status}")
         g = res.witness[:n]
@@ -251,8 +251,8 @@ def delaunay_cell_containing(f: QuadraticForm, point):
             new = [p for p in pts if p not in constraints]
             if not new:
                 raise InvariantError("separation oracle failed to add a violated constraint")
-            for p in new:
-                constraints[p] = row(p)
+            rows = [row(p) for p in new]
+            constraints.update(zip(new, rows))
             continue
         if mu != 0:
             raise InvariantError("optimal support function must touch the lattice lift")
@@ -262,11 +262,11 @@ def delaunay_cell_containing(f: QuadraticForm, point):
     if _dual_certifies(res.duals, constraints, vertices, t):
         return vertices
     # a degenerate optimum: t is generic iff the cell spans and t is a
-    # convex combination of all its vertices with every weight positive
-    eqs = [([v[i] for v in vertices], t[i]) for i in range(n)]
-    eqs.append(([1] * len(vertices), 1))
-    if linalg.affine_rank(vertices) != n or lp.positive_solution(eqs) is None:
-        raise NonGenericPointError(_minimal_face(vertices, t))
+    # convex combination of all its vertices with every weight positive,
+    # that is, its minimal face is the whole cell
+    face = _minimal_face(vertices, t)
+    if len(face) != len(vertices) or linalg.affine_rank(vertices) != n:
+        raise NonGenericPointError(face)
     return vertices
 
 
@@ -513,8 +513,7 @@ def perturbation_check(
     # over den, and b, c cleared to integers over e
     (lin, (c,)), e = linalg.cleared([phi_const.linear, (phi_const.constant,)])
     for u in cell_pts:
-        quad = sum(x * sum(map(mul, row, u)) for x, row in zip(u, f.int_gram) if x)
-        if e * quad + f.den * (sum(map(mul, lin, u)) + c):
+        if e * f.int_value(u) + f.den * (sum(map(mul, lin, u)) + c):
             raise ValueError(f"phi_const does not vanish on cell vertex {u}")
 
     outside = [u for u in cell_pts if u not in set(sub_pts)]

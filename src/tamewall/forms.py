@@ -24,7 +24,6 @@ from operator import mul
 
 from . import kernels, linalg
 from .linalg import LinearSystemSolution, _frac
-from .vecset import dot
 
 
 class FormParseError(ValueError):
@@ -83,16 +82,14 @@ class QuadraticForm:
         x, d = self._cleared(v)
         return [sum(map(mul, row, x)) for row in self.int_gram], self.den * d
 
+    def int_value(self, v):
+        """v.(den G).v, the integer den times the value at the integer
+        vector v."""
+        return sum(x * sum(map(mul, row, v)) for x, row in zip(v, self.int_gram) if x)
+
     def evaluate(self, v) -> Fraction:
         x, d = self._cleared(v)
-        total = sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, self.int_gram) if xi)
-        return Fraction(total, self.den * d * d)
-
-    def inner(self, u, v) -> Fraction:
-        """Polarized value u.G.v"""
-        w, s = self.int_image(v)
-        y, d = self._cleared(u)
-        return Fraction(dot(y, w), s * d)
+        return Fraction(self.int_value(x), self.den * d * d)
 
     def ldl(self):
         """The integer LDL^T data of linalg.ldl for int_gram, computed once

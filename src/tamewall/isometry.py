@@ -170,10 +170,7 @@ def _triple_orbits(f: QuadraticForm, cell):
     if len(index) != m:
         raise ValueError("cell vertices must be distinct")
 
-    def norm(e):
-        return sum(x * sum(map(mul, row, e)) for x, row in zip(e, f.int_gram))
-
-    dist = [[norm(sub(p, q)) for q in points] for p in points]
+    dist = [[f.int_value(sub(p, q)) for q in points] for p in points]
     origin = points[0]
     candidates = [sub(p, origin) for p in points[1:]]
     pivots = linalg._echelon(list(zip(*candidates)))[0]

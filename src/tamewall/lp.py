@@ -18,10 +18,11 @@ as Fractions.  The one problem shape is a maximization;
 maximizing a slack bounded by 1.
 
 An optimum without equalities keeps its final tableau, and `lp_solve`
-can resume from it when rows are appended (`start`): each new row gets
-its own slack column and is written over the optimal basis, which stays
-dual feasible, and a dual simplex (Lemke) restores primal feasibility in
-a few pivots instead of solving again from the slack basis.
+can resume from it with rows appended (`start`, the `<=` rows then being
+only the new ones): each new row gets its own slack column and is written
+over the optimal basis, which stays dual feasible, and a dual simplex
+(Lemke) restores primal feasibility in a few pivots instead of solving
+again from the slack basis.
 """
 
 from __future__ import annotations
@@ -104,12 +105,11 @@ class _Simplex:
     to b >= 0, and a row whose rhs was negative starts on an artificial
     column because its slack coefficient became -1.  Each phase's
     reduced-cost row is kept beside the tableau and pivots with it; the
-    last one is the row being maximized.  rows and objective keep the
-    problem as given, for `resumed`.
+    last one is the row being maximized.  objective keeps the one
+    maximized, which a resumed solve must share.
     """
 
     def __init__(self, nfree, leqs):
-        self.rows = leqs
         self.nfree = nfree
         ncols = 2 * nfree
         m = len(leqs)
@@ -218,7 +218,6 @@ class _Simplex:
         if any(b >= nstruct for b in self.basis):
             raise InvariantError("an artificial column is still basic")
         sim = copy.copy(self)
-        sim.rows = [*self.rows, *rows]
         sim.ncols_struct = sim.total_cols = nstruct + k
         sim.nart = 0
         pad = [0] * k
@@ -288,19 +287,20 @@ def lp_solve(objective, equalities=(), less_equal=(), *, start=None):
     x = (x0 + Z t) / q the other rows and the objective become integer
     rows over t, and the simplex runs on t alone.
 
-    start, an optimal result of this objective without equalities whose
-    rows are a prefix of less_equal, resumes from its final tableau with
-    the rows after that prefix appended (a dual simplex); start is not
-    changed.  Any other start raises ValueError.
+    start, an optimal result of this objective without equalities,
+    resumes from its final tableau with less_equal appended to its rows
+    (a dual simplex), so less_equal holds only the new rows, and the
+    duals follow the start's rows and then these; start is not changed.
+    Any other start raises ValueError.
     """
     nvars = len(objective)
     obj = _cleared(objective)
     leqs = [_cleared_row(coeffs, rhs, nvars) for coeffs, rhs in less_equal]
     if start is not None:
         old = start.tableau
-        if equalities or old is None or old.objective != obj or leqs[:len(old.rows)] != old.rows:
-            raise ValueError("start is not an optimum of this objective over a prefix of these rows")
-        sim = old.resumed(leqs[len(old.rows):])
+        if equalities or old is None or old.objective != obj:
+            raise ValueError("start is not an inequality optimum of this objective")
+        sim = old.resumed(leqs)
         return _result(sim, sim.reoptimize(), obj, resumable=True)
     if not equalities:
         sim = _Simplex(nvars, leqs)

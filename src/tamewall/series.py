@@ -259,9 +259,7 @@ class FamilyCountError(ValueError):
 
 @dataclass(frozen=True)
 class FamilyPattern:
-    source: str
     n: int
-    segments: tuple  # tuple of entry multisets (tuples)
     vectors: tuple
     declared_count: Fraction | None
 
@@ -344,8 +342,7 @@ def parse_family(pattern: str, n: int) -> FamilyPattern:
     trailing ^count annotation, when present, is validated against the
     expansion (FamilyCountError on mismatch).
     """
-    src = pattern.strip()
-    m = re.fullmatch(r"\[([^\[\]]*)\](?:\^(\{.*\}|\S+))?", src)
+    m = re.fullmatch(r"\[([^\[\]]*)\](?:\^(\{.*\}|\S+))?", pattern.strip())
     if not m:
         raise FamilyParseError(f"pattern must look like [entries](^count): {pattern!r}")
     body, count_src = m.group(1), m.group(2)
@@ -392,7 +389,7 @@ def parse_family(pattern: str, n: int) -> FamilyPattern:
     vectors = tuple(sorted(vectors))
     if declared is not None and declared != len(vectors):
         raise FamilyCountError(declared, len(vectors), vectors)
-    return FamilyPattern(src, n, tuple(segments), vectors, declared)
+    return FamilyPattern(n, vectors, declared)
 
 
 # -- theorem pipelines --------------------------------------------------------

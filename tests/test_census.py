@@ -381,7 +381,7 @@ def e6_orbits(e6_cell):
 def squared_distances(f, points, subset):
     """The f-norms of the edges between the points of an index subset."""
     edges = [[a - b for a, b in zip(points[r], points[s])] for r, s in itertools.combinations(subset, 2)]
-    return sorted(f.inner(e, e) for e in edges)
+    return sorted(f.evaluate(e) for e in edges)
 
 
 def test_e6_cell_is_one_certified_orbit(e6_cell, e6_orbits):

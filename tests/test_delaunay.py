@@ -229,11 +229,16 @@ def test_cell_containing_cube_centre_side(n, monkeypatch):
     # [1/3]^n lies inside the unit cube, a Delaunay cell of Z^n with 2^n
     # vertices.  The cut LP's optimal dual is degenerate there (its
     # support is smaller than a simplex), so the location falls back to
-    # the positive-weights LP over all 2^n vertices, once.
+    # the max-support LP over all 2^n vertices, once, and its face is the
+    # whole cube.
     calls = _count_positive_solutions(monkeypatch)
+    faces = []
+    real_face = delaunay._minimal_face
+    monkeypatch.setattr(delaunay, "_minimal_face", lambda v, t: faces.append(len(v)) or real_face(v, t))
     cell = delaunay_cell_containing(QuadraticForm.identity(n), [F(1, 3)] * n)
     assert cell == tuple(itertools.product((0, 1), repeat=n))
-    assert calls == [2**n]
+    assert calls == []
+    assert faces == [2**n]
 
 
 def test_cell_containing_r5_barycenter():
@@ -371,6 +376,28 @@ def test_workload_locations_make_no_positive_solution_call(monkeypatch):
     # the oracle reaches the same cells with one positive-weights LP each
     assert cells == [positive_weights_cell_containing(f, point) for f, point in queries]
     assert len(calls) == 8
+
+
+def test_workload_locations_clear_each_row_once(monkeypatch):
+    # the 8 location queries above: each resumed cut round hands lp_solve
+    # only its new cuts, so the 2^6 seed rows of each query and the 12
+    # cuts are cleared once each, in 18 LPs and 134 pivots
+    counts = dict(cleared=0, lp=0, pivot=0)
+
+    def counting(key, real):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(lp, "_cleared_row", counting("cleared", lp._cleared_row))
+    monkeypatch.setattr(lp, "lp_solve", counting("lp", lp.lp_solve))
+    monkeypatch.setattr(lp._Simplex, "_pivot", counting("pivot", lp._Simplex._pivot))
+    for signs in [(1, 1, 1, 1, 1, 1), (-1, 1, -1, 1, -1, 1)]:
+        for name in ("E6", "tf_form(6)", "dn_neighbor_form(6)", "wall_interior_form(6)"):
+            delaunay_cell_containing(_LOCATION_FORMS[name], tuple(s * x for s, x in zip(signs, _E6_POINT)))
+    assert counts == dict(cleared=8 * 2**6 + 12, lp=18, pivot=134)
 
 
 @pytest.mark.parametrize(

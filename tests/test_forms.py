@@ -53,11 +53,6 @@ def fraction_evaluate(f, v):
     return total
 
 
-def fraction_inner(f, u, v):
-    """u.G.v through a Fraction matvec."""
-    return sum(a * b for a, b in zip(matvec(f.gram, v), u))
-
-
 def fraction_determinant(f):
     """det G with G's denominators cleared row by row, one factor per row."""
     factor = 1
@@ -94,15 +89,15 @@ def _vectors(n):
 @given(st.data())
 def test_integer_gram_matches_fraction_oracles(data):
     f = data.draw(symmetric_forms())
-    u = data.draw(_vectors(f.n))
+    z = data.draw(st.lists(st.integers(-4, 4), min_size=f.n, max_size=f.n))
     v = data.draw(_vectors(f.n))
     assert f.evaluate(v) == fraction_evaluate(f, v)
-    assert f.inner(u, v) == fraction_inner(f, u, v)
+    assert type(f.int_value(z)) is int and f.int_value(z) == f.den * fraction_evaluate(f, z)
     w, s = f.int_image(v)
     assert all(isinstance(t, int) for t in (*w, s))
     assert tuple(F(t, s) for t in w) == matvec(f.gram, v)
     assert f.determinant() == fraction_determinant(f)
-    assert all(isinstance(x, F) for x in (f.evaluate(v), f.inner(u, v), f.determinant()))
+    assert all(isinstance(x, F) for x in (f.evaluate(v), f.determinant()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -120,14 +115,6 @@ def test_integer_gram_is_reduced_over_its_denominator(f):
 def test_paper_forms_carry_small_denominators(f, den):
     assert f.den == den
     assert f.determinant() == fraction_determinant(f)
-
-
-def test_inner_dimension_mismatch():
-    f = QuadraticForm.identity(2)
-    with pytest.raises(ValueError):
-        f.inner((1, 0), (1, 0, 0))
-    with pytest.raises(ValueError):
-        f.inner((1, 0, 0), (1, 0))
 
 
 def test_tf5_frozen_entries():

@@ -86,7 +86,8 @@ def fraction_are_equivalent(a, b):
     n = a.n
     basis = greedy_reference_basis(b)[0]
     b_inv = fraction_inverse(transpose(basis))
-    target = [[b.inner(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    images = [b.int_image(u) for u in basis]  # Gram(b).u as integers over a scale
+    target = [[F(sum(x * y for x, y in zip(u, w)), s) for w, s in images] for u in basis]
     by_norm = {}
     for v, val in vectors_up_to(a, max(target[i][i] for i in range(n))):
         by_norm.setdefault(val, []).extend([v, tuple(-x for x in v)])

@@ -823,22 +823,19 @@ def _fraction_rows(leqs):
 
 def _on_integer_rows(simplex):
     """The Fraction simplex class fed lp._Simplex's integer rows, as the
-    Fractions they stand for; it keeps the integer rows and objective that
+    Fractions they stand for; it keeps the integer objective that
     lp_solve compares with a start's."""
 
     class OnIntegerRows(simplex):
         def __init__(self, nfree, leqs):
             super().__init__(nfree, _fraction_rows(leqs))
-            self.rows = leqs
 
         def solve(self, objective):
             self.objective = objective
             return super().solve([F(c, objective[-1]) for c in objective[:-1]])
 
         def resumed(self, rows):
-            sim = super().resumed(_fraction_rows(rows))
-            sim.rows = [*self.rows, *rows]
-            return sim
+            return super().resumed(_fraction_rows(rows))
 
     return OnIntegerRows
 
@@ -1079,15 +1076,14 @@ def resumed_lps(draw):
 
 def _resumed_chain(objective, prefix, *batches):
     """The results of solving the prefix and then resuming once per batch,
-    each from the last optimum, until one is not optimal.  It calls the
-    module's lp_solve, which _pivot_trace records."""
+    each from the last optimum and handed only that batch, until one is
+    not optimal.  It calls the module's lp_solve, which _pivot_trace
+    records."""
     results = [lp.lp_solve(objective, less_equal=prefix)]
-    rows = list(prefix)
     for batch in batches:
         if results[-1].status != "optimal":
             break
-        rows += batch
-        results.append(lp.lp_solve(objective, less_equal=rows, start=results[-1]))
+        results.append(lp.lp_solve(objective, less_equal=batch, start=results[-1]))
     return results
 
 
@@ -1104,7 +1100,7 @@ def test_resumed_solve_matches_a_solve_from_scratch(case):
         ref = lp_solve(objective, less_equal=rows)
         assert (res.status, res.optimum) == (ref.status, ref.optimum)
         # one start used twice gives equal results and is not changed
-        again = lp_solve(objective, less_equal=rows, start=start)
+        again = lp_solve(objective, less_equal=batch, start=start)
         assert again == res and again.duals == res.duals
         assert (start.tableau.T, start.tableau.costs, start.tableau.basis) == kept
         if res.status != "optimal":
@@ -1126,7 +1122,7 @@ def test_resumed_pivots_match_the_fraction_oracle(case):
 def test_resumed_solve_needs_no_pivot_when_the_rows_hold():
     rows = [((1, 0), 2), ((0, 1), 3)]
     start = lp_solve([1, 1], less_equal=rows)
-    _, trace = _pivot_trace(lp._Simplex, lambda: lp.lp_solve([1, 1], less_equal=[*rows, ((1, 1), 6)], start=start))
+    _, trace = _pivot_trace(lp._Simplex, lambda: lp.lp_solve([1, 1], less_equal=[((1, 1), 6)], start=start))
     res = trace[-1][1]
     assert [step[0] for step in trace] == ["lp"]
     assert res == start and res.duals == (1, 1, 0)
@@ -1134,20 +1130,17 @@ def test_resumed_solve_needs_no_pivot_when_the_rows_hold():
 
 def test_resumed_solve_reports_infeasible_rows():
     start = lp_solve([1], less_equal=[((1,), 2), ((-1,), 0)])
-    res = lp_solve([1], less_equal=[((1,), 2), ((-1,), 0), ((1,), -1)], start=start)
+    res = lp_solve([1], less_equal=[((1,), -1)], start=start)
     assert res == lp.LPResult("infeasible") and res.tableau is None
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(objective=[1, 2], less_equal=[((1, 0), 2), ((0, 1), 3), ((1, 1), 4)]),
-        dict(objective=[1, 1], less_equal=[((1, 0), 2), ((0, 1), 4), ((1, 1), 4)]),
-        dict(objective=[1, 1], less_equal=[((0, 1), 3), ((1, 0), 2)]),
-        dict(objective=[1, 1], less_equal=[((1, 0), 2)]),
-        dict(objective=[1, 1], equalities=[((1, -1), 0)], less_equal=[((1, 0), 2), ((0, 1), 3)]),
+        dict(objective=[1, 2], less_equal=[((1, 1), 4)]),
+        dict(objective=[1, 1], equalities=[((1, -1), 0)], less_equal=[((1, 1), 4)]),
     ],
-    ids=["objective", "changed-row", "reordered-rows", "fewer-rows", "equalities"],
+    ids=["objective", "equalities"],
 )
 def test_mismatched_start_raises_value_error(kwargs):
     start = lp_solve([1, 1], less_equal=[((1, 0), 2), ((0, 1), 3)])

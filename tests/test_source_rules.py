@@ -178,6 +178,28 @@ def test_enumerator_named_only_in_enumeration():
     assert found == []
 
 
+def _uncalled_helpers(trees):
+    """The private functions and classes (one leading underscore) of the
+    trees that no name or attribute anywhere in them refers to."""
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    used = {node.id for node in nodes if isinstance(node, ast.Name)}
+    used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    return [
+        node.name
+        for node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+
+
+def test_every_private_helper_has_a_caller():
+    # a private helper that nothing in the package refers to is dead code
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))]
+    assert _uncalled_helpers(trees) == []
+
+
 _IMPORT_PROBE = (
     "import sys\n"
     "before = set(sys.modules)\n"
@@ -228,6 +250,13 @@ def test_source_rules_catch_what_they_forbid():
         "factors = form.ldl()\n"
         "from .enumeration import _Enumerator, vectors_up_to\n"
         "m = enumeration._Enumerator(f).run(c, r2, visit)\n"
+        "def _orphan():\n"
+        "    return _helper() + obj._method()\n"
+        "def _helper():\n"
+        "    return 1\n"
+        "class _Box:\n"
+        "    def _method(self):\n"
+        "        return self.__init__()\n"
     )
     assert sum(map(_is_functools_cache, ast.walk(bad))) == 2
     assert _mutable_globals(bad) == [3, 4, 5]
@@ -235,5 +264,6 @@ def test_source_rules_catch_what_they_forbid():
     assert sorted(node.lineno for node in ast.walk(bad) if _uses_lcm(node)) == [13, 14, 14]
     assert sorted(node.lineno for node in ast.walk(bad) if _calls_linalg_ldl(node)) == [15, 16]
     assert sorted(node.lineno for node in ast.walk(bad) if _names_enumerator(node)) == [18, 19]
+    assert _uncalled_helpers([bad]) == ["_orphan", "_Box"]
     loaded = ["numpy", "numpy.linalg", "sympy", "fractions", "_decimal", "tamewall", "tamewall.forms"]
     assert _foreign_modules(loaded) == ["numpy", "numpy.linalg", "sympy"]
