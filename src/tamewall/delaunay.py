@@ -14,7 +14,7 @@ from math import ceil, floor
 from operator import mul
 
 from . import kernels, linalg, lp
-from .enumeration import closest_vectors, first_interior_point, lattice_points_in_ellipsoid
+from .enumeration import closest_vectors, lattice_points_in_ellipsoid
 from .errors import InvariantError
 from .forms import QuadraticForm, shifted
 from .linalg import _frac
@@ -108,6 +108,9 @@ class InhomogeneousQuadratic:
 
 @dataclass(frozen=True)
 class PerturbationReport:
+    """Outcome of perturbation_check: a refutation by enumeration carries
+    only the first interior point it meets, with an empty boundary."""
+
     verdict: bool
     boundary: tuple
     interior: tuple
@@ -163,12 +166,12 @@ def is_delaunay_cell(f: QuadraticForm, points) -> DelaunayCertificate:
     quad = circumscribed_quadric(f, pts)
     if quad.status != "ok":
         return DelaunayCertificate(pts, None, None, False, cospherical=False)
-    inside, boundary = first_interior_point(f, quad.center, quad.r2)
-    if inside is not None:
+    report = lattice_points_in_ellipsoid(f, quad.center, quad.r2)
+    if report.interior:
         return DelaunayCertificate(
-            pts, quad.center, quad.r2, False, offending_interior=inside
+            pts, quad.center, quad.r2, False, offending_interior=report.interior[0]
         )
-    boundary = set(boundary)
+    boundary = set(report.boundary)
     missing = sorted(boundary - set(pts))
     if missing:
         return DelaunayCertificate(
@@ -491,7 +494,7 @@ def perturbation_check(
     ((x - v).p_v - 1)((x - v).p_v - 2).  Each term is nonnegative on the
     lattice and vanishes on every cell vertex except v, so the zero set
     of phi on the lattice should shrink to exactly the subset; that is
-    verified by exact enumeration, and the verdict reports it.  p_v is
+    verified by an enumeration that stops at its first interior point.  p_v is
     `find_level_vector(v, cell)`; the report keeps the lattice points, not
     the level vectors.  The terms' linear and constant parts are integers,
     summed over the excluded vertices before the one scaling by alpha.

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .enumeration import first_interior_point
+from .enumeration import lattice_points_in_ellipsoid
 from .errors import InvariantError
 from .forms import QuadraticForm
 from .vecset import canonical_set, dot
@@ -41,10 +41,10 @@ def dual01(vectors):
             "dual infinite: the set does not span the space over the rationals"
         )
     c = centre.particular
-    inside, boundary = first_interior_point(QuadraticForm(gram, 1), c, dot(c, half_sum))
-    if inside is not None:
-        raise InvariantError(f"{inside} lies strictly inside the dual ellipsoid")
-    return canonical_set(boundary)
+    report = lattice_points_in_ellipsoid(QuadraticForm(gram, 1), c, dot(c, half_sum))
+    if report.interior:
+        raise InvariantError(f"{report.interior[0]} lies strictly inside the dual ellipsoid")
+    return canonical_set(report.boundary)
 
 
 def double_dual01(vectors):

@@ -18,6 +18,9 @@ thresholds by exact integer cross-multiplication and build a Fraction
 only for a value that goes into an output (a minimum, a distance, a
 listed norm).
 
+The ellipsoid query ends its search at the first interior point, so a
+refuted cell, dual or perturbation never materialises the ellipsoid.
+
 Cost: the search tree visits every partial vector whose partial cost is
 within the bound, so the work grows with the number of lattice points in
 the ellipsoid and, in the worst case, exponentially in the dimension n.
@@ -54,8 +57,9 @@ class MinimumReport:
 
 @dataclass(frozen=True)
 class EllipsoidPointReport:
-    """Exact interior/boundary classification of lattice points in an
-    ellipsoid f(x - c) <= r2."""
+    """Emptiness of an ellipsoid f(x - c) <= r2: interior is () or the first
+    point strictly inside in enumeration order; boundary lists the points on
+    f(x - c) = r2, sorted, only when interior is ()."""
 
     interior: tuple
     boundary: tuple
@@ -218,33 +222,17 @@ def vectors_up_to(f: QuadraticForm, bound):
 
 
 def lattice_points_in_ellipsoid(f: QuadraticForm, center, r2) -> EllipsoidPointReport:
-    """Exact classification of lattice points x with f(x - center) <= r2."""
-    r2 = _frac(r2)
-    if r2 < 0:
-        raise ValueError("squared radius must be nonnegative")
-    enum = _Enumerator(f)
-    num, den = r2.numerator, r2.denominator
-    interior, boundary = [], []
+    """Emptiness of the ellipsoid f(x - center) <= r2 over the lattice.
 
-    def visit(x, cost, m):
-        (interior if cost * den < m * num else boundary).append(x)
-        return None
-
-    enum.run(center, r2, visit)
-    return EllipsoidPointReport(tuple(sorted(interior)), tuple(sorted(boundary)))
-
-
-def first_interior_point(f: QuadraticForm, center, r2):
-    """(x, None) for the first lattice point x in enumeration order with
-    f(x - center) < r2, else (None, boundary) with the sorted points on
-    f(x - center) = r2.
-
-    The search stops at the first interior point, so a non-empty
-    ellipsoid never has its points materialised.
+    The search stops at the first lattice point strictly inside, in
+    enumeration order, and reports that point alone; only an ellipsoid with
+    no interior point has its boundary listed.
     """
     r2 = _frac(r2)
     if r2 < 0:
         raise ValueError("squared radius must be nonnegative")
+    if len(center) != f.n:
+        raise ValueError("center dimension mismatch")
     enum = _Enumerator(f)
     num, den = r2.numerator, r2.denominator
     inside, boundary = [], []
@@ -258,8 +246,8 @@ def first_interior_point(f: QuadraticForm, center, r2):
 
     enum.run(center, r2, visit)
     if inside:
-        return inside[0], None
-    return None, tuple(sorted(boundary))
+        return EllipsoidPointReport(tuple(inside), ())
+    return EllipsoidPointReport((), tuple(sorted(boundary)))
 
 
 def closest_vectors(f: QuadraticForm, target):

@@ -171,7 +171,6 @@ class WallDescriptor:
             annihilates_as_quadratic=not any(as_quadratic),
             annihilates_upper_once=not any(upper_once),
             max_abs_quadratic=Fraction(max(map(abs, as_quadratic)), den),
-            max_abs_upper_once=Fraction(max(map(abs, upper_once)), den),
         )
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from tamewall import cli, delaunay, dual01, forms, isometry, perfect, series
-from tamewall.enumeration import closest_vectors
+from tamewall.enumeration import EllipsoidPointReport, closest_vectors
 from tamewall.errors import InvariantError
 from tamewall.forms import QuadraticForm, format_form, parse_form, tf_form
 from tamewall.series import s_n_vertices
@@ -452,6 +452,21 @@ def test_perturb_command(capsys, tmp_path):
     }
 
 
+def test_perturb_refutation_lists_only_its_first_interior_point(capsys, tmp_path):
+    # the circle through the corners of [0, 2]^2 holds five lattice points
+    # inside; the search stops at (1, 0), the first of them it meets
+    corners = [(0, 0), (2, 0), (0, 2), (2, 2)]
+    code, payload = _perturb_json(capsys, tmp_path, QuadraticForm.identity(2), corners, corners)
+    assert code == 1
+    assert payload == {
+        "command": "perturb",
+        "status": "refuted",
+        "verdict": False,
+        "boundary": [],
+        "interior": [[1, 0]],
+    }
+
+
 def test_perturb_form_and_cell_of_different_dimensions_is_input_error(capsys, tmp_path):
     code, payload = _perturb_json(
         capsys,
@@ -537,9 +552,9 @@ def test_dual_invariant_failure_exits_3_not_refuted(capsys, monkeypatch, tmp_pat
     # a lattice point strictly inside the dual ellipsoid contradicts the
     # identity dual01 rests on; that is a bug, never a refutation
     def interior(form, center, r2):
-        return tuple([0] * form.n), None
+        return EllipsoidPointReport((tuple([0] * form.n),), ())
 
-    monkeypatch.setattr(dual01, "first_interior_point", interior)
+    monkeypatch.setattr(dual01, "lattice_points_in_ellipsoid", interior)
     path = tmp_path / "s6.vec"
     path.write_text(format_vectors(s_n_vertices(6)))
     code, out, err = run_main(capsys, "dual", str(path))

@@ -22,7 +22,7 @@ from tamewall.delaunay import (
     radon_triangulations,
     relative_volume,
 )
-from tamewall.enumeration import closest_vectors, lattice_points_in_ellipsoid
+from tamewall.enumeration import closest_vectors
 from tamewall.errors import InvariantError
 from tamewall.forms import (
     QuadraticForm,
@@ -37,6 +37,7 @@ from tamewall.linalg import rank
 from tamewall.vecset import canonical_set, sub
 
 from rowmath import add, identity, matmul, matvec, scaled, transpose
+from test_enumeration import fraction_ellipsoid
 from test_forms import fraction_evaluate, symmetric_forms
 
 UNIT_SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -133,22 +134,23 @@ def test_is_delaunay_cell_detects_interior_point():
 
 
 def assert_matches_full_enumeration(f, pts):
-    """The early-exit certificate against the whole-ellipsoid rule: the
-    verdict fails on an interior point exactly when the full enumeration
-    finds one, the witness lies strictly inside, and an empty ellipsoid
-    gets the boundary verdict computed from every lattice point."""
+    """The early-exit certificate against the whole-ellipsoid rule of the
+    Fraction oracle, which classifies every lattice point: the verdict
+    fails on an interior point exactly when the oracle finds one, the
+    witness is the first it meets and lies strictly inside, and an empty
+    ellipsoid gets the boundary verdict computed from every lattice point."""
     cert = is_delaunay_cell(f, pts)
-    report = lattice_points_in_ellipsoid(f, cert.center, cert.r2)
-    if report.interior:
+    interior, boundary, first = fraction_ellipsoid(f, cert.center, cert.r2)
+    if interior:
         witness = cert.offending_interior
-        assert not cert.verdict and witness in report.interior
+        assert not cert.verdict and witness == first
         assert f.evaluate([x - c for x, c in zip(witness, cert.center)]) < cert.r2
         return cert
     assert cert.offending_interior is None
-    missing = sorted(set(report.boundary) - set(cert.vertices))
+    missing = sorted(set(boundary) - set(cert.vertices))
     assert cert.verdict == (not missing)
     assert cert.missing_boundary == (missing[0] if missing else None)
-    assert cert.proper_subface == (bool(missing) and set(cert.vertices) < set(report.boundary))
+    assert cert.proper_subface == (bool(missing) and set(cert.vertices) < set(boundary))
     return cert
 
 
@@ -742,6 +744,28 @@ def test_perturbation_of_mismatched_dimensions_is_refused():
     cell = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     with pytest.raises(ValueError, match="^vector dimension mismatch$"):
         perturbation_check(f, phi, cell, cell[:1], F(1, 4))
+
+
+@pytest.mark.parametrize(
+    "f, point, size",
+    [
+        (tf_form(6), (-6, -2, F(11, 8), F(10, 7), F(-7, 2), 11), 9),
+        (wall_interior_form(6), (F(8, 3), F(9, 5), 15, F(4, 9), F(-4, 3), F(15, 4)), 10),
+    ],
+)
+def test_perturbation_isolates_three_vertices_of_a_cell_with_more_than_two_norms(f, point, size):
+    # neither cell has the two edge norms a and 2a that the closed form
+    # p_v = (2/a) G(c - v) needs (its edges from the first vertex have norms
+    # {1, 3/2} and {6, 9, 10, 16}), yet find_level_vector finds a level
+    # vector for every excluded vertex
+    cell = delaunay_cell_containing(f, point)
+    assert len(cell) == size
+    quad = circumscribed_quadric(f, cell)
+    phi = InhomogeneousQuadratic.from_circumsphere(f, quad.center, quad.r2)
+    rep = perturbation_check(f, phi, cell, cell[:3], F(1, 10))
+    assert rep.verdict
+    assert rep.boundary == cell[:3]
+    assert rep.interior == ()
 
 
 def test_perturbed_wall_form_has_big_simplex_cell():

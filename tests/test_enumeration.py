@@ -16,7 +16,6 @@ from tamewall.enumeration import (
     _Enumerator,
     arithmetic_minimum,
     closest_vectors,
-    first_interior_point,
     lattice_points_in_ellipsoid,
     vectors_up_to,
 )
@@ -143,9 +142,16 @@ def test_ellipsoid_unit_square():
 
 
 def test_ellipsoid_one_dimensional():
+    # the search meets -2 on the boundary, then stops at -1 strictly inside
     rep = lattice_points_in_ellipsoid(QuadraticForm.identity(1), (0,), 4)
-    assert rep.boundary == ((-2,), (2,))
-    assert rep.interior == ((-1,), (0,), (1,))
+    assert rep.interior == ((-1,),)
+    assert rep.boundary == ()
+
+
+@pytest.mark.parametrize("center", [(0,), (0, 0, 0)])
+def test_ellipsoid_center_of_the_wrong_dimension_is_refused(center):
+    with pytest.raises(ValueError, match="^center dimension mismatch$"):
+        lattice_points_in_ellipsoid(QuadraticForm.identity(2), center, 1)
 
 
 def test_ellipsoid_r6_on_wall_form():
@@ -523,8 +529,7 @@ def test_queries_match_their_fraction_versions(form, center, r2):
     assert all(type(value) is F for _, value in listed)
     interior, boundary, first = fraction_ellipsoid(form, c, r2)
     report = lattice_points_in_ellipsoid(form, c, r2)
-    assert (report.interior, report.boundary) == (interior, boundary)
-    assert first_interior_point(form, c, r2) == ((first, None) if first else (None, boundary))
+    assert (report.interior, report.boundary) == (((first,), ()) if first else ((), boundary))
     d2, pts = closest_vectors(form, c)
     assert (d2, pts) == fraction_closest_vectors(form, c)
     assert type(d2) is F

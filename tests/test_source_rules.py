@@ -200,6 +200,31 @@ def test_every_private_helper_has_a_caller():
     assert _uncalled_helpers(trees) == []
 
 
+def _unused_imports(tree):
+    """(line, name) for each name the module imports and never refers to;
+    a `from __future__` import binds no name."""
+    imported = [
+        (node.lineno, alias.asname or alias.name.split(".")[0])
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_every_import_is_used():
+    # an import nothing refers to is a stale binding (a deleted query's name
+    # survives in its callers); __init__.py imports to re-export
+    found = [
+        f"{path.relative_to(SRC)}:{line} {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
 _IMPORT_PROBE = (
     "import sys\n"
     "before = set(sys.modules)\n"
@@ -257,6 +282,10 @@ def test_source_rules_catch_what_they_forbid():
         "class _Box:\n"
         "    def _method(self):\n"
         "        return self.__init__()\n"
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .enumeration import first_interior_point, closest_vectors as closest\n"
+        "d2 = closest(f, os.sep)\n"
     )
     assert sum(map(_is_functools_cache, ast.walk(bad))) == 2
     assert _mutable_globals(bad) == [3, 4, 5]
@@ -265,5 +294,12 @@ def test_source_rules_catch_what_they_forbid():
     assert sorted(node.lineno for node in ast.walk(bad) if _calls_linalg_ldl(node)) == [15, 16]
     assert sorted(node.lineno for node in ast.walk(bad) if _names_enumerator(node)) == [18, 19]
     assert _uncalled_helpers([bad]) == ["_orphan", "_Box"]
+    assert sorted(_unused_imports(bad)) == [
+        (2, "lru_cache"),
+        (15, "ldl"),
+        (18, "_Enumerator"),
+        (18, "vectors_up_to"),
+        (29, "first_interior_point"),
+    ]
     loaded = ["numpy", "numpy.linalg", "sympy", "fractions", "_decimal", "tamewall", "tamewall.forms"]
     assert _foreign_modules(loaded) == ["numpy", "numpy.linalg", "sympy"]
